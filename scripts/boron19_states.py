@@ -9,10 +9,8 @@ Usage: python3 scripts/boron19_states.py [a_nc_fm ...]
 
 import sys
 
-import numpy as np
-
 from trihalo.quadrature import build_grid
-from trihalo.spectrum import _ordered_eigenvalues, boron19_config, find_trimers
+from trihalo.spectrum import boron19_config, find_trimers
 
 
 def main() -> int:
@@ -21,10 +19,9 @@ def main() -> int:
     print(f"{'a_nc_fm':>10} {'states':>7}  levels_keV")
     for a in values:
         cfg = boron19_config(a_nc_fm=a)
-        count = int(np.sum(_ordered_eigenvalues(cfg, grid, -1e-12) > 1.0))
-        spec = find_trimers(cfg, grid, search_window=(1e-9, 1e12), max_states=6)
+        spec = find_trimers(cfg, grid, search_window=(1e-9, 1e12), max_states=8)
         levels = ", ".join(f"{lv.epsilon3_keV:.4g}" for lv in spec.levels)
-        print(f"{a:>10.1f} {count:>7}  [{levels}]")
+        print(f"{a:>10.1f} {len(spec.levels):>7}  [{levels}]")
     return 0
 
 

@@ -8,36 +8,21 @@ ratios against exp(2 pi / s0) from the transcendental scale equation.
 Usage: python3 scripts/unitary_ladder.py [a_fm] [beta_inv_fm]
 """
 
-import math
 import sys
 
-from trihalo.model import (
-    ChannelLabel,
-    PairChannel,
-    PoleKind,
-    SystemConfig,
-    resolve_config,
-)
 from trihalo.quadrature import build_grid
-from trihalo.spectrum import ResonantPairs, efimov_scale_factor, find_trimers
+from trihalo.spectrum import (
+    ResonantPairs,
+    efimov_scale_factor,
+    find_trimers,
+    unitary_boson_config,
+)
 
 
 def main() -> int:
     a_fm = float(sys.argv[1]) if len(sys.argv) > 1 else -1.0e4
     beta = float(sys.argv[2]) if len(sys.argv) > 2 else 16.0
-    cfg = resolve_config(
-        SystemConfig(
-            core_mass_number=1,
-            nc_channel=PairChannel(
-                ChannelLabel.neutron_core, PoleKind.virtual, beta,
-                scattering_length_fm=a_fm,
-            ),
-            nn_channel=PairChannel(
-                ChannelLabel.neutron_neutron, PoleKind.virtual, beta,
-                scattering_length_fm=a_fm,
-            ),
-        )
-    )
+    cfg = unitary_boson_config(a_fm, beta)
     grid = build_grid(160, 0.03)
     spec = find_trimers(cfg, grid, search_window=(1e-6, 1e9), max_states=6)
     sf = efimov_scale_factor(1.0, ResonantPairs.all_three)

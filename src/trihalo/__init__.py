@@ -54,6 +54,7 @@ from .spectrum import (
     find_trimers,
     threshold_scan,
     trimer_determinant,
+    unitary_boson_config,
 )
 
 __version__ = "0.1.0"

@@ -22,12 +22,13 @@ from .model import (
     UNITARY_LIMIT,
     ChannelLabel,
     SystemConfig,
+    config_number,
     parse_system_config,
     reduced_mass,
     scattering_length_from_pole,
 )
 from .quadrature import MomentumGrid, build_grid
-from .scattering import cross_section_curve, resonance_window
+from .scattering import cross_section_curve
 from .spectrum import find_trimers, threshold_scan
 
 _TOP_KEYS = {"system", "grid", "spectrum", "scan", "scatter", "fit", "output_dir"}
@@ -44,6 +45,13 @@ def _check_keys(frag: dict, allowed: set, where: str) -> None:
     unknown = set(frag) - allowed
     if unknown:
         raise ConfigurationError(f"{where}: unknown key(s) {sorted(unknown)}")
+
+
+def _number(frag: dict, where: str, key: str, default, integer: bool = False):
+    """frag[key] checked by config_number, or default when the key is absent."""
+    if key not in frag:
+        return default
+    return config_number(frag[key], f"{where}.{key}", integer)
 
 
 @dataclass(frozen=True)
@@ -86,28 +94,33 @@ def load_run_config(path: str | None, require_system: bool) -> RunConfig:
     gfrag = raw.get("grid", {})
     _check_keys(gfrag, _GRID_KEYS, "grid")
     grid = build_grid(
-        int(gfrag.get("count", pipeline.DEFAULT_GRID_COUNT)),
-        float(gfrag.get("map_scale_inv_fm", pipeline.DEFAULT_MAP_SCALE)),
+        _number(gfrag, "grid", "count", pipeline.DEFAULT_GRID_COUNT, integer=True),
+        _number(gfrag, "grid", "map_scale_inv_fm", pipeline.DEFAULT_MAP_SCALE),
     )
 
     sfrag = raw.get("spectrum", {})
     _check_keys(sfrag, _SPECTRUM_KEYS, "spectrum")
-    window = tuple(float(v) for v in sfrag.get("window_keV", (1e-9, 1e9)))
-    if len(window) != 2:
+    window = sfrag.get("window_keV", (1e-9, 1e9))
+    if not isinstance(window, (list, tuple)) or len(window) != 2:
         raise ConfigurationError("spectrum.window_keV must have two entries")
-    max_states = int(sfrag.get("max_states", 8))
+    window = tuple(config_number(v, "spectrum.window_keV") for v in window)
+    max_states = _number(sfrag, "spectrum", "max_states", 8, integer=True)
 
     cfrag = raw.get("scan", {})
     _check_keys(cfrag, _SCAN_KEYS, "scan")
-    scan_start = float(cfrag.get("start_keV", pipeline.SCAN_START_KEV))
-    scan_stop = float(cfrag.get("stop_keV", pipeline.SCAN_STOP_KEV))
-    scan_points = int(cfrag.get("points", pipeline.SCAN_POINTS))
+    scan_start = _number(cfrag, "scan", "start_keV", pipeline.SCAN_START_KEV)
+    scan_stop = _number(cfrag, "scan", "stop_keV", pipeline.SCAN_STOP_KEV)
+    scan_points = _number(cfrag, "scan", "points", pipeline.SCAN_POINTS, integer=True)
+    if scan_points < 1:
+        raise ConfigurationError(f"scan.points must be >= 1, got {scan_points}")
 
     tfrag = raw.get("scatter", {})
     _check_keys(tfrag, _SCATTER_KEYS, "scatter")
-    scatter_start = float(tfrag["start_keV"]) if "start_keV" in tfrag else None
-    scatter_stop = float(tfrag["stop_keV"]) if "stop_keV" in tfrag else None
-    scatter_points = int(tfrag.get("points", pipeline.CURVE_POINTS))
+    scatter_start = _number(tfrag, "scatter", "start_keV", None)
+    scatter_stop = _number(tfrag, "scatter", "stop_keV", None)
+    scatter_points = _number(tfrag, "scatter", "points", pipeline.CURVE_POINTS, integer=True)
+    if scatter_points < 1:
+        raise ConfigurationError(f"scatter.points must be >= 1, got {scatter_points}")
     scatter_spacing = str(tfrag.get("spacing", "log"))
     if scatter_spacing not in ("log", "linear"):
         raise ConfigurationError("scatter.spacing must be 'log' or 'linear'")
@@ -116,6 +129,10 @@ def load_run_config(path: str | None, require_system: bool) -> RunConfig:
     _check_keys(ffrag, _FIT_KEYS, "fit")
     fit_model = str(ffrag.get("model", "fano"))
     fit_window = str(ffrag.get("window", "auto"))
+
+    output_dir = raw.get("output_dir", ".")
+    if not isinstance(output_dir, str):
+        raise ConfigurationError(f"output_dir must be a string, got {output_dir!r}")
 
     return RunConfig(
         system=system,
@@ -131,7 +148,7 @@ def load_run_config(path: str | None, require_system: bool) -> RunConfig:
         scatter_spacing=scatter_spacing,
         fit_model=fit_model,
         fit_window=fit_window,
-        output_dir=Path(raw.get("output_dir", ".")),
+        output_dir=Path(output_dir),
     )
 
 
@@ -213,34 +230,17 @@ def cmd_fit(args) -> str:
     model = args.model or rc.fit_model
     if model == "bw":
         model = "breit_wigner"
-    window_mode = args.window or rc.fit_window
     E, s = io.read_curve_csv(args.input)
-    win = None
-    if window_mode == "auto":
-        # resonance_window only touches energies/sigmas, so raw CSV data
-        # can stand in for a CrossSectionCurve
-        from types import SimpleNamespace
-
-        win = resonance_window(SimpleNamespace(energies_keV=E, sigmas_fm2=s))
-    from .fanofit import auto_seed, fit
-
-    mask = np.ones(len(E), dtype=bool)
-    used_mode = "full"
-    if win is not None:
-        m = (E >= win.lo_keV) & (E <= win.hi_keV)
-        if int(m.sum()) >= 8:
-            mask = m
-            used_mode = "auto"
-    seed = auto_seed(model, E[mask], s[mask], window=win)
-    result = fit(E[mask], s[mask], model=model, seed=seed)
+    wfit = pipeline.fit_curve(E, s, model=model, window_mode=args.window or rc.fit_window)
+    result = wfit.result
     rec = io.fit_record(result)
-    rec["window_mode"] = used_mode
+    rec["window_mode"] = wfit.window_mode
     path = out / "fit.json"
     io.write_json(path, rec)
     if args.svg and model == "fano":
         io.write_curve_svg(
             out / "fit.svg", E, s,
-            overlay=(E[mask], fano_profile(E[mask], result.params)),
+            overlay=(E[wfit.mask], fano_profile(E[wfit.mask], result.params)),
             title="data + Fano fit",
         )
     return (

@@ -279,6 +279,16 @@ def _levenberg_marquardt(residuals, jacobian, th, feasible, shrink=1.0):
     return th, iterations, converged
 
 
+def _curve_arrays(curve_or_E, sigma=None):
+    """(energies_keV, sigmas_fm2) as float arrays from a curve or two arrays."""
+    if sigma is None:
+        return (
+            np.asarray(curve_or_E.energies_keV, dtype=float),
+            np.asarray(curve_or_E.sigmas_fm2, dtype=float),
+        )
+    return np.asarray(curve_or_E, dtype=float), np.asarray(sigma, dtype=float)
+
+
 def fit(curve_or_E, sigma=None, model: str = "fano", seed="auto") -> FitResult:
     """Damped least-squares fit of a lineshape to (E, sigma) data.
 
@@ -296,12 +306,7 @@ def fit(curve_or_E, sigma=None, model: str = "fano", seed="auto") -> FitResult:
     within reach keeps the result of its first 500 iterations.  The
     result is reported in (sigma0, q, E_r, Gamma) either way.
     """
-    if sigma is None:
-        E = np.asarray(curve_or_E.energies_keV, dtype=float)
-        sig = np.asarray(curve_or_E.sigmas_fm2, dtype=float)
-    else:
-        E = np.asarray(curve_or_E, dtype=float)
-        sig = np.asarray(sigma, dtype=float)
+    E, sig = _curve_arrays(curve_or_E, sigma)
     if model not in _MODELS:
         raise ConfigurationError(f"unknown model {model!r}")
     if len(E) < 8:

@@ -243,7 +243,7 @@ def two_body_propagator(
                 f"tau evaluated {dist:.3e} MeV from its pole at z = -{eps2:.6g} MeV",
                 dist,
             )
-        residue = beta * kB * (beta + kB) ** 3 / (4.0 * math.pi**2 * mu**2)
+        residue = propagator_residue(channel, mu, constants)
         out = two_body_propagator_subtracted(channel, mu, z, constants)
         out = np.asarray(out) + residue / (z + eps2)
         return out if out.ndim else complex(out)
@@ -301,6 +301,28 @@ _CHANNEL_KEYS = {"pole", "epsilon2_keV", "scattering_length_fm", "beta_inv_fm"}
 _SYSTEM_KEYS = {"core_mass_number", "nc", "nn"}
 
 
+def config_number(value, name: str, integer: bool = False):
+    """A configuration value as a finite float, or as an int if integer.
+
+    Bools, strings, null, non-finite and (for integer) non-integral
+    values raise ConfigurationError naming the key: nothing is cast or
+    truncated silently.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{name}: expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{name}: {value!r} is out of range") from None
+    if not math.isfinite(x):
+        raise ConfigurationError(f"{name}: must be finite, got {value!r}")
+    if not integer:
+        return x
+    if not x.is_integer():
+        raise ConfigurationError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_channel(label: ChannelLabel, frag: dict) -> PairChannel:
     if not isinstance(frag, dict):
         raise ConfigurationError(f"{label.value}: channel fragment must be an object")
@@ -319,18 +341,16 @@ def _parse_channel(label: ChannelLabel, frag: dict) -> PairChannel:
         ) from None
     if "beta_inv_fm" not in frag:
         raise ConfigurationError(f"{label.value}: missing 'beta_inv_fm'")
+
+    def number(key):
+        return config_number(frag[key], f"{label.value}.{key}") if key in frag else None
+
     return PairChannel(
         label=label,
         pole_kind=kind,
-        beta_inv_fm=float(frag["beta_inv_fm"]),
-        epsilon2_keV=(
-            float(frag["epsilon2_keV"]) if "epsilon2_keV" in frag else None
-        ),
-        scattering_length_fm=(
-            float(frag["scattering_length_fm"])
-            if "scattering_length_fm" in frag
-            else None
-        ),
+        beta_inv_fm=number("beta_inv_fm"),
+        epsilon2_keV=number("epsilon2_keV"),
+        scattering_length_fm=number("scattering_length_fm"),
     )
 
 
@@ -349,7 +369,9 @@ def parse_system_config(frag: dict) -> SystemConfig:
         if key not in frag:
             raise ConfigurationError(f"system: missing '{key}'")
     config = SystemConfig(
-        core_mass_number=int(frag["core_mass_number"]),
+        core_mass_number=config_number(
+            frag["core_mass_number"], "system.core_mass_number", integer=True
+        ),
         nc_channel=_parse_channel(ChannelLabel.neutron_core, frag["nc"]),
         nn_channel=_parse_channel(ChannelLabel.neutron_neutron, frag["nn"]),
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io
 from .errors import ConfigurationError
-from .fanofit import FitResult, auto_seed, fit, q_consistency
+from .fanofit import FitResult, _curve_arrays, auto_seed, fit, q_consistency
 from .model import default_c20_config
 from .quadrature import MomentumGrid, build_grid
 from .scattering import cross_section_curve, resonance_window
@@ -45,28 +45,31 @@ class WindowedFit:
     result: FitResult
     window: object  # ResonanceWindow or None
     window_mode: str  # "auto" or "full"
+    mask: np.ndarray  # the curve points the fit used
 
 
-def fit_curve(curve, model: str = "fano", window_mode: str = "auto") -> WindowedFit:
+def fit_curve(
+    curve_or_E, sigma=None, model: str = "fano", window_mode: str = "auto"
+) -> WindowedFit:
     """Fit a curve, restricted to its resonance window when one exists.
 
-    window_mode "auto": use resonance_window when found, otherwise fall
-    back to the full curve.  "full": always the full curve.
+    Accepts a CrossSectionCurve or two arrays.  window_mode "auto": use
+    resonance_window when found and it holds at least 8 points, otherwise
+    fall back to the full curve.  "full": always the full curve.
     """
     if window_mode not in ("auto", "full"):
         raise ConfigurationError(f"window must be 'auto' or 'full', got {window_mode!r}")
-    E = curve.energies_keV
-    s = curve.sigmas_fm2
-    win = resonance_window(curve) if window_mode == "auto" else None
+    E, s = _curve_arrays(curve_or_E, sigma)
+    win = resonance_window(E, s) if window_mode == "auto" else None
+    mask = np.ones(len(E), dtype=bool)
+    used_mode = "full"
     if win is not None:
-        mask = (E >= win.lo_keV) & (E <= win.hi_keV)
-        if int(mask.sum()) >= 8:
-            seed = auto_seed(model, E[mask], s[mask], window=win)
-            result = fit(E[mask], s[mask], model=model, seed=seed)
-            return WindowedFit(result=result, window=win, window_mode="auto")
-    seed = auto_seed(model, E, s, window=win)
-    result = fit(E, s, model=model, seed=seed)
-    return WindowedFit(result=result, window=win, window_mode="full")
+        inside = (E >= win.lo_keV) & (E <= win.hi_keV)
+        if int(inside.sum()) >= 8:
+            mask, used_mode = inside, "auto"
+    seed = auto_seed(model, E[mask], s[mask], window=win)
+    result = fit(E[mask], s[mask], model=model, seed=seed)
+    return WindowedFit(result=result, window=win, window_mode=used_mode, mask=mask)
 
 
 def run_fig1_fig2(out_dir, grid: MomentumGrid | None = None, svg: bool = False) -> dict:

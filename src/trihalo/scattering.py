@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
+from .fanofit import _curve_arrays
 from .model import (
     KEV_PER_MEV,
     PoleKind,
@@ -86,23 +87,25 @@ def elastic_amplitude(
 
     Valid for 0 < E_cm < eps2 (keV above the n+dimer threshold).
     """
-    config = resolve_config(config)
+    return _amplitude(_Engine(config, grid), E_cm_keV)
+
+
+def _amplitude(eng: _Engine, E_cm_keV: float) -> complex:
+    config = eng.config
     eps2_keV = _require_elastic_window(config, E_cm_keV)
-    eng = _Engine(config)
     eps2 = eps2_keV / KEV_PER_MEV
     Ecm = E_cm_keV / KEV_PER_MEV
     E = -eps2 + Ecm
     Mn = eng.M_n
     q0 = math.sqrt(2.0 * Mn * Ecm)
-    p = grid.nodes * eng.hbar_c
-    w = grid.weights * eng.hbar_c
+    p, w = eng.p, eng.w
     if np.min(np.abs(p - q0)) < 1e-12 * q0:
         raise NumericalError(
             f"on-shell momentum coincides with a grid node at E_cm = {E_cm_keV} keV; "
             "perturb the grid count or map scale"
         )
     pe = np.append(p, q0)
-    n = grid.count
+    n = eng.grid.count
     Znn, Znc = _born_blocks(eng, pe, E)
     Bnn = 2.0 * math.pi * Znn.real
     Bnc = 2.0 * math.pi * Znc.real
@@ -116,7 +119,7 @@ def elastic_amplitude(
     ).real
     pole = 2.0 * Mn * R / (q0**2 - p**2)
     tau_full = tau_reg + pole  # full tau at the quadrature nodes
-    tau_c = eng.tau_nn(E - p**2 / (2.0 * eng.M_c)).real
+    tau_c = eng.tau_c(E).real
 
     wq2 = w * p**2
     # P.V. int_0^inf dq/(q0^2-q^2) = 0, so the counter-term is just the
@@ -144,9 +147,8 @@ def elastic_amplitude(
 def scattering_point(
     config: SystemConfig, grid: MomentumGrid, E_cm_keV: float
 ) -> ScatteringPoint:
-    config = resolve_config(config)
-    eng = _Engine(config)
-    f = elastic_amplitude(config, grid, E_cm_keV)
+    eng = _Engine(config, grid)
+    f = _amplitude(eng, E_cm_keV)
     k = math.sqrt(2.0 * eng.M_n * E_cm_keV / KEV_PER_MEV) / eng.hbar_c
     return ScatteringPoint(
         E_cm_keV=float(E_cm_keV),
@@ -185,14 +187,13 @@ class ResonanceWindow:
     dip_keV: float
 
 
-def resonance_window(curve: CrossSectionCurve) -> ResonanceWindow | None:
+def resonance_window(curve_or_E, sigma=None) -> ResonanceWindow | None:
     """Window centered between the curve's extremal pair, width 10x their gap.
 
-    Returns None for a monotone (no interior extrema) curve: the
-    no-resonance result.
+    Accepts a CrossSectionCurve or two arrays.  Returns None for a
+    monotone (no interior extrema) curve: the no-resonance result.
     """
-    E = curve.energies_keV
-    s = curve.sigmas_fm2
+    E, s = _curve_arrays(curve_or_E, sigma)
     interior = np.arange(1, len(s) - 1)
     maxima = [i for i in interior if s[i] > s[i - 1] and s[i] > s[i + 1]]
     minima = [i for i in interior if s[i] < s[i - 1] and s[i] < s[i + 1]]

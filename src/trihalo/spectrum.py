@@ -31,7 +31,6 @@ from .model import (
     PairChannel,
     PoleKind,
     SystemConfig,
-    pole_momentum,
     reduced_mass,
     resolve_config,
     two_body_propagator,
@@ -43,11 +42,18 @@ from .quadrature import MomentumGrid, build_grid
 
 
 class _Engine:
-    """Masses, channel parameters, and propagators of a resolved config, in MeV."""
+    """The kernel's setting for one (config, grid) pair, in MeV.
 
-    def __init__(self, config: SystemConfig):
+    Holds masses, channel parameters, grid momenta, the spectator
+    propagators at the nodes and the symmetric eigen-solve.  The config
+    is resolved once here; every kernel evaluation on this pair, a whole
+    root search included, reuses the engine.
+    """
+
+    def __init__(self, config: SystemConfig, grid: MomentumGrid):
         config = resolve_config(config)
         self.config = config
+        self.grid = grid
         c = config.constants
         self.hbar_c = c.hbar_c
         self.m_n = c.nucleon_mass
@@ -60,17 +66,23 @@ class _Engine:
         self.M_c = self.m_c * 2.0 * self.m_n / m_tot
         self.beta_nc = config.nc_channel.beta_inv_fm * c.hbar_c
         self.beta_nn = config.nn_channel.beta_inv_fm * c.hbar_c
-        self.kB_nc = pole_momentum(config.nc_channel, self.mu_nc, c)
-        self.kB_nn = pole_momentum(config.nn_channel, self.mu_nn, c)
+        # grid momenta, weights and the measure 2 pi p^2 w, all in MeV
+        self.p = grid.nodes * c.hbar_c
+        self.w = grid.weights * c.hbar_c
+        self.u = 2.0 * np.pi * self.p**2 * self.w
 
-    def tau_nc(self, z):
+    def tau_n(self, E):
+        """n-core propagator with a neutron spectator at each grid node."""
         return two_body_propagator(
-            self.config.nc_channel, self.mu_nc, z, self.config.constants
+            self.config.nc_channel, self.mu_nc, E - self.p**2 / (2.0 * self.M_n),
+            self.config.constants,
         )
 
-    def tau_nn(self, z):
+    def tau_c(self, E):
+        """n-n propagator with the core as spectator at each grid node."""
         return two_body_propagator(
-            self.config.nn_channel, self.mu_nn, z, self.config.constants
+            self.config.nn_channel, self.mu_nn, E - self.p**2 / (2.0 * self.M_c),
+            self.config.constants,
         )
 
     def threshold(self) -> float:
@@ -78,6 +90,32 @@ class _Engine:
         if self.config.nc_channel.pole_kind is PoleKind.bound:
             return -self.config.nc_channel.epsilon2_keV / KEV_PER_MEV
         return 0.0
+
+    def eigenvalues(self, E: float) -> np.ndarray:
+        """Eigenvalues of K(E), descending, via an exactly symmetric similarity.
+
+        Below threshold all tau are real negative, so scaling by
+        sqrt(-tau * u) per column/row turns K into a real symmetric matrix
+        with the same spectrum.
+        """
+        if E > self.threshold():
+            raise DomainError(
+                f"E = {E:.6g} MeV is not below the lowest threshold "
+                f"({self.threshold():.6g} MeV)"
+            )
+        Znn, Znc = _born_blocks(self, self.p, E)
+        tau_n = self.tau_n(E).real
+        tau_c = self.tau_c(E).real
+        if np.any(tau_n >= 0) or np.any(tau_c >= 0):
+            raise NumericalError("propagator changed sign below threshold")
+        s_n = np.sqrt(-tau_n * self.u)
+        s_c = np.sqrt(-tau_c * self.u)
+        n = self.grid.count
+        S = np.zeros((2 * n, 2 * n))
+        S[:n, :n] = -Znn.real * s_n[:, None] * s_n[None, :]
+        S[:n, n:] = -math.sqrt(2.0) * Znc.real * s_n[:, None] * s_c[None, :]
+        S[n:, :n] = S[:n, n:].T
+        return np.sort(eigh(S, eigvals_only=True))[::-1]
 
 
 def _swave_exchange(q, qp, E, ca, cb, inv2mu_ag, inv2mu_bg, inv_mg, beta_a, beta_b):
@@ -179,7 +217,7 @@ def build_kernel(config: SystemConfig, grid: MomentumGrid, E) -> KernelMatrix:
     scattering module.  Complex E is evaluated directly (Schwarz:
     K(conj E) = conj K(E)).
     """
-    eng = _Engine(config)
+    eng = _Engine(config, grid)
     E = complex(E)
     if E.imag == 0.0:
         if E.real > eng.threshold():
@@ -189,12 +227,10 @@ def build_kernel(config: SystemConfig, grid: MomentumGrid, E) -> KernelMatrix:
                 "on-shell energies"
             )
         E = E.real
-    p = grid.nodes * eng.hbar_c
-    w = grid.weights * eng.hbar_c
-    Znn, Znc = _born_blocks(eng, p, E)
-    tau_n = eng.tau_nc(E - p**2 / (2.0 * eng.M_n))
-    tau_c = eng.tau_nn(E - p**2 / (2.0 * eng.M_c))
-    u = 2.0 * np.pi * p**2 * w
+    Znn, Znc = _born_blocks(eng, eng.p, E)
+    tau_n = eng.tau_n(E)
+    tau_c = eng.tau_c(E)
+    u = eng.u
     n = grid.count
     dtype = float if isinstance(E, float) else complex
     K = np.zeros((2 * n, 2 * n), dtype=dtype)
@@ -206,40 +242,9 @@ def build_kernel(config: SystemConfig, grid: MomentumGrid, E) -> KernelMatrix:
     return KernelMatrix(energy=E, matrix=K, grid=grid)
 
 
-def _ordered_eigenvalues(config: SystemConfig, grid: MomentumGrid, E: float):
-    """Eigenvalues of K(E), descending, via an exactly symmetric similarity.
-
-    Below threshold all tau are real negative, so scaling by
-    sqrt(-tau * u) per column/row turns K into a real symmetric matrix
-    with the same spectrum.
-    """
-    eng = _Engine(config)
-    if E > eng.threshold():
-        raise DomainError(
-            f"E = {E:.6g} MeV is not below the lowest threshold "
-            f"({eng.threshold():.6g} MeV)"
-        )
-    p = grid.nodes * eng.hbar_c
-    w = grid.weights * eng.hbar_c
-    Znn, Znc = _born_blocks(eng, p, E)
-    tau_n = eng.tau_nc(E - p**2 / (2.0 * eng.M_n)).real
-    tau_c = eng.tau_nn(E - p**2 / (2.0 * eng.M_c)).real
-    if np.any(tau_n >= 0) or np.any(tau_c >= 0):
-        raise NumericalError("propagator changed sign below threshold")
-    u = 2.0 * np.pi * p**2 * w
-    s_n = np.sqrt(-tau_n * u)
-    s_c = np.sqrt(-tau_c * u)
-    n = grid.count
-    S = np.zeros((2 * n, 2 * n))
-    S[:n, :n] = -Znn.real * s_n[:, None] * s_n[None, :]
-    S[:n, n:] = -math.sqrt(2.0) * Znc.real * s_n[:, None] * s_c[None, :]
-    S[n:, :n] = S[:n, n:].T
-    return np.sort(eigh(S, eigvals_only=True))[::-1]
-
-
 def trimer_determinant(config: SystemConfig, grid: MomentumGrid, E: float) -> float:
     """Monotone surrogate 1 - lambda_max(E); sign changes bracket the ground trimer."""
-    return float(1.0 - _ordered_eigenvalues(config, grid, E)[0])
+    return float(1.0 - _Engine(config, grid).eigenvalues(E)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -280,23 +285,23 @@ def find_trimers(
     lo, hi = search_window
     if not (0 < lo < hi):
         raise ConfigurationError("search_window must satisfy 0 < lo < hi (keV)")
-    config = resolve_config(config)
-    eng = _Engine(config)
+    eng = _Engine(config, grid)
+    config = eng.config
     # bound levels live strictly below the lowest scattering threshold
     b_min = max(lo, -eng.threshold() * KEV_PER_MEV * (1.0 + 1e-12), 1e-300)
     if b_min >= hi:
         return ThreeBodySpectrum(levels=(), config_snapshot=config)
     E_hi = -b_min / KEV_PER_MEV  # least bound end
     E_lo = -hi / KEV_PER_MEV
-    ev_hi = _ordered_eigenvalues(config, grid, E_hi)
-    ev_lo = _ordered_eigenvalues(config, grid, E_lo)
+    ev_hi = eng.eigenvalues(E_hi)
+    ev_lo = eng.eigenvalues(E_lo)
     levels = []
     for k in range(min(max_states, len(ev_hi))):
         if not (ev_lo[k] < 1.0 < ev_hi[k]):
             continue
 
         def crossing(E, k=k):
-            return _ordered_eigenvalues(config, grid, E)[k] - 1.0
+            return eng.eigenvalues(E)[k] - 1.0
 
         root = brentq(crossing, E_lo, E_hi, rtol=1e-12, xtol=1e-300, maxiter=200)
         levels.append(TrimerLevel(index=k, epsilon3_keV=-root * KEV_PER_MEV))
@@ -415,16 +420,17 @@ class ThresholdScan:
     crossings: tuple[Crossing, ...]
 
 
-def _with_epsilon2(config: SystemConfig, eps2_keV: float) -> SystemConfig:
+def _threshold_eigenvalues(
+    config: SystemConfig, grid: MomentumGrid, eps2_keV: float
+) -> np.ndarray:
+    """Eigenvalues of K at the n+dimer threshold E = -eps2.
+
+    The n-core channel's eps2 is set to eps2_keV first; its scattering
+    length follows from it.
+    """
     nc = replace(config.nc_channel, epsilon2_keV=eps2_keV, scattering_length_fm=None)
-    return resolve_config(replace(config, nc_channel=nc))
-
-
-def _excited_count(config: SystemConfig, grid: MomentumGrid, eps2_keV: float) -> int:
-    """Number of excited trimers bound relative to the dimer at this eps2 (strict)."""
-    cfg = _with_epsilon2(config, eps2_keV)
-    ev = _ordered_eigenvalues(cfg, grid, -eps2_keV / KEV_PER_MEV)
-    return int(np.sum(ev[1:] > 1.0))
+    eng = _Engine(replace(config, nc_channel=nc), grid)
+    return eng.eigenvalues(-eps2_keV / KEV_PER_MEV)
 
 
 def threshold_scan(
@@ -443,7 +449,11 @@ def threshold_scan(
         raise ConfigurationError("epsilon2 values must be positive")
     if np.any(np.diff(eps2) <= 0):
         raise ConfigurationError("epsilon2 values must be strictly ascending")
-    counts = [_excited_count(config_template, grid, e) for e in eps2]
+    # excited trimers bound relative to the dimer at each eps2 (strict)
+    counts = [
+        int(np.sum(_threshold_eigenvalues(config_template, grid, e)[1:] > 1.0))
+        for e in eps2
+    ]
     points = tuple(
         ScanPoint(epsilon2_keV=float(e), bound_excited_count=c)
         for e, c in zip(eps2, counts)
@@ -454,9 +464,7 @@ def threshold_scan(
         for n in range(c_lo + 1, c_hi + 1):
             # excited state n corresponds to eigenvalue index n (0-based)
             def at_threshold(e2, n=n):
-                cfg = _with_epsilon2(config_template, e2)
-                ev = _ordered_eigenvalues(cfg, grid, -e2 / KEV_PER_MEV)
-                return float(ev[n] - 1.0)
+                return float(_threshold_eigenvalues(config_template, grid, e2)[n] - 1.0)
 
             star = brentq(
                 at_threshold, eps2[i], eps2[i + 1], rtol=1e-10, xtol=1e-300,
@@ -483,15 +491,9 @@ def calibrate_range_parameter(
     target = target_epsilon2_star_keV
 
     def misfit(beta):
-        nc = replace(
-            config_template.nc_channel,
-            beta_inv_fm=beta,
-            epsilon2_keV=target,
-            scattering_length_fm=None,
-        )
-        cfg = resolve_config(replace(config_template, nc_channel=nc))
-        ev = _ordered_eigenvalues(cfg, grid, -target / KEV_PER_MEV)
-        return float(ev[state_index] - 1.0)
+        nc = replace(config_template.nc_channel, beta_inv_fm=beta)
+        cfg = replace(config_template, nc_channel=nc)
+        return float(_threshold_eigenvalues(cfg, grid, target)[state_index] - 1.0)
 
     lo, hi = beta_bounds
     f_lo, f_hi = misfit(lo), misfit(hi)
@@ -506,7 +508,7 @@ def calibrate_range_parameter(
 
 
 # ---------------------------------------------------------------------------
-# 19B preset
+# presets: 19B and the near-unitary identical-boson system
 
 
 def boron19_config(
@@ -531,6 +533,29 @@ def boron19_config(
                 PoleKind.virtual,
                 beta_inv_fm=beta_inv_fm,
                 scattering_length_fm=-18.5,
+            ),
+        )
+    )
+
+
+def unitary_boson_config(
+    a_fm: float = -1.0e4, beta_inv_fm: float = 16.0
+) -> SystemConfig:
+    """A=1 with all three pairs identical and |a| near the unitary limit."""
+    return resolve_config(
+        SystemConfig(
+            core_mass_number=1,
+            nc_channel=PairChannel(
+                ChannelLabel.neutron_core,
+                PoleKind.virtual,
+                beta_inv_fm=beta_inv_fm,
+                scattering_length_fm=a_fm,
+            ),
+            nn_channel=PairChannel(
+                ChannelLabel.neutron_neutron,
+                PoleKind.virtual,
+                beta_inv_fm=beta_inv_fm,
+                scattering_length_fm=a_fm,
             ),
         )
     )

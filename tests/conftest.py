@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from trihalo.model import (
-    ChannelLabel,
-    PairChannel,
-    PoleKind,
-    SystemConfig,
-    default_c20_config,
-    resolve_config,
-)
+from trihalo.model import default_c20_config
 from trihalo.pipeline import default_grid
 from trihalo.quadrature import build_grid
-from trihalo.spectrum import calibrate_range_parameter, find_trimers
+from trihalo.spectrum import (
+    calibrate_range_parameter,
+    find_trimers,
+    unitary_boson_config,
+)
 
 
 @pytest.fixture(scope="session")
@@ -24,27 +21,6 @@ def calibrated_c20(grid):
     """20C template with beta_nc tuned so eps2*(1) = 220 keV."""
     return calibrate_range_parameter(
         default_c20_config(), grid, target_epsilon2_star_keV=220.0
-    )
-
-
-def unitary_boson_config(a_fm=-1.0e4, beta_inv_fm=16.0):
-    """A=1 with all three pairs identical and |a| near the unitary limit."""
-    return resolve_config(
-        SystemConfig(
-            core_mass_number=1,
-            nc_channel=PairChannel(
-                ChannelLabel.neutron_core,
-                PoleKind.virtual,
-                beta_inv_fm=beta_inv_fm,
-                scattering_length_fm=a_fm,
-            ),
-            nn_channel=PairChannel(
-                ChannelLabel.neutron_neutron,
-                PoleKind.virtual,
-                beta_inv_fm=beta_inv_fm,
-                scattering_length_fm=a_fm,
-            ),
-        )
     )
 
 

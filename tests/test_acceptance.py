@@ -40,7 +40,7 @@ from trihalo.quadrature import build_grid
 from trihalo.scattering import scattering_point
 from trihalo.spectrum import (
     ResonantPairs,
-    _ordered_eigenvalues,
+    _Engine,
     boron19_config,
     efimov_scale_factor,
     threshold_scan,
@@ -200,7 +200,7 @@ def test_acceptance_08_same_q_diagnostic(tmp_path, grid):
 
 def test_acceptance_09_boron19_state_count():
     g = build_grid(160, 0.05)
-    ev = _ordered_eigenvalues(boron19_config(), g, -1e-12)
+    ev = _Engine(boron19_config(), g).eigenvalues(-1e-12)
     count = int(np.sum(ev > 1.0))
     report(9, count == 3, f"A=17, |a| = 179 fm: {count} states below threshold")
 

@@ -75,6 +75,45 @@ def test_missing_config_file(tmp_path, capsys):
     assert last_line(capsys).startswith("RESULT config_error")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("system.core_mass_number", "abc"),
+        ("system.core_mass_number", None),
+        ("system.core_mass_number", 18.7),
+        ("system.core_mass_number", True),
+        ("system.nc.epsilon2_keV", "nan"),
+        ("system.nc.epsilon2_keV", "abc"),
+        ("system.nc.beta_inv_fm", "nan"),
+        ("spectrum.window_keV", [1, "x"]),
+        ("spectrum.window_keV", 5),
+        ("spectrum.max_states", "abc"),
+        ("grid.count", "abc"),
+        ("grid.count", 8.9),
+        ("scan.points", -3),
+        ("output_dir", 5),
+        ("fit.window", "foo"),
+    ],
+)
+def test_bad_config_value_is_config_error(tmp_path, capsys, key, value):
+    # every subcommand reads the whole run configuration; fit also uses
+    # fit.window, so it runs all cases
+    body = {"system": json.loads(json.dumps(SYSTEM)), "grid": {"count": 48}}
+    *parents, leaf = key.split(".")
+    frag = body
+    for name in parents:
+        frag = frag.setdefault(name, {})
+    frag[leaf] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(body))
+    E = np.linspace(0.5, 3.5, 20)
+    csv = tmp_path / "data.csv"
+    write_curve_csv(csv, E, fano_profile(E, FanoParameters(2.0, 4.0, 1.63, 0.25)))
+    code = main(["fit", str(csv), "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert last_line(capsys).startswith("RESULT config_error")
+
+
 def test_spectrum_csv(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

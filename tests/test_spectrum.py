@@ -19,7 +19,7 @@ from trihalo.quadrature import build_grid
 from trihalo.spectrum import (
     NO_EFIMOV_REGIME,
     ResonantPairs,
-    _ordered_eigenvalues,
+    _Engine,
     boron19_config,
     build_kernel,
     calibrate_range_parameter,
@@ -66,6 +66,26 @@ def test_kernel_identical_boson_reduction():
     lam_full = np.max(np.linalg.eigvals(K.matrix).real)
     lam_single = np.max(np.linalg.eigvals(2.0 * K.nn).real)
     assert lam_full == pytest.approx(lam_single, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "system, grid_args, E",
+    [
+        ("c20", (96, 0.1), -0.3),
+        ("c20", (96, 0.1), -1.0),
+        ("c20", (96, 0.1), -100.0),
+        ("boson", (160, 0.03), -1e-6),
+        ("boson", (160, 0.03), -1.0),
+    ],
+)
+def test_kernel_matrix_and_symmetric_solve_agree(system, grid_args, E):
+    # build_kernel's non-symmetric K and the engine's symmetrized form are
+    # two assemblies of one operator: their leading spectra must coincide
+    cfg = default_c20_config() if system == "c20" else unitary_boson_config()
+    g = build_grid(*grid_args)
+    general = np.sort(np.linalg.eigvals(build_kernel(cfg, g, E).matrix).real)[::-1]
+    symmetric = _Engine(cfg, g).eigenvalues(E)
+    assert np.max(np.abs(general[:6] - symmetric[:6])) <= 1e-12
 
 
 # --- determinant surrogate -------------------------------------------------
@@ -164,7 +184,7 @@ def test_grid_refinement_stability(calibrated_c20):
 def test_root_refinement_tolerance(grid, calibrated_c20):
     spec = find_trimers(calibrated_c20, grid, (1e-3, 2e4), max_states=1)
     E_root = -spec.levels[0].epsilon3_keV / 1000.0
-    ev = _ordered_eigenvalues(calibrated_c20, grid, E_root)
+    ev = _Engine(calibrated_c20, grid).eigenvalues(E_root)
     assert abs(ev[0] - 1.0) < 1e-8
 
 
@@ -252,21 +272,21 @@ def test_calibration_hits_target_within_band(calibrated_c20):
 
 def test_boron19_three_states(grid):
     g = build_grid(160, 0.05)
-    ev = _ordered_eigenvalues(boron19_config(), g, -1e-12)
+    ev = _Engine(boron19_config(), g).eigenvalues(-1e-12)
     assert int(np.sum(ev > 1.0)) == 3
 
 
 def test_boron19_fewer_states_at_small_a(grid):
     g = build_grid(160, 0.05)
     small = boron19_config(a_nc_fm=-10.0)
-    ev = _ordered_eigenvalues(small, g, -1e-12)
+    ev = _Engine(small, g).eigenvalues(-1e-12)
     assert int(np.sum(ev > 1.0)) < 3
 
 
 def test_boron19_count_monotone_in_a(grid):
     g = build_grid(160, 0.05)
-    base = int(np.sum(_ordered_eigenvalues(boron19_config(), g, -1e-12) > 1.0))
+    base = int(np.sum(_Engine(boron19_config(), g).eigenvalues(-1e-12) > 1.0))
     doubled = int(
-        np.sum(_ordered_eigenvalues(boron19_config(a_nc_fm=-358.0), g, -1e-12) > 1.0)
+        np.sum(_Engine(boron19_config(a_nc_fm=-358.0), g).eigenvalues(-1e-12) > 1.0)
     )
     assert doubled >= base
