@@ -189,6 +189,8 @@ def cmd_spectrum(args) -> str:
 def cmd_scan(args) -> str:
     rc = load_run_config(args.config, require_system=True)
     out = _out_dir(args, rc)
+    if rc.scan_start <= 0:
+        raise ConfigurationError(f"scan.start_keV must be > 0, got {rc.scan_start}")
     if rc.scan_stop < rc.scan_start:
         raise ConfigurationError(
             f"scan range descending: start_keV={rc.scan_start} > stop_keV={rc.scan_stop}"
@@ -210,6 +212,8 @@ def cmd_scatter(args) -> str:
     start = rc.scatter_start if rc.scatter_start is not None else 0.05
     stop = rc.scatter_stop if rc.scatter_stop is not None else 0.98 * eps2
     if rc.scatter_spacing == "log":
+        if min(start, stop) <= 0:
+            raise ConfigurationError(f"scatter: log spacing needs {start}, {stop} > 0 keV")
         mesh = np.geomspace(start, stop, rc.scatter_points)
     else:
         mesh = np.linspace(start, stop, rc.scatter_points)

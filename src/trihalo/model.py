@@ -80,21 +80,24 @@ class PairChannel:
     scattering_length_fm: float | None = None
 
     def __post_init__(self):
-        if self.beta_inv_fm <= 0:
+        # written so that NaN fails every check
+        if not (0 < self.beta_inv_fm < math.inf):
             raise ConfigurationError(
-                f"{self.label.value}: range_parameter_beta must be > 0"
+                f"{self.label.value}: range_parameter_beta must be finite and > 0"
             )
-        if self.epsilon2_keV is not None and self.epsilon2_keV < 0:
-            raise ConfigurationError(f"{self.label.value}: epsilon2 must be >= 0")
+        if self.epsilon2_keV is not None and not (0 <= self.epsilon2_keV < math.inf):
+            raise ConfigurationError(
+                f"{self.label.value}: epsilon2 must be finite and >= 0"
+            )
         a = self.scattering_length_fm
         if a is not None:
-            if self.pole_kind is PoleKind.bound and a <= 0:
+            if self.pole_kind is PoleKind.bound and not (0 < a < math.inf):
                 raise ConfigurationError(
-                    f"{self.label.value}: bound pole requires scattering_length > 0"
+                    f"{self.label.value}: bound pole requires 0 < scattering_length < inf"
                 )
-            if self.pole_kind is PoleKind.virtual and a >= 0:
+            if self.pole_kind is PoleKind.virtual and not (-math.inf < a < 0):
                 raise ConfigurationError(
-                    f"{self.label.value}: virtual pole requires scattering_length < 0"
+                    f"{self.label.value}: virtual pole requires -inf < scattering_length < 0"
                 )
 
 
@@ -108,8 +111,8 @@ class SystemConfig:
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
-        if self.core_mass_number < 1:
-            raise ConfigurationError("core_mass_number must be >= 1")
+        if not (1 <= self.core_mass_number < math.inf):
+            raise ConfigurationError("core_mass_number must be finite and >= 1")
         if self.nc_channel.label is not ChannelLabel.neutron_core:
             raise ConfigurationError("nc_channel must carry the neutron_core label")
         if self.nn_channel.label is not ChannelLabel.neutron_neutron:

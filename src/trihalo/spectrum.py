@@ -70,6 +70,7 @@ class _Engine:
         self.p = grid.nodes * c.hbar_c
         self.w = grid.weights * c.hbar_c
         self.u = 2.0 * np.pi * self.p**2 * self.w
+        self._exchange = None
 
     def tau_n(self, E):
         """n-core propagator with a neutron spectator at each grid node."""
@@ -91,6 +92,12 @@ class _Engine:
             return -self.config.nc_channel.epsilon2_keV / KEV_PER_MEV
         return 0.0
 
+    def born_blocks(self, E):
+        """Z_nn and Z_nc on the grid at E, from exchange blocks built once."""
+        if self._exchange is None:
+            self._exchange = _exchanges(self, self.p)
+        return tuple(z(E) for z in self._exchange)
+
     def eigenvalues(self, E: float) -> np.ndarray:
         """Eigenvalues of K(E), descending, via an exactly symmetric similarity.
 
@@ -103,7 +110,7 @@ class _Engine:
                 f"E = {E:.6g} MeV is not below the lowest threshold "
                 f"({self.threshold():.6g} MeV)"
             )
-        Znn, Znc = _born_blocks(self, self.p, E)
+        Znn, Znc = self.born_blocks(E)
         tau_n = self.tau_n(E).real
         tau_c = self.tau_c(E).real
         if np.any(tau_n >= 0) or np.any(tau_c >= 0):
@@ -115,70 +122,87 @@ class _Engine:
         S[:n, :n] = -Znn.real * s_n[:, None] * s_n[None, :]
         S[:n, n:] = -math.sqrt(2.0) * Znc.real * s_n[:, None] * s_c[None, :]
         S[n:, :n] = S[:n, n:].T
+        if not np.isfinite(S).all():
+            raise NumericalError(f"kernel at E = {E:.6g} MeV is not finite")
         return np.sort(eigh(S, eigvals_only=True))[::-1]
 
 
-def _swave_exchange(q, qp, E, ca, cb, inv2mu_ag, inv2mu_bg, inv_mg, beta_a, beta_b):
-    """Closed form of the s-wave projected one-particle-exchange integral.
+class _Exchange:
+    """Closed form of one s-wave projected one-particle-exchange block.
 
     Integrand is a product of three factors linear in x = cos(angle):
     the two form-factor denominators and the exchange propagator.
     Partial fractions give a sum of logarithms; the double-root branch
     handles the case of coincident form-factor denominators (exact on
-    the diagonal of symmetric blocks).
+    the diagonal of symmetric blocks).  Built once per momentum set; only
+    A3, L3, D13 and D23 depend on E.
     """
-    A1 = qp**2 + cb**2 * q**2 + beta_a**2
-    B1 = 2.0 * cb * q * qp
-    A2 = q**2 + ca**2 * qp**2 + beta_b**2
-    B2 = 2.0 * ca * q * qp
-    A3 = E - q**2 * inv2mu_ag - qp**2 * inv2mu_bg
-    B3 = -q * qp * inv_mg
 
-    L1 = np.log((A1 + B1) / (A1 - B1))
-    L2 = np.log((A2 + B2) / (A2 - B2))
-    L3 = np.log((A3 + B3) / (A3 - B3))
+    def __init__(self, q, qp, ca, cb, inv2mu_ag, inv2mu_bg, inv_mg, beta_a, beta_b):
+        # the B's are outer products, rebuilt per call from (q, qp): holding
+        # fewer N x N arrays keeps the peak memory of a search at its old level
+        self.q, self.qp, self.inv_mg = q, qp, inv_mg
+        self.ca2, self.cb2 = 2.0 * ca, 2.0 * cb
+        A1 = qp**2 + cb**2 * q**2 + beta_a**2
+        B1 = self.cb2 * q * qp
+        A2 = q**2 + ca**2 * qp**2 + beta_b**2
+        B2 = self.ca2 * q * qp
+        B3 = -q * qp * inv_mg
+        self.kin_q = q**2 * inv2mu_ag
+        self.kin_qp = qp**2 * inv2mu_bg
+        self.A1B3, self.A2B3 = A1 * B3, A2 * B3
+        self.B1L1 = B1 * np.log((A1 + B1) / (A1 - B1))
+        self.B2L2 = B2 * np.log((A2 + B2) / (A2 - B2))
+        self.D12 = A1 * B2 - A2 * B1
+        # coincident form-factor denominators: confluent partial fractions
+        degenerate = np.abs(self.D12) <= 1e-10 * (np.abs(A1 * B2) + np.abs(A2 * B1))
+        self.degenerate = np.nonzero(degenerate)
+        A = 0.5 * (A1[self.degenerate] + A2[self.degenerate])
+        B = 0.5 * (B1[self.degenerate] + B2[self.degenerate])
+        self.conf = (A, B, np.log((A + B) / (A - B)), A**2 - B**2)
 
-    D12 = A1 * B2 - A2 * B1
-    D13 = A1 * B3 - A3 * B1
-    D23 = A2 * B3 - A3 * B2
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (
-            B1 * L1 / (D12 * D13)
-            - B2 * L2 / (D12 * D23)
-            + B3 * L3 / (D13 * D23)
-        )
-    # coincident form-factor denominators: confluent partial fractions
-    degenerate = np.abs(D12) <= 1e-10 * (np.abs(A1 * B2) + np.abs(A2 * B1))
-    if np.any(degenerate):
-        A = 0.5 * (A1 + A2)
-        B = 0.5 * (B1 + B2)
+    def __call__(self, E):
+        A3 = E - self.kin_q - self.kin_qp
+        B3 = -self.q * self.qp * self.inv_mg
+        L3 = np.log((A3 + B3) / (A3 - B3))
+        D13 = self.A1B3 - A3 * (self.cb2 * self.q * self.qp)
+        D23 = self.A2B3 - A3 * (self.ca2 * self.q * self.qp)
         with np.errstate(divide="ignore", invalid="ignore"):
+            out = (
+                self.B1L1 / (self.D12 * D13)
+                - self.B2L2 / (self.D12 * D23)
+                + B3 * L3 / (D13 * D23)
+            )
+            A, B, LA, A2B2 = self.conf
+            A3, B3, L3 = A3[self.degenerate], B3[self.degenerate], L3[self.degenerate]
             c = B3**2 / (A * B3 - B * A3) ** 2
             b = B / (B * A3 - A * B3)
             a = -c * B / B3
-            LA = np.log((A + B) / (A - B))
-            confluent = a * LA / B + 2.0 * b / (A**2 - B**2) + c * L3 / B3
-        out = np.where(degenerate, confluent, out)
-    return out
+            out[self.degenerate] = a * LA / B + 2.0 * b / A2B2 + c * L3 / B3
+        return out
 
 
-def _born_blocks(eng: _Engine, p, E):
-    """Z_nn(q,q') and Z_nc(q,q') on the momentum array p (MeV), energy E (MeV)."""
+def _exchanges(eng: _Engine, p) -> tuple[_Exchange, _Exchange]:
+    """The Z_nn and Z_nc exchange blocks on the momentum array p (MeV)."""
     q = p[:, None]
     qp = p[None, :]
     c_n = eng.m_n / (eng.m_n + eng.m_c)
-    Znn = _swave_exchange(
-        q, qp, E, c_n, c_n,
+    Znn = _Exchange(
+        q, qp, c_n, c_n,
         1.0 / (2.0 * eng.mu_nc), 1.0 / (2.0 * eng.mu_nc), 1.0 / eng.m_c,
         eng.beta_nc, eng.beta_nc,
     )
-    Znc = _swave_exchange(
-        q, qp, E, 0.5, eng.m_c / (eng.m_c + eng.m_n),
+    Znc = _Exchange(
+        q, qp, 0.5, eng.m_c / (eng.m_c + eng.m_n),
         1.0 / (2.0 * eng.mu_nn), 1.0 / (2.0 * eng.mu_nc), 1.0 / eng.m_n,
         eng.beta_nc, eng.beta_nn,
     )
     return Znn, Znc
+
+
+def _born_blocks(eng: _Engine, p, E):
+    """Z_nn(q,q') and Z_nc(q,q') on the momentum array p (MeV), energy E (MeV)."""
+    return tuple(z(E) for z in _exchanges(eng, p))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +251,7 @@ def build_kernel(config: SystemConfig, grid: MomentumGrid, E) -> KernelMatrix:
                 "on-shell energies"
             )
         E = E.real
-    Znn, Znc = _born_blocks(eng, eng.p, E)
+    Znn, Znc = eng.born_blocks(E)
     tau_n = eng.tau_n(E)
     tau_c = eng.tau_c(E)
     u = eng.u
@@ -279,8 +303,10 @@ def find_trimers(
     search_window is a binding-energy interval (keV, positive).  Levels
     are reported only when bound relative to the n+(n+core) threshold,
     i.e. eps3 > eps2 of a bound n-core channel (strict).  Each root is
-    refined by bracketed bisection to 1e-10 relative on the energy where
-    the k-th kernel eigenvalue crosses 1.
+    refined by brentq in x = log(eps3 / keV) = log(-E / keV), to 1e-12
+    in x (1e-12 relative on the energy), where the k-th kernel eigenvalue
+    crosses 1.  Every eigen-solve is kept, and each level starts from
+    the tightest bracket among the samples already taken.
     """
     lo, hi = search_window
     if not (0 < lo < hi):
@@ -291,21 +317,39 @@ def find_trimers(
     b_min = max(lo, -eng.threshold() * KEV_PER_MEV * (1.0 + 1e-12), 1e-300)
     if b_min >= hi:
         return ThreeBodySpectrum(levels=(), config_snapshot=config)
-    E_hi = -b_min / KEV_PER_MEV  # least bound end
-    E_lo = -hi / KEV_PER_MEV
-    ev_hi = eng.eigenvalues(E_hi)
-    ev_lo = eng.eigenvalues(E_lo)
+    x_least, x_most = math.log(b_min), math.log(hi)
+    samples = {}  # x -> eigenvalues at eps3 = exp(x) keV, shared by all levels
+
+    def eigenvalues(x):
+        if x not in samples:
+            samples[x] = eng.eigenvalues(-math.exp(x) / KEV_PER_MEV)
+        return samples[x]
+
     levels = []
-    for k in range(min(max_states, len(ev_hi))):
-        if not (ev_lo[k] < 1.0 < ev_hi[k]):
-            continue
-
-        def crossing(E, k=k):
-            return eng.eigenvalues(E)[k] - 1.0
-
-        root = brentq(crossing, E_lo, E_hi, rtol=1e-12, xtol=1e-300, maxiter=200)
-        levels.append(TrimerLevel(index=k, epsilon3_keV=-root * KEV_PER_MEV))
+    try:
+        for k in range(min(max_states, len(eigenvalues(x_least)))):
+            if not (eigenvalues(x_most)[k] < 1.0 < eigenvalues(x_least)[k]):
+                continue
+            a = max(x for x, ev in samples.items() if ev[k] > 1.0)
+            b = min(x for x, ev in samples.items() if ev[k] <= 1.0 and x > a)
+            x = _brentq(lambda x, k=k: eigenvalues(x)[k] - 1.0, a, b, xtol=1e-12)
+            levels.append(TrimerLevel(index=k, epsilon3_keV=math.exp(x)))
+    finally:
+        # brentq's NaN guard is a self-referencing closure: free the samples
+        # and the engine's cached blocks now, not when the cyclic GC runs
+        samples.clear()
+        eng = None
     return ThreeBodySpectrum(levels=tuple(levels), config_snapshot=config)
+
+
+def _brentq(f, a: float, b: float, **tolerances) -> float:
+    """brentq on [a, b]; non-convergence or a NaN objective is a NumericalError."""
+    try:
+        return brentq(f, a, b, maxiter=200, **tolerances)
+    except (ConfigurationError, NumericalError):
+        raise
+    except (RuntimeError, ValueError) as exc:
+        raise NumericalError(f"root search on [{a:.6g}, {b:.6g}]: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +510,7 @@ def threshold_scan(
             def at_threshold(e2, n=n):
                 return float(_threshold_eigenvalues(config_template, grid, e2)[n] - 1.0)
 
-            star = brentq(
-                at_threshold, eps2[i], eps2[i + 1], rtol=1e-10, xtol=1e-300,
-                maxiter=200,
-            )
+            star = _brentq(at_threshold, eps2[i], eps2[i + 1], rtol=1e-10, xtol=1e-300)
             crossings.append(Crossing(state_index=n, epsilon2_star_keV=float(star)))
     crossings.sort(key=lambda c: c.state_index)
     return ThresholdScan(points=points, crossings=tuple(crossings))
@@ -502,7 +543,7 @@ def calibrate_range_parameter(
             f"calibration bracket beta in [{lo}, {hi}] fm^-1 does not straddle "
             f"the target (misfits {f_lo:.3g}, {f_hi:.3g})"
         )
-    beta = brentq(misfit, lo, hi, rtol=1e-10, xtol=1e-300, maxiter=200)
+    beta = _brentq(misfit, lo, hi, rtol=1e-10, xtol=1e-300)
     nc = replace(config_template.nc_channel, beta_inv_fm=beta)
     return resolve_config(replace(config_template, nc_channel=nc))
 

@@ -91,13 +91,16 @@ def test_missing_config_file(tmp_path, capsys):
         ("grid.count", "abc"),
         ("grid.count", 8.9),
         ("scan.points", -3),
+        ("scan.start_keV", 0.0),
+        ("scatter.start_keV", 0.0),
         ("output_dir", 5),
         ("fit.window", "foo"),
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, capsys, key, value):
     # every subcommand reads the whole run configuration; fit also uses
-    # fit.window, so it runs all cases
+    # fit.window, so it runs all cases but the scan and scatter ranges,
+    # which only their own subcommands use
     body = {"system": json.loads(json.dumps(SYSTEM)), "grid": {"count": 48}}
     *parents, leaf = key.split(".")
     frag = body
@@ -109,7 +112,9 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, key, value):
     E = np.linspace(0.5, 3.5, 20)
     csv = tmp_path / "data.csv"
     write_curve_csv(csv, E, fano_profile(E, FanoParameters(2.0, 4.0, 1.63, 0.25)))
-    code = main(["fit", str(csv), "--config", str(cfg), "--out", str(tmp_path / "o")])
+    command = parents[0] if parents and parents[0] in ("scan", "scatter") else "fit"
+    inputs = [str(csv)] if command == "fit" else []
+    code = main([command, *inputs, "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert last_line(capsys).startswith("RESULT config_error")
 
@@ -123,6 +128,22 @@ def test_spectrum_csv(tmp_path, capsys):
     assert len(lines) >= 2
     n, e3 = lines[1].split(",")
     assert n == "0" and float(e3) > 0
+
+
+def test_spectrum_extreme_window_ends_in_result_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, spectrum={"window_keV": [1e-300, 1e300]})
+    code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code in (0, 3)
+    assert last_line(capsys).startswith("RESULT")
+
+
+def test_scatter_without_elastic_window_is_config_error(tmp_path, capsys):
+    # eps2 = 0: the default log mesh would end at 0.98 * eps2 = 0
+    system = {**SYSTEM, "nc": {"pole": "bound", "epsilon2_keV": 0.0, "beta_inv_fm": 1.0}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"system": system, "grid": {"count": 48}}))
+    assert main(["scatter", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert last_line(capsys).startswith("RESULT config_error")
 
 
 def test_spectrum_empty_window_header_only(tmp_path, capsys):

@@ -105,6 +105,27 @@ def test_pair_channel_sign_validation():
         nc(beta=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: nc(beta=v),
+        lambda v: nc(eps2=v),
+        lambda v: nc(eps2=None, a=v),
+        lambda v: SystemConfig(
+            core_mass_number=v, nc_channel=nc(),
+            nn_channel=replace(nc(), label=ChannelLabel.neutron_neutron),
+        ),
+    ],
+    ids=["beta_inv_fm", "epsilon2_keV", "scattering_length_fm", "core_mass_number"],
+)
+def test_non_finite_values_are_config_errors(build, value):
+    # NaN fails every comparison, so a check written as "x <= 0 is bad"
+    # would let it through
+    with pytest.raises(ConfigurationError):
+        build(value)
+
+
 def test_propagator_residue_limit():
     cfg = default_c20_config()
     mu = reduced_mass(cfg, ChannelLabel.neutron_core)

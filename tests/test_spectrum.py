@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import unitary_boson_config
-from trihalo.errors import ConfigurationError, DomainError
+from trihalo.errors import ConfigurationError, DomainError, NumericalError
 from trihalo.model import (
     ChannelLabel,
     PairChannel,
@@ -19,6 +21,8 @@ from trihalo.quadrature import build_grid
 from trihalo.spectrum import (
     NO_EFIMOV_REGIME,
     ResonantPairs,
+    _born_blocks,
+    _brentq,
     _Engine,
     boron19_config,
     build_kernel,
@@ -86,6 +90,26 @@ def test_kernel_matrix_and_symmetric_solve_agree(system, grid_args, E):
     general = np.sort(np.linalg.eigvals(build_kernel(cfg, g, E).matrix).real)[::-1]
     symmetric = _Engine(cfg, g).eigenvalues(E)
     assert np.max(np.abs(general[:6] - symmetric[:6])) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "system, grid_args, energies",
+    [
+        ("c20", (96, 0.1), (-0.3, -1.0, -100.0)),
+        ("boson", (160, 0.03), (-1e-6, -1.0, complex(-1.0, 0.5))),
+    ],
+)
+def test_engine_cached_blocks_equal_fresh_blocks(system, grid_args, energies):
+    # the engine builds its exchange blocks once and reuses them at every
+    # energy; they must not differ by one bit from blocks built afresh
+    cfg = default_c20_config() if system == "c20" else unitary_boson_config()
+    eng = _Engine(cfg, build_grid(*grid_args))
+    for E in energies:
+        for cached, fresh in zip(eng.born_blocks(E), _born_blocks(eng, eng.p, E)):
+            assert np.array_equal(cached, fresh)
+    if system == "boson":
+        # identical pairs: the whole diagonal takes the confluent branch
+        assert all(z.degenerate[0].size >= eng.grid.count for z in eng._exchange)
 
 
 # --- determinant surrogate -------------------------------------------------
@@ -167,6 +191,75 @@ def test_find_trimers_empty_spectrum_is_valid(grid):
     )
     spec = find_trimers(weak, grid, search_window=(1e-3, 1e6), max_states=4)
     assert spec.levels == ()
+
+
+def test_unitary_ladder_eigen_evaluations(monkeypatch):
+    # the 4 levels found by a brentq search in E (101 eigen-evaluations)
+    reference = (656921.2386014104, 1232.98308128956, 2.3297231945925807,
+                 0.0020643591720265583)
+    calls = []
+    eigenvalues = _Engine.eigenvalues
+
+    def counted(self, E):
+        calls.append(E)
+        return eigenvalues(self, E)
+
+    monkeypatch.setattr(_Engine, "eigenvalues", counted)
+    spec = find_trimers(
+        unitary_boson_config(), build_grid(160, 0.03),
+        search_window=(1e-6, 1e9), max_states=6,
+    )
+    assert len(calls) <= 30
+    assert [lv.index for lv in spec.levels] == [0, 1, 2, 3]
+    for lv, ref in zip(spec.levels, reference):
+        assert lv.epsilon3_keV == pytest.approx(ref, rel=1e-10)
+
+
+def test_find_trimers_releases_engine(grid, calibrated_c20, monkeypatch):
+    # brentq's NaN guard is a self-referencing closure; only the cyclic GC
+    # would free what the objective reaches unless find_trimers drops it
+    engines = []
+    eigenvalues = _Engine.eigenvalues
+
+    def recorded(self, E):
+        engines.append(weakref.ref(self))
+        return eigenvalues(self, E)
+
+    monkeypatch.setattr(_Engine, "eigenvalues", recorded)
+    gc.disable()
+    try:
+        spec = find_trimers(calibrated_c20, grid, (1e-3, 2e4), max_states=1)
+        assert len(spec.levels) == 1
+        assert engines and all(ref() is None for ref in engines)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "f, match",
+    [
+        (lambda x: math.nan, "NaN"),
+        # root at 0 with xtol 1e-300: ~1000 halvings, over the 200 allowed
+        (lambda x: math.copysign(abs(x) ** 0.1, x), "converge"),
+    ],
+)
+def test_root_search_failure_is_numerical_error(f, match):
+    with pytest.raises(NumericalError, match=match):
+        _brentq(f, -1.0, 2.3, xtol=1e-300, rtol=1e-15)
+
+
+def test_find_trimers_non_finite_kernel_is_numerical_error():
+    # at eps3 = 1e300 keV the exchange blocks of the A=1 system overflow
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="finite"):
+        find_trimers(unitary_boson_config(), build_grid(48, 0.1), (1e-9, 1e300))
+
+
+def test_root_search_passes_configuration_errors():
+    def f(x):
+        raise DomainError("outside")
+
+    with pytest.raises(DomainError):
+        _brentq(f, 0.0, 1.0)
 
 
 def test_grid_refinement_stability(calibrated_c20):
