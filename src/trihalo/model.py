@@ -86,9 +86,7 @@ class PairChannel:
                 f"{self.label.value}: range_parameter_beta must be finite and > 0"
             )
         if self.epsilon2_keV is not None and not (0 <= self.epsilon2_keV < math.inf):
-            raise ConfigurationError(
-                f"{self.label.value}: epsilon2 must be finite and >= 0"
-            )
+            raise ConfigurationError(f"{self.label.value}: epsilon2 must be in [0, inf)")
         a = self.scattering_length_fm
         if a is not None:
             if self.pole_kind is PoleKind.bound and not (0 < a < math.inf):

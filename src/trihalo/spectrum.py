@@ -122,9 +122,10 @@ class _Engine:
         S[:n, :n] = -Znn.real * s_n[:, None] * s_n[None, :]
         S[:n, n:] = -math.sqrt(2.0) * Znc.real * s_n[:, None] * s_c[None, :]
         S[n:, :n] = S[:n, n:].T
-        if not np.isfinite(S).all():
-            raise NumericalError(f"kernel at E = {E:.6g} MeV is not finite")
-        return np.sort(eigh(S, eigvals_only=True))[::-1]
+        try:
+            return np.sort(eigh(S, eigvals_only=True))[::-1]
+        except ValueError as exc:  # eigh's check for inf or NaN in S
+            raise NumericalError(f"kernel at E = {E:.6g} MeV: {exc}") from exc
 
 
 class _Exchange:
@@ -303,10 +304,10 @@ def find_trimers(
     search_window is a binding-energy interval (keV, positive).  Levels
     are reported only when bound relative to the n+(n+core) threshold,
     i.e. eps3 > eps2 of a bound n-core channel (strict).  Each root is
-    refined by brentq in x = log(eps3 / keV) = log(-E / keV), to 1e-12
-    in x (1e-12 relative on the energy), where the k-th kernel eigenvalue
-    crosses 1.  Every eigen-solve is kept, and each level starts from
-    the tightest bracket among the samples already taken.
+    refined by brentq in x = log(-E / MeV), to 1e-12 in x (1e-12 relative
+    on the energy), where the k-th kernel eigenvalue crosses 1.  Each
+    level's search starts from the tightest bracket among the eigen-solves
+    already made.
     """
     lo, hi = search_window
     if not (0 < lo < hi):
@@ -317,23 +318,23 @@ def find_trimers(
     b_min = max(lo, -eng.threshold() * KEV_PER_MEV * (1.0 + 1e-12), 1e-300)
     if b_min >= hi:
         return ThreeBodySpectrum(levels=(), config_snapshot=config)
-    x_least, x_most = math.log(b_min), math.log(hi)
-    samples = {}  # x -> eigenvalues at eps3 = exp(x) keV, shared by all levels
+    samples = {}  # x -> eigenvalues at E = -exp(x) MeV; they only pick brackets
 
     def eigenvalues(x):
-        if x not in samples:
-            samples[x] = eng.eigenvalues(-math.exp(x) / KEV_PER_MEV)
+        samples[x] = eng.eigenvalues(-math.exp(x))
         return samples[x]
 
     levels = []
     try:
-        for k in range(min(max_states, len(eigenvalues(x_least)))):
-            if not (eigenvalues(x_most)[k] < 1.0 < eigenvalues(x_least)[k]):
+        ev_least = eigenvalues(math.log(b_min / KEV_PER_MEV))
+        ev_most = eigenvalues(math.log(hi / KEV_PER_MEV))
+        for k in range(min(max_states, len(ev_least))):
+            if not (ev_most[k] < 1.0 < ev_least[k]):
                 continue
             a = max(x for x, ev in samples.items() if ev[k] > 1.0)
             b = min(x for x, ev in samples.items() if ev[k] <= 1.0 and x > a)
             x = _brentq(lambda x, k=k: eigenvalues(x)[k] - 1.0, a, b, xtol=1e-12)
-            levels.append(TrimerLevel(index=k, epsilon3_keV=math.exp(x)))
+            levels.append(TrimerLevel(index=k, epsilon3_keV=math.exp(x) * KEV_PER_MEV))
     finally:
         # brentq's NaN guard is a self-referencing closure: free the samples
         # and the engine's cached blocks now, not when the cyclic GC runs

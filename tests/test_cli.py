@@ -99,8 +99,8 @@ def test_missing_config_file(tmp_path, capsys):
 )
 def test_bad_config_value_is_config_error(tmp_path, capsys, key, value):
     # every subcommand reads the whole run configuration; fit also uses
-    # fit.window, so it runs all cases but the scan and scatter ranges,
-    # which only their own subcommands use
+    # fit.window, so it runs all cases but the start of a scan or scatter
+    # mesh, which only its own subcommand checks
     body = {"system": json.loads(json.dumps(SYSTEM)), "grid": {"count": 48}}
     *parents, leaf = key.split(".")
     frag = body
@@ -112,7 +112,7 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, key, value):
     E = np.linspace(0.5, 3.5, 20)
     csv = tmp_path / "data.csv"
     write_curve_csv(csv, E, fano_profile(E, FanoParameters(2.0, 4.0, 1.63, 0.25)))
-    command = parents[0] if parents and parents[0] in ("scan", "scatter") else "fit"
+    command = parents[0] if leaf == "start_keV" else "fit"
     inputs = [str(csv)] if command == "fit" else []
     code = main([command, *inputs, "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
