@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,146 +21,92 @@ from .fanofit import fano_profile
 from .model import (
     UNITARY_LIMIT,
     ChannelLabel,
-    SystemConfig,
-    config_number,
+    choice,
+    number,
     parse_system_config,
+    read_fragment,
     reduced_mass,
     scattering_length_from_pole,
 )
-from .quadrature import MomentumGrid, build_grid
+from .quadrature import build_grid
 from .scattering import cross_section_curve
 from .spectrum import find_trimers, threshold_scan
 
-_TOP_KEYS = {"system", "grid", "spectrum", "scan", "scatter", "fit", "output_dir"}
-_GRID_KEYS = {"count", "map_scale_inv_fm"}
-_SPECTRUM_KEYS = {"window_keV", "max_states"}
-_SCAN_KEYS = {"start_keV", "stop_keV", "points"}
-_SCATTER_KEYS = {"start_keV", "stop_keV", "points", "spacing"}
-_FIT_KEYS = {"model", "window"}
+
+def _window(value, name):
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigurationError(f"{name}: must be a list of two numbers, got {value!r}")
+    return tuple(number()(v, name) for v in value)
 
 
-def _check_keys(frag: dict, allowed: set, where: str) -> None:
-    if not isinstance(frag, dict):
-        raise ConfigurationError(f"{where}: must be an object")
-    unknown = set(frag) - allowed
-    if unknown:
-        raise ConfigurationError(f"{where}: unknown key(s) {sorted(unknown)}")
+def _path(value, name):
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{name}: must be a string, got {value!r}")
+    return Path(value)
 
 
-def _number(frag: dict, where: str, key: str, default, integer: bool = False):
-    """frag[key] checked by config_number, or default when the key is absent."""
-    if key not in frag:
-        return default
-    return config_number(frag[key], f"{where}.{key}", integer)
+# Every key of the JSON run configuration: (reader, default), or a nested
+# section.  The grid count and point caps bound memory and run time;
+# physical ranges are checked by the model layer.
+_RUN_SCHEMA = {
+    "system": (parse_system_config, None),
+    "grid": {
+        "count": (number(hi=2048, integer=True), pipeline.DEFAULT_GRID_COUNT),
+        "map_scale_inv_fm": (number(), pipeline.DEFAULT_MAP_SCALE),
+    },
+    "spectrum": {
+        "window_keV": (_window, (1e-9, 1e9)),
+        "max_states": (number(lo=1, integer=True), 8),
+    },
+    "scan": {
+        "start_keV": (number(lo=math.ulp(0.0)), pipeline.SCAN_START_KEV),  # > 0
+        "stop_keV": (number(), pipeline.SCAN_STOP_KEV),
+        "points": (number(1, 10**5, integer=True), pipeline.SCAN_POINTS),
+    },
+    "scatter": {
+        "start_keV": (number(), 0.05),
+        "stop_keV": (number(), None),  # None: 0.98 * eps2 of the nc channel
+        "points": (number(1, 10**5, integer=True), pipeline.CURVE_POINTS),
+        "spacing": (choice("log", "linear"), "log"),
+    },
+    "fit": {
+        "model": (choice("fano", "bw", "breit_wigner"), "fano"),
+        "window": (choice("auto", "full"), "auto"),
+    },
+    "output_dir": (_path, Path(".")),
+}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration; all computations downstream are seed-free."""
+def load_run_config(path: str | None, require_system: bool) -> dict:
+    """The run configuration read by _RUN_SCHEMA, one dict per section.
 
-    system: SystemConfig | None
-    grid: MomentumGrid
-    spectrum_window: tuple[float, float]
-    max_states: int
-    scan_start: float
-    scan_stop: float
-    scan_points: int
-    scatter_start: float | None
-    scatter_stop: float | None
-    scatter_points: int
-    scatter_spacing: str
-    fit_model: str
-    fit_window: str
-    output_dir: Path
-
-
-def load_run_config(path: str | None, require_system: bool) -> RunConfig:
+    rc["grid"] is built into a MomentumGrid; downstream is seed-free.
+    """
     raw = {}
     if path is not None:
+        text = io.read_text(path)
         try:
-            raw = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigurationError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
+            raw = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also over-long integers
             raise ConfigurationError(f"{path}: invalid JSON ({exc})") from None
-    _check_keys(raw, _TOP_KEYS, "config")
-
-    system = None
-    if "system" in raw:
-        system = parse_system_config(raw["system"])
-    elif require_system:
+    rc = read_fragment(raw, _RUN_SCHEMA, "config")
+    if require_system and rc["system"] is None:
         raise ConfigurationError("config: missing 'system' block")
-
-    gfrag = raw.get("grid", {})
-    _check_keys(gfrag, _GRID_KEYS, "grid")
-    grid = build_grid(
-        _number(gfrag, "grid", "count", pipeline.DEFAULT_GRID_COUNT, integer=True),
-        _number(gfrag, "grid", "map_scale_inv_fm", pipeline.DEFAULT_MAP_SCALE),
-    )
-
-    sfrag = raw.get("spectrum", {})
-    _check_keys(sfrag, _SPECTRUM_KEYS, "spectrum")
-    window = sfrag.get("window_keV", (1e-9, 1e9))
-    if not isinstance(window, (list, tuple)) or len(window) != 2:
-        raise ConfigurationError("spectrum.window_keV must have two entries")
-    window = tuple(config_number(v, "spectrum.window_keV") for v in window)
-    max_states = _number(sfrag, "spectrum", "max_states", 8, integer=True)
-
-    cfrag = raw.get("scan", {})
-    _check_keys(cfrag, _SCAN_KEYS, "scan")
-    scan_start = _number(cfrag, "scan", "start_keV", pipeline.SCAN_START_KEV)
-    scan_stop = _number(cfrag, "scan", "stop_keV", pipeline.SCAN_STOP_KEV)
-    scan_points = _number(cfrag, "scan", "points", pipeline.SCAN_POINTS, integer=True)
-    if scan_points < 1:
-        raise ConfigurationError(f"scan.points must be >= 1, got {scan_points}")
-
-    tfrag = raw.get("scatter", {})
-    _check_keys(tfrag, _SCATTER_KEYS, "scatter")
-    scatter_start = _number(tfrag, "scatter", "start_keV", None)
-    scatter_stop = _number(tfrag, "scatter", "stop_keV", None)
-    scatter_points = _number(tfrag, "scatter", "points", pipeline.CURVE_POINTS, integer=True)
-    if scatter_points < 1:
-        raise ConfigurationError(f"scatter.points must be >= 1, got {scatter_points}")
-    scatter_spacing = str(tfrag.get("spacing", "log"))
-    if scatter_spacing not in ("log", "linear"):
-        raise ConfigurationError("scatter.spacing must be 'log' or 'linear'")
-
-    ffrag = raw.get("fit", {})
-    _check_keys(ffrag, _FIT_KEYS, "fit")
-    fit_model = str(ffrag.get("model", "fano"))
-    fit_window = str(ffrag.get("window", "auto"))
-
-    output_dir = raw.get("output_dir", ".")
-    if not isinstance(output_dir, str):
-        raise ConfigurationError(f"output_dir must be a string, got {output_dir!r}")
-
-    return RunConfig(
-        system=system,
-        grid=grid,
-        spectrum_window=window,
-        max_states=max_states,
-        scan_start=scan_start,
-        scan_stop=scan_stop,
-        scan_points=scan_points,
-        scatter_start=scatter_start,
-        scatter_stop=scatter_stop,
-        scatter_points=scatter_points,
-        scatter_spacing=scatter_spacing,
-        fit_model=fit_model,
-        fit_window=fit_window,
-        output_dir=Path(output_dir),
-    )
+    rc["grid"] = build_grid(rc["grid"]["count"], rc["grid"]["map_scale_inv_fm"])
+    return rc
 
 
-def _out_dir(args, rc: RunConfig) -> Path:
-    out = Path(args.out) if args.out else rc.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+def _out_dir(path) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: embedded NUL
+        raise ConfigurationError(f"cannot create output directory {out}: {exc}") from None
     return out
 
 
 def cmd_twobody(args) -> str:
-    rc = load_run_config(args.config, require_system=True)
-    cfg = rc.system
+    cfg = load_run_config(args.config, require_system=True)["system"]
     print(f"{'channel':<16}{'pole':<10}{'mu_MeV':>12}{'eps2_keV':>14}{'a_fm':>12}")
     for label in (ChannelLabel.neutron_core, ChannelLabel.neutron_neutron):
         ch = cfg.channel(label)
@@ -177,9 +123,10 @@ def cmd_twobody(args) -> str:
 
 def cmd_spectrum(args) -> str:
     rc = load_run_config(args.config, require_system=True)
-    out = _out_dir(args, rc)
+    out = _out_dir(args.out or rc["output_dir"])
     spec = find_trimers(
-        rc.system, rc.grid, search_window=rc.spectrum_window, max_states=rc.max_states
+        rc["system"], rc["grid"], search_window=rc["spectrum"]["window_keV"],
+        max_states=rc["spectrum"]["max_states"],
     )
     path = out / "spectrum.csv"
     io.write_spectrum_csv(path, spec)
@@ -188,18 +135,15 @@ def cmd_spectrum(args) -> str:
 
 def cmd_scan(args) -> str:
     rc = load_run_config(args.config, require_system=True)
-    out = _out_dir(args, rc)
-    if rc.scan_start <= 0:
-        raise ConfigurationError(f"scan.start_keV must be > 0, got {rc.scan_start}")
-    if rc.scan_stop < rc.scan_start:
-        raise ConfigurationError(
-            f"scan range descending: start_keV={rc.scan_start} > stop_keV={rc.scan_stop}"
-        )
-    if rc.scan_stop == rc.scan_start or rc.scan_points == 1:
-        values = np.array([rc.scan_start])
+    out = _out_dir(args.out or rc["output_dir"])
+    start, stop, points = (rc["scan"][k] for k in ("start_keV", "stop_keV", "points"))
+    if stop < start:
+        raise ConfigurationError(f"scan range descending: start_keV={start} > stop_keV={stop}")
+    if stop == start or points == 1:
+        values = np.array([start])
     else:
-        values = np.geomspace(rc.scan_start, rc.scan_stop, rc.scan_points)
-    scan = threshold_scan(rc.system, values, rc.grid)
+        values = np.geomspace(start, stop, points)
+    scan = threshold_scan(rc["system"], values, rc["grid"])
     io.write_scan_csv(out / "scan.csv", scan)
     io.write_json(out / "crossings.json", io.crossings_record(scan))
     return f"scan points={len(scan.points)} crossings={len(scan.crossings)} dir={out}"
@@ -207,17 +151,18 @@ def cmd_scan(args) -> str:
 
 def cmd_scatter(args) -> str:
     rc = load_run_config(args.config, require_system=True)
-    out = _out_dir(args, rc)
-    eps2 = rc.system.nc_channel.epsilon2_keV
-    start = rc.scatter_start if rc.scatter_start is not None else 0.05
-    stop = rc.scatter_stop if rc.scatter_stop is not None else 0.98 * eps2
-    if rc.scatter_spacing == "log":
+    out = _out_dir(args.out or rc["output_dir"])
+    sc = rc["scatter"]
+    eps2 = rc["system"].nc_channel.epsilon2_keV
+    start = sc["start_keV"]
+    stop = 0.98 * eps2 if sc["stop_keV"] is None else sc["stop_keV"]
+    if sc["spacing"] == "log":
         if min(start, stop) <= 0:
             raise ConfigurationError(f"scatter: log spacing needs {start}, {stop} > 0 keV")
-        mesh = np.geomspace(start, stop, rc.scatter_points)
+        mesh = np.geomspace(start, stop, sc["points"])
     else:
-        mesh = np.linspace(start, stop, rc.scatter_points)
-    curve = cross_section_curve(rc.system, rc.grid, mesh)
+        mesh = np.linspace(start, stop, sc["points"])
+    curve = cross_section_curve(rc["system"], rc["grid"], mesh)
     path = out / "curve.csv"
     io.write_curve_csv(path, curve.energies_keV, curve.sigmas_fm2)
     if args.svg:
@@ -230,12 +175,12 @@ def cmd_scatter(args) -> str:
 
 def cmd_fit(args) -> str:
     rc = load_run_config(args.config, require_system=False)
-    out = _out_dir(args, rc)
-    model = args.model or rc.fit_model
-    if model == "bw":
-        model = "breit_wigner"
+    out = _out_dir(args.out or rc["output_dir"])
+    model = args.model or rc["fit"]["model"]
+    model = {"bw": "breit_wigner"}.get(model, model)
     E, s = io.read_curve_csv(args.input)
-    wfit = pipeline.fit_curve(E, s, model=model, window_mode=args.window or rc.fit_window)
+    window = args.window or rc["fit"]["window"]
+    wfit = pipeline.fit_curve(E, s, model=model, window_mode=window)
     result = wfit.result
     rec = io.fit_record(result)
     rec["window_mode"] = wfit.window_mode
@@ -259,16 +204,24 @@ def cmd_reproduce(args) -> str:
             f"unknown preset {args.preset!r}; available: {', '.join(pipeline.PRESETS)}"
         )
     rc = load_run_config(args.config, require_system=False)
-    out = Path(args.out) if args.out else rc.output_dir / "fig1-fig2"
-    summary = pipeline.run_fig1_fig2(out, grid=rc.grid, svg=args.svg)
+    out = _out_dir(args.out or rc["output_dir"] / "fig1-fig2")
+    summary = pipeline.run_fig1_fig2(out, grid=rc["grid"], svg=args.svg)
     return (
         f"reproduce preset={args.preset} q_spread={io.fmt(summary['q_spread'])} "
         f"report={summary['report_path']}"
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error ends in a RESULT config_error line, exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigurationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trihalo",
         description="Efimov trimer spectra, elastic n+dimer cross sections, "
         "and Fano lineshape fits",
@@ -307,8 +260,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         summary = _COMMANDS[args.command](args)
     except ConfigurationError as exc:
         print(f"RESULT config_error {exc}")

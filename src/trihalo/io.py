@@ -45,9 +45,17 @@ def write_curve_csv(path, energies_keV, sigmas_fm2) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def read_text(path) -> str:
+    """A text file's contents; an unreadable or non-UTF-8 file is a config error."""
+    try:
+        return Path(path).read_text()
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, embedded NUL
+        raise ConfigurationError(f"cannot read {path}: {exc}") from None
+
+
 def read_curve_csv(path):
-    """Read an E_keV,sigma_fm2 table; returns (energies, sigmas) arrays."""
-    text = Path(path).read_text().strip().splitlines()
+    """Read an E_keV,sigma_fm2 table of finite numbers as two arrays."""
+    text = read_text(path).strip().splitlines()
     if not text or text[0].strip() != CURVE_HEADER:
         raise ConfigurationError(
             f"{path}: expected header '{CURVE_HEADER}', got {text[0]!r}"
@@ -60,10 +68,13 @@ def read_curve_csv(path):
         if len(parts) != 2:
             raise ConfigurationError(f"{path}:{i}: expected two columns")
         try:
-            E.append(float(parts[0]))
-            s.append(float(parts[1]))
+            e, sigma = float(parts[0]), float(parts[1])
         except ValueError:
             raise ConfigurationError(f"{path}:{i}: non-numeric value") from None
+        if not (math.isfinite(e) and math.isfinite(sigma)):
+            raise ConfigurationError(f"{path}:{i}: non-finite value")
+        E.append(e)
+        s.append(sigma)
     return np.array(E), np.array(s)
 
 

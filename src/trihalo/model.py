@@ -22,6 +22,9 @@ import numpy as np
 from .errors import ConfigurationError, PoleProximityError
 
 KEV_PER_MEV = 1000.0
+# The propagator raises beta*hbar_c (MeV) to the fifth power, which
+# overflows beyond about 1e58 fm^-1; nuclear values are 0.1 to 10.
+BETA_MAX_INV_FM = 1e50
 
 
 @dataclass(frozen=True)
@@ -81,9 +84,10 @@ class PairChannel:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not (0 < self.beta_inv_fm < math.inf):
+        if not (0 < self.beta_inv_fm <= BETA_MAX_INV_FM):
             raise ConfigurationError(
-                f"{self.label.value}: range_parameter_beta must be finite and > 0"
+                f"{self.label.value}: range_parameter_beta must be in "
+                f"(0, {BETA_MAX_INV_FM:g}] fm^-1, got {self.beta_inv_fm!r}"
             )
         if self.epsilon2_keV is not None and not (0 <= self.epsilon2_keV < math.inf):
             raise ConfigurationError(f"{self.label.value}: epsilon2 must be in [0, inf)")
@@ -163,7 +167,8 @@ def resolve_channel(
 ) -> PairChannel:
     """Fill in whichever of (epsilon2, a) is missing; cross-check if both given.
 
-    Both given and inconsistent beyond 1e-6 relative is an error.
+    Both given and inconsistent beyond 1e-6 relative is an error, and so
+    is a value whose conversion leaves the float range (|a| = 1e300 fm).
     """
     constants = constants or PhysicalConstants()
     e2, a = channel.epsilon2_keV, channel.scattering_length_fm
@@ -171,18 +176,22 @@ def resolve_channel(
         raise ConfigurationError(
             f"{channel.label.value}: need epsilon2_keV or scattering_length_fm"
         )
-    if e2 is not None and a is not None:
-        e2_from_a = epsilon2_from_scattering_length(a, mu, constants)
-        if abs(e2_from_a - e2) > 1e-6 * max(abs(e2), abs(e2_from_a)):
-            raise ConfigurationError(
-                f"{channel.label.value}: epsilon2_keV={e2} inconsistent with "
-                f"scattering_length_fm={a} (implies {e2_from_a:.6g} keV)"
-            )
-        return channel
-    if e2 is None:
-        e2 = epsilon2_from_scattering_length(a, mu, constants)
-        return replace(channel, epsilon2_keV=e2)
-    a_or_marker = scattering_length_from_pole(channel, mu, constants)
+    try:
+        if e2 is not None and a is not None:
+            e2_from_a = epsilon2_from_scattering_length(a, mu, constants)
+            if abs(e2_from_a - e2) > 1e-6 * max(abs(e2), abs(e2_from_a)):
+                raise ConfigurationError(
+                    f"{channel.label.value}: epsilon2_keV={e2} inconsistent with "
+                    f"scattering_length_fm={a} (implies {e2_from_a:.6g} keV)"
+                )
+            return channel
+        if e2 is None:
+            e2 = epsilon2_from_scattering_length(a, mu, constants)
+            return replace(channel, epsilon2_keV=e2)
+        a_or_marker = scattering_length_from_pole(channel, mu, constants)
+    except (OverflowError, ZeroDivisionError):
+        msg = f"{channel.label.value}: epsilon2 <-> scattering length leaves the float range"
+        raise ConfigurationError(msg) from None
     if a_or_marker is UNITARY_LIMIT:
         return channel  # a stays None; downstream must use kappa = 0
     return replace(channel, scattering_length_fm=a_or_marker)
@@ -296,87 +305,106 @@ def two_body_propagator_subtracted(
     return out if out.ndim else complex(out)
 
 
-# --- JSON configuration fragment -------------------------------------------
+# --- JSON configuration fragments ------------------------------------------
 
-_CHANNEL_KEYS = {"pole", "epsilon2_keV", "scattering_length_fm", "beta_inv_fm"}
-_SYSTEM_KEYS = {"core_mass_number", "nc", "nn"}
+REQUIRED = object()  # schema default of a key that must be present
 
 
-def config_number(value, name: str, integer: bool = False):
-    """A configuration value as a finite float, or as an int if integer.
+def number(lo=-math.inf, hi=math.inf, integer: bool = False):
+    """Schema reader: a finite number in [lo, hi], as an int if integer.
 
     Bools, strings, null, non-finite and (for integer) non-integral
     values raise ConfigurationError naming the key: nothing is cast or
     truncated silently.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{name}: expected a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        raise ConfigurationError(f"{name}: {value!r} is out of range") from None
-    if not math.isfinite(x):
-        raise ConfigurationError(f"{name}: must be finite, got {value!r}")
-    if not integer:
+    def read(value, name):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigurationError(f"{name}: expected a number, got {value!r}")
+        try:
+            x = float(value)
+        except OverflowError:
+            raise ConfigurationError(f"{name}: {value!r} is out of range") from None
+        if not math.isfinite(x):
+            raise ConfigurationError(f"{name}: must be finite, got {value!r}")
+        if integer:
+            if not x.is_integer():
+                raise ConfigurationError(f"{name}: expected an integer, got {value!r}")
+            x = int(value)
+        if not lo <= x <= hi:
+            raise ConfigurationError(f"{name}: must be in [{lo:g}, {hi:g}], got {value!r}")
         return x
-    if not x.is_integer():
-        raise ConfigurationError(f"{name}: expected an integer, got {value!r}")
-    return int(value)
+    return read
 
 
-def _parse_channel(label: ChannelLabel, frag: dict) -> PairChannel:
+def choice(*options):
+    """Schema reader: one of the given strings."""
+    def read(value, name):
+        if value not in options:
+            raise ConfigurationError(f"{name}: must be one of {options}, got {value!r}")
+        return value
+    return read
+
+
+def read_fragment(frag, schema: dict, where: str) -> dict:
+    """A JSON object checked against schema, as a dict of read values.
+
+    schema maps each key to (reader, default), reader(value, name) giving
+    the checked value, or to a nested schema for a sub-object (absent
+    means {}).  Unknown keys and absent REQUIRED keys are errors.
+    """
     if not isinstance(frag, dict):
-        raise ConfigurationError(f"{label.value}: channel fragment must be an object")
-    unknown = set(frag) - _CHANNEL_KEYS
+        raise ConfigurationError(f"{where}: must be an object")
+    unknown = set(frag) - set(schema)
     if unknown:
-        raise ConfigurationError(
-            f"{label.value}: unknown key(s) {sorted(unknown)}"
-        )
-    try:
-        kind = PoleKind(frag["pole"])
-    except KeyError:
-        raise ConfigurationError(f"{label.value}: missing 'pole'") from None
-    except ValueError:
-        raise ConfigurationError(
-            f"{label.value}: pole must be 'bound' or 'virtual', got {frag['pole']!r}"
-        ) from None
-    if "beta_inv_fm" not in frag:
-        raise ConfigurationError(f"{label.value}: missing 'beta_inv_fm'")
-
-    def number(key):
-        return config_number(frag[key], f"{label.value}.{key}") if key in frag else None
-
-    return PairChannel(
-        label=label,
-        pole_kind=kind,
-        beta_inv_fm=number("beta_inv_fm"),
-        epsilon2_keV=number("epsilon2_keV"),
-        scattering_length_fm=number("scattering_length_fm"),
-    )
+        raise ConfigurationError(f"{where}: unknown key(s) {sorted(unknown)}")
+    out = {}
+    for key, rule in schema.items():
+        name = f"{where}.{key}"
+        if isinstance(rule, dict):
+            out[key] = read_fragment(frag.get(key, {}), rule, name)
+        elif key in frag:
+            out[key] = rule[0](frag[key], name)
+        elif rule[1] is REQUIRED:
+            raise ConfigurationError(f"{where}: missing '{key}'")
+        else:
+            out[key] = rule[1]
+    return out
 
 
-def parse_system_config(frag: dict) -> SystemConfig:
+# Physical ranges (beta > 0, sign of a, A >= 1) are checked by PairChannel
+# and SystemConfig, for library callers too; the schemas give only types.
+_CHANNEL_SCHEMA = {
+    "pole": (choice("bound", "virtual"), REQUIRED),
+    "beta_inv_fm": (number(), REQUIRED),
+    "epsilon2_keV": (number(), None),
+    "scattering_length_fm": (number(), None),
+}
+
+
+def _channel(label: ChannelLabel):
+    """Schema reader of one pair channel's fragment."""
+    def read(frag, where):
+        c = read_fragment(frag, _CHANNEL_SCHEMA, where)
+        return PairChannel(label, PoleKind(c.pop("pole")), **c)
+    return read
+
+
+_SYSTEM_SCHEMA = {
+    "core_mass_number": (number(integer=True), REQUIRED),
+    "nc": (_channel(ChannelLabel.neutron_core), REQUIRED),
+    "nn": (_channel(ChannelLabel.neutron_neutron), REQUIRED),
+}
+
+
+def parse_system_config(frag: dict, where: str = "system") -> SystemConfig:
     """Build and resolve a SystemConfig from its JSON fragment.
 
     Unknown keys are rejected by name; a channel given both epsilon2_keV
-    and scattering_length_fm must be consistent to 1e-6 relative.
+    and scattering_length_fm must be consistent to 1e-6 relative.  Also a
+    schema reader, so where names the fragment in error messages.
     """
-    if not isinstance(frag, dict):
-        raise ConfigurationError("system fragment must be an object")
-    unknown = set(frag) - _SYSTEM_KEYS
-    if unknown:
-        raise ConfigurationError(f"system: unknown key(s) {sorted(unknown)}")
-    for key in _SYSTEM_KEYS:
-        if key not in frag:
-            raise ConfigurationError(f"system: missing '{key}'")
-    config = SystemConfig(
-        core_mass_number=config_number(
-            frag["core_mass_number"], "system.core_mass_number", integer=True
-        ),
-        nc_channel=_parse_channel(ChannelLabel.neutron_core, frag["nc"]),
-        nn_channel=_parse_channel(ChannelLabel.neutron_neutron, frag["nn"]),
-    )
-    return resolve_config(config)
+    s = read_fragment(frag, _SYSTEM_SCHEMA, where)
+    return resolve_config(SystemConfig(s["core_mass_number"], s["nc"], s["nn"]))
 
 
 def default_c20_config(epsilon2_keV: float = 250.0, beta_nc: float = 1.0) -> SystemConfig:

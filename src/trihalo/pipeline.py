@@ -60,6 +60,8 @@ def fit_curve(
     if window_mode not in ("auto", "full"):
         raise ConfigurationError(f"window must be 'auto' or 'full', got {window_mode!r}")
     E, s = _curve_arrays(curve_or_E, sigma)
+    if len(E) < 8:  # checked here as well as in fit: auto_seed indexes E
+        raise ConfigurationError("fit requires at least 8 points")
     win = resonance_window(E, s) if window_mode == "auto" else None
     mask = np.ones(len(E), dtype=bool)
     used_mode = "full"

@@ -1,7 +1,12 @@
+import contextlib
+import copy
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trihalo.cli import main
 from trihalo.fanofit import FanoParameters, fano_profile
@@ -76,6 +81,57 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["twobody", "--config", "{dir}"],
+        ["twobody", "--config", "{latin1}"],
+        ["fit", "{missing}"],
+        ["fit", "{dir}"],
+        ["fit", "{header_only}"],
+        ["fit", "{nan}"],
+        ["fit", "{inf}"],
+        ["fit", "{good}", "--out", "{file}"],
+        ["reproduce", "fig1-fig2", "--out", "{file}"],
+    ],
+    ids=[
+        "config-dir", "config-not-utf8", "csv-missing", "csv-dir",
+        "csv-header-only", "csv-nan", "csv-inf", "fit-out-file", "reproduce-out-file",
+    ],
+)
+def test_bad_path_is_config_error(tmp_path, capsys, argv):
+    paths = {
+        name: tmp_path / name
+        for name in ("dir", "latin1", "missing", "header_only", "nan", "inf", "good", "file")
+    }
+    paths["dir"].mkdir()
+    paths["latin1"].write_bytes(b'{"output_dir": "caf\xe9"}')
+    paths["header_only"].write_text("E_keV,sigma_fm2\n")
+    paths["file"].write_text("x")
+    E = np.linspace(0.5, 3.5, 20)
+    sigma = fano_profile(E, FanoParameters(2.0, 4.0, 1.63, 0.25))
+    write_curve_csv(paths["good"], E, sigma)
+    for bad in ("nan", "inf"):
+        write_curve_csv(paths[bad], E, np.where(E == E[5], float(bad), sigma))
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert last_line(capsys).startswith("RESULT config_error")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bogus"], ["fit"], ["fit", "x.csv", "--model", "xx"], ["spectrum", "--nope"]],
+)
+def test_usage_error_is_config_error(capsys, argv):
+    assert main(argv) == 2
+    assert last_line(capsys).startswith("RESULT config_error")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("system.core_mass_number", "abc"),
@@ -95,12 +151,22 @@ def test_missing_config_file(tmp_path, capsys):
         ("scatter.start_keV", 0.0),
         ("output_dir", 5),
         ("fit.window", "foo"),
+        ("spectrum.max_states", 0),
+        ("grid.count", 2049),
+        ("scan.points", 100_001),
+        ("scatter.points", 100_001),
+        ("fit.model", 5),
+        ("fit.model", "foo"),
+        ("scatter.spacing", 5),
+        ("system.nc.beta_inv_fm", 1e300),
+        ("system.nn.scattering_length_fm", -1e-300),
+        ("system.nn.scattering_length_fm", -1e300),
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, capsys, key, value):
-    # every subcommand reads the whole run configuration; fit also uses
-    # fit.window, so it runs all cases but the start of a scan or scatter
-    # mesh, which only its own subcommand checks
+    # every subcommand reads and checks the whole run configuration, so
+    # fit runs all cases but the mesh starts: scatter alone checks its
+    # start against log spacing, and scan.start_keV runs scan as before
     body = {"system": json.loads(json.dumps(SYSTEM)), "grid": {"count": 48}}
     *parents, leaf = key.split(".")
     frag = body
@@ -242,3 +308,66 @@ def test_fit_bad_csv_header(tmp_path, capsys):
 def test_reproduce_bad_preset(tmp_path, capsys):
     assert main(["reproduce", "nope", "--out", str(tmp_path / "o")]) == 2
     assert "fig1-fig2" in last_line(capsys)
+
+
+
+# A valid run configuration that sets every key, for the fuzz test below.
+FUZZ_BASE = {
+    "system": SYSTEM,
+    "grid": {"count": 16, "map_scale_inv_fm": 0.1},
+    "spectrum": {"window_keV": [1e-9, 1e9], "max_states": 8},
+    "scan": {"start_keV": 1.0, "stop_keV": 300.0, "points": 4},
+    "scatter": {"start_keV": 0.05, "stop_keV": 245.0, "points": 8, "spacing": "log"},
+    "fit": {"model": "fano", "window": "auto"},
+    "output_dir": ".",
+}
+
+
+def _entries(frag, path=()):
+    """(path, key, value) of every entry of frag and of its objects and lists."""
+    for key, value in frag.items() if isinstance(frag, dict) else enumerate(frag):
+        yield path, key, value
+        if isinstance(value, (dict, list)):
+            yield from _entries(value, path + (key,))
+
+
+_ENTRIES = list(_entries(FUZZ_BASE))
+# every decade of both signs, so each key meets over- and underflow
+MAGNITUDES = st.builds(
+    lambda sign, exp: float(f"{sign}1e{exp}"), st.sampled_from("+-"), st.integers(-330, 330)
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# (path of a container, key or index in it): an existing entry, which the
+# test replaces, or a new key of an object, which it adds
+FUZZ_TARGETS = st.sampled_from([(path, key) for path, key, _ in _ENTRIES]) | st.tuples(
+    st.sampled_from([()] + [p + (k,) for p, k, v in _ENTRIES if isinstance(v, dict)]),
+    st.text(max_size=6),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(target=FUZZ_TARGETS, value=MAGNITUDES | JSON_VALUES)
+def test_fuzzed_config_ends_in_result_line(tmp_path_factory, target, value):
+    path, key = target
+    # a valid large grid only costs leggauss time
+    assume(not (
+        target == (("grid",), "count")
+        and isinstance(value, (int, float)) and 64 < value <= 2048
+    ))
+    body = copy.deepcopy(FUZZ_BASE)
+    frag = body
+    for name in path:
+        frag = frag[name]
+    frag[key] = value
+    cfg = tmp_path_factory.getbasetemp() / "fuzz.json"
+    cfg.write_text(json.dumps(body))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["twobody", "--config", str(cfg)])
+    assert code in (0, 2, 3)
+    assert out.getvalue().strip().splitlines()[-1].startswith("RESULT")

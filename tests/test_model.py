@@ -105,25 +105,33 @@ def test_pair_channel_sign_validation():
         nc(beta=-1.0)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+_BUILDS = {
+    "beta_inv_fm": lambda v: nc(beta=v),
+    "epsilon2_keV": lambda v: resolve_channel(nc(eps2=v), 500.0),
+    "scattering_length_fm": lambda v: resolve_channel(nc(eps2=None, a=v), 500.0),
+    "core_mass_number": lambda v: SystemConfig(
+        core_mass_number=v, nc_channel=nc(),
+        nn_channel=replace(nc(), label=ChannelLabel.neutron_neutron),
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "build",
-    [
-        lambda v: nc(beta=v),
-        lambda v: nc(eps2=v),
-        lambda v: nc(eps2=None, a=v),
-        lambda v: SystemConfig(
-            core_mass_number=v, nc_channel=nc(),
-            nn_channel=replace(nc(), label=ChannelLabel.neutron_neutron),
-        ),
+    "key, value",
+    [(key, v) for key in _BUILDS for v in (math.nan, math.inf, -math.inf)]
+    # finite but beyond what the model's float arithmetic can carry
+    + [
+        ("beta_inv_fm", 1e300),
+        ("epsilon2_keV", 5e-324),
+        ("scattering_length_fm", 1e-300),
+        ("scattering_length_fm", 1e300),
     ],
-    ids=["beta_inv_fm", "epsilon2_keV", "scattering_length_fm", "core_mass_number"],
 )
-def test_non_finite_values_are_config_errors(build, value):
+def test_non_finite_values_are_config_errors(key, value):
     # NaN fails every comparison, so a check written as "x <= 0 is bad"
     # would let it through
     with pytest.raises(ConfigurationError):
-        build(value)
+        _BUILDS[key](value)
 
 
 def test_propagator_residue_limit():
