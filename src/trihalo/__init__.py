@@ -46,7 +46,6 @@ from .spectrum import (
     ScaleFactor,
     ThreeBodySpectrum,
     ThresholdScan,
-    boron19_check,
     boron19_config,
     build_kernel,
     calibrate_range_parameter,

@@ -272,7 +272,11 @@ def propagator_residue(
         raise ConfigurationError("residue defined only for bound channels")
     beta = channel.beta_inv_fm * constants.hbar_c
     kB = pole_momentum(channel, mu, constants)
-    return beta * kB * (beta + kB) ** 3 / (4.0 * math.pi**2 * mu**2)
+    try:
+        cube = (beta + kB) ** 3
+    except OverflowError:  # kB past about 5e102 MeV: R leaves the float range
+        cube = math.inf
+    return beta * kB * cube / (4.0 * math.pi**2 * mu**2)
 
 
 def two_body_propagator_subtracted(

@@ -8,6 +8,11 @@ subtraction: the pole part R/(z + eps2) is split off analytically
 principal-value integral of the subtracted numerator is discretized
 directly, and the exact counter-term plus the i*pi on-shell piece are
 attached to an extra grid point at q0.
+
+The core amplitude is eliminated (there is no core-core block), which
+leaves N+1 real neutron rows on p + {q0} but for the on-shell column;
+that column is proportional to the right-hand side, so one real solve
+and a Sherman-Morrison step give f exactly, and Im(1/f) = -k.
 """
 
 from __future__ import annotations
@@ -24,11 +29,10 @@ from .model import (
     PoleKind,
     SystemConfig,
     propagator_residue,
-    resolve_config,
     two_body_propagator_subtracted,
 )
 from .quadrature import MomentumGrid
-from .spectrum import _born_blocks, _Engine
+from .spectrum import _Engine, _exchanges
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,9 @@ class CrossSectionCurve:
         for pt in self.points:
             bound = 4.0 * math.pi / pt.k_inv_fm**2
             if not (0.0 <= pt.sigma_fm2 <= bound * (1.0 + 1e-9)):
-                raise ConfigurationError(
-                    f"sigma at E = {pt.E_cm_keV} keV violates the unitarity bound"
+                raise NumericalError(
+                    f"sigma = {pt.sigma_fm2!r} fm^2 at E = {pt.E_cm_keV} keV is not "
+                    "finite or violates the unitarity bound"
                 )
 
     @property
@@ -66,18 +71,11 @@ class CrossSectionCurve:
         return np.array([pt.sigma_fm2 for pt in self.points])
 
 
-def _require_elastic_window(config: SystemConfig, E_cm_keV: float) -> float:
+def elastic_window(config: SystemConfig) -> float:
+    """eps2 (keV) of the bound n-core channel: elastic for 0 < E_cm < eps2."""
     if config.nc_channel.pole_kind is not PoleKind.bound:
-        raise ConfigurationError(
-            "elastic n+dimer scattering requires a bound n-core channel"
-        )
-    eps2 = config.nc_channel.epsilon2_keV
-    if not (0.0 < E_cm_keV < eps2):
-        raise DomainError(
-            f"E_cm = {E_cm_keV} keV outside the elastic window (0, {eps2} keV); "
-            f"three-body breakup opens at {eps2} keV above the dimer threshold"
-        )
-    return eps2
+        raise ConfigurationError("elastic n+dimer scattering requires a bound n-core channel")
+    return config.nc_channel.epsilon2_keV
 
 
 def elastic_amplitude(
@@ -87,31 +85,36 @@ def elastic_amplitude(
 
     Valid for 0 < E_cm < eps2 (keV above the n+dimer threshold).
     """
-    return _amplitude(_Engine(config, grid), E_cm_keV)
+    return scattering_point(config, grid, E_cm_keV).amplitude_fm
 
 
 def _amplitude(eng: _Engine, E_cm_keV: float) -> complex:
     config = eng.config
-    eps2_keV = _require_elastic_window(config, E_cm_keV)
-    eps2 = eps2_keV / KEV_PER_MEV
     Ecm = E_cm_keV / KEV_PER_MEV
-    E = -eps2 + Ecm
+    E = -config.nc_channel.epsilon2_keV / KEV_PER_MEV + Ecm
     Mn = eng.M_n
     q0 = math.sqrt(2.0 * Mn * Ecm)
     p, w = eng.p, eng.w
     if np.min(np.abs(p - q0)) < 1e-12 * q0:
         raise NumericalError(
-            f"on-shell momentum coincides with a grid node at E_cm = {E_cm_keV} keV; "
+            "on-shell momentum coincides with a grid node; "
             "perturb the grid count or map scale"
         )
-    pe = np.append(p, q0)
-    n = eng.grid.count
-    Znn, Znc = _born_blocks(eng, pe, E)
-    Bnn = 2.0 * math.pi * Znn.real
-    Bnc = 2.0 * math.pi * Znc.real
-    Bcn = Bnc.T
-
     R = propagator_residue(config.nc_channel, eng.mu_nc, config.constants)
+    if not math.isfinite(R):
+        raise NumericalError("residue of the n-core dimer pole leaves the float range")
+    n = eng.grid.count
+    # Born blocks on p + {q0}: the grid block from the engine's cache, the
+    # q0 border built here on the momentum pairs (p + {q0}, q0), then (q0, p)
+    q = np.concatenate([p, np.full(n + 1, q0)])
+    qp = np.concatenate([np.full(n + 1, q0), p])
+    Znn_b, Znc_b = (z(E) for z in _exchanges(eng, q, qp))
+    Znn_grid, Znc_grid = eng.born_blocks(E)
+    Bnn = 2.0 * math.pi * np.block(
+        [[Znn_grid, Znn_b[:n, None]], [Znn_b[None, n + 1 :], Znn_b[n : n + 1, None]]]
+    ).real
+    Bnc = 2.0 * math.pi * np.vstack([Znc_grid, Znc_b[n + 1 :]]).real
+
     z_n = E - p**2 / (2.0 * Mn)
     # tau with its dimer pole removed analytically: regular at p = q0
     tau_reg = two_body_propagator_subtracted(
@@ -125,56 +128,58 @@ def _amplitude(eng: _Engine, E_cm_keV: float) -> complex:
     # P.V. int_0^inf dq/(q0^2-q^2) = 0, so the counter-term is just the
     # discretization defect of the subtracted pole
     counter = -2.0 * Mn * R * q0**2 * float(np.sum(w / (q0**2 - p**2)))
-    onshell = counter - 1j * math.pi * Mn * R * q0
-
-    M = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-    rhs = np.zeros(2 * n + 1, dtype=complex)
-    # neutron-spectator rows (N grid nodes + on-shell point)
-    rhs[: n + 1] = Bnn[:, n]
-    M[: n + 1, :n] = Bnn[:, :n] * (wq2 * tau_full)[None, :]
-    M[: n + 1, n] = Bnn[:, n] * onshell
-    M[: n + 1, n + 1 :] = Bnc[:, :n] * (wq2 * tau_c)[None, :]
-    # core-spectator rows (exchange symmetry factor 2)
-    rhs[n + 1 :] = 2.0 * Bcn[:n, n]
-    M[n + 1 :, :n] = 2.0 * Bcn[:n, :n] * (wq2 * tau_full)[None, :]
-    M[n + 1 :, n] = 2.0 * Bcn[:n, n] * onshell
-
-    X = np.linalg.solve(np.eye(2 * n + 1) - M, rhs)
-    f_mev = -math.pi * Mn * R * X[n]
+    # F_c = c_c + C F_n (no core-core block): eliminating it leaves the
+    # neutron rows p + {q0} with H = B_nn + 2 B_nc T_c B_cn, T_c = diag(wq2 tau_c)
+    Bnc_t = Bnc * (wq2 * tau_c)[None, :]
+    H = Bnn + (2.0 * Bnc_t) @ Bnc.T
+    # (1 - H D) X = H[:, q0] with D = diag(wq2 tau_full, counter - i pi Mn R q0).
+    # Only D's on-shell entry is complex, so X = Y / (1 + i pi Mn R q0 Y[q0])
+    # (Sherman-Morrison) with Y the real solution at D = diag(wq2 tau_full, counter)
+    D = np.append(wq2 * tau_full, counter)
+    Y = np.linalg.solve(np.eye(n + 1) - H * D[None, :], H[:, n])
+    # One refinement step of Y[q0] against the unreduced blocks, whose
+    # accuracy forming H loses when q0 sits near a node (large D there).
+    # H is symmetric, so row q0 of (1 - H D)^-1 is e_q0 + D Y: no second solve.
+    DY = D * Y
+    residual = Bnn[:, n] - Y + Bnn @ DY + Bnc_t @ (2.0 * Bnc[n] + 2.0 * (Bnc.T @ DY))
+    gamma = math.pi * Mn * R * (Y[n] + residual[n] + DY @ residual)  # -1/(k cot delta)
+    f_mev = -gamma / (1.0 + 1j * q0 * gamma)
     return complex(f_mev * eng.hbar_c)
 
 
 def scattering_point(
     config: SystemConfig, grid: MomentumGrid, E_cm_keV: float
 ) -> ScatteringPoint:
-    eng = _Engine(config, grid)
-    f = _amplitude(eng, E_cm_keV)
-    k = math.sqrt(2.0 * eng.M_n * E_cm_keV / KEV_PER_MEV) / eng.hbar_c
-    return ScatteringPoint(
-        E_cm_keV=float(E_cm_keV),
-        k_inv_fm=k,
-        amplitude_fm=f,
-        sigma_fm2=4.0 * math.pi * abs(f) ** 2,
-    )
+    return cross_section_curve(config, grid, [E_cm_keV]).points[0]
 
 
 def cross_section_curve(
     config: SystemConfig, grid: MomentumGrid, E_values_keV
 ) -> CrossSectionCurve:
-    """Pointwise sigma(E) = 4 pi |f|^2 over a sorted energy mesh (keV)."""
+    """Pointwise sigma(E) = 4 pi |f|^2 over a sorted energy mesh (keV), on one
+    engine: each energy adds only its q0 border to the cached exchange blocks."""
     E_values = np.asarray(E_values_keV, dtype=float)
     if E_values.size == 0:
         raise ConfigurationError("energy mesh must be non-empty")
     if np.any(np.diff(E_values) <= 0):
         raise ConfigurationError("energy mesh must be strictly increasing")
-    config = resolve_config(config)
+    eng = _Engine(config, grid)
+    eps2 = elastic_window(eng.config)
+    outside = E_values[~((0.0 < E_values) & (E_values < eps2))]
+    if outside.size:  # the whole mesh is checked before any solve
+        raise DomainError(
+            f"E_cm = {outside[0]} keV outside the elastic window (0, {eps2} keV); "
+            f"three-body breakup opens at {eps2} keV above the dimer threshold"
+        )
     points = []
-    for E in E_values:
+    for E in map(float, E_values):
         try:
-            points.append(scattering_point(config, grid, float(E)))
-        except (DomainError, NumericalError) as exc:
-            raise type(exc)(f"at E_cm = {E} keV: {exc}") from exc
-    return CrossSectionCurve(points=tuple(points), config_snapshot=config)
+            f = _amplitude(eng, E)
+        except NumericalError as exc:
+            raise NumericalError(f"at E_cm = {E} keV: {exc}") from exc
+        k = math.sqrt(2.0 * eng.M_n * E / KEV_PER_MEV) / eng.hbar_c
+        points.append(ScatteringPoint(E, k, f, 4.0 * math.pi * abs(f) ** 2))
+    return CrossSectionCurve(points=tuple(points), config_snapshot=eng.config)
 
 
 @dataclass(frozen=True)

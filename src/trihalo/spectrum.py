@@ -35,7 +35,7 @@ from .model import (
     resolve_config,
     two_body_propagator,
 )
-from .quadrature import MomentumGrid, build_grid
+from .quadrature import MomentumGrid
 
 # ---------------------------------------------------------------------------
 # internal engine: natural units (MeV, hbar*c = 1)
@@ -47,7 +47,7 @@ class _Engine:
     Holds masses, channel parameters, grid momenta, the spectator
     propagators at the nodes and the symmetric eigen-solve.  The config
     is resolved once here; every kernel evaluation on this pair, a whole
-    root search included, reuses the engine.
+    root search or cross-section curve included, reuses the engine.
     """
 
     def __init__(self, config: SystemConfig, grid: MomentumGrid):
@@ -92,11 +92,22 @@ class _Engine:
             return -self.config.nc_channel.epsilon2_keV / KEV_PER_MEV
         return 0.0
 
+    def exchange(self) -> tuple[_Exchange, _Exchange]:
+        """The grid's Z_nn and Z_nc exchange blocks, built on first use."""
+        if self._exchange is None:
+            self._exchange = _exchanges(self, self.p[:, None], self.p[None, :])
+        return self._exchange
+
     def born_blocks(self, E):
         """Z_nn and Z_nc on the grid at E, from exchange blocks built once."""
-        if self._exchange is None:
-            self._exchange = _exchanges(self, self.p)
-        return tuple(z(E) for z in self._exchange)
+        return tuple(z(E) for z in self.exchange())
+
+    def with_epsilon2(self, eps2_keV: float) -> _Engine:
+        """This engine at another n-core eps2, sharing its exchange blocks
+        (they depend on the masses and betas, not on eps2)."""
+        eng = _Engine(_set_epsilon2(self.config, eps2_keV), self.grid)
+        eng._exchange = self.exchange()
+        return eng
 
     def eigenvalues(self, E: float) -> np.ndarray:
         """Eigenvalues of K(E), descending, via an exactly symmetric similarity.
@@ -183,10 +194,8 @@ class _Exchange:
         return out
 
 
-def _exchanges(eng: _Engine, p) -> tuple[_Exchange, _Exchange]:
-    """The Z_nn and Z_nc exchange blocks on the momentum array p (MeV)."""
-    q = p[:, None]
-    qp = p[None, :]
+def _exchanges(eng: _Engine, q, qp) -> tuple[_Exchange, _Exchange]:
+    """The Z_nn and Z_nc exchange blocks at the momenta q, qp (MeV), broadcast."""
     c_n = eng.m_n / (eng.m_n + eng.m_c)
     Znn = _Exchange(
         q, qp, c_n, c_n,
@@ -199,11 +208,6 @@ def _exchanges(eng: _Engine, p) -> tuple[_Exchange, _Exchange]:
         eng.beta_nc, eng.beta_nn,
     )
     return Znn, Znc
-
-
-def _born_blocks(eng: _Engine, p, E):
-    """Z_nn(q,q') and Z_nc(q,q') on the momentum array p (MeV), energy E (MeV)."""
-    return tuple(z(E) for z in _exchanges(eng, p))
 
 
 # ---------------------------------------------------------------------------
@@ -325,32 +329,32 @@ def find_trimers(
         return samples[x]
 
     levels = []
-    try:
-        ev_least = eigenvalues(math.log(b_min / KEV_PER_MEV))
-        ev_most = eigenvalues(math.log(hi / KEV_PER_MEV))
-        for k in range(min(max_states, len(ev_least))):
-            if not (ev_most[k] < 1.0 < ev_least[k]):
-                continue
-            a = max(x for x, ev in samples.items() if ev[k] > 1.0)
-            b = min(x for x, ev in samples.items() if ev[k] <= 1.0 and x > a)
-            x = _brentq(lambda x, k=k: eigenvalues(x)[k] - 1.0, a, b, xtol=1e-12)
-            levels.append(TrimerLevel(index=k, epsilon3_keV=math.exp(x) * KEV_PER_MEV))
-    finally:
-        # brentq's NaN guard is a self-referencing closure: free the samples
-        # and the engine's cached blocks now, not when the cyclic GC runs
-        samples.clear()
-        eng = None
+    ev_least = eigenvalues(math.log(b_min / KEV_PER_MEV))
+    ev_most = eigenvalues(math.log(hi / KEV_PER_MEV))
+    for k in range(min(max_states, len(ev_least))):
+        if not (ev_most[k] < 1.0 < ev_least[k]):
+            continue
+        a = max(x for x, ev in samples.items() if ev[k] > 1.0)
+        b = min(x for x, ev in samples.items() if ev[k] <= 1.0 and x > a)
+        x = _brentq(lambda x, k=k: eigenvalues(x)[k] - 1.0, a, b, xtol=1e-12)
+        levels.append(TrimerLevel(index=k, epsilon3_keV=math.exp(x) * KEV_PER_MEV))
     return ThreeBodySpectrum(levels=tuple(levels), config_snapshot=config)
 
 
 def _brentq(f, a: float, b: float, **tolerances) -> float:
-    """brentq on [a, b]; non-convergence or a NaN objective is a NumericalError."""
+    """brentq on [a, b]; non-convergence or a NaN objective is a NumericalError.
+
+    brentq's NaN guard is a self-referencing closure that only the cyclic GC
+    frees; it gets f in a box emptied on return, so f's engine dies at once."""
+    box = [f]
     try:
-        return brentq(f, a, b, maxiter=200, **tolerances)
+        return brentq(lambda x: box[0](x), a, b, maxiter=200, **tolerances)
     except (ConfigurationError, NumericalError):
         raise
     except (RuntimeError, ValueError) as exc:
         raise NumericalError(f"root search on [{a:.6g}, {b:.6g}]: {exc}") from exc
+    finally:
+        box.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +469,10 @@ class ThresholdScan:
     crossings: tuple[Crossing, ...]
 
 
-def _threshold_eigenvalues(
-    config: SystemConfig, grid: MomentumGrid, eps2_keV: float
-) -> np.ndarray:
-    """Eigenvalues of K at the n+dimer threshold E = -eps2.
-
-    The n-core channel's eps2 is set to eps2_keV first; its scattering
-    length follows from it.
-    """
+def _set_epsilon2(config: SystemConfig, eps2_keV: float) -> SystemConfig:
+    """config with the n-core eps2 set; its scattering length follows from it."""
     nc = replace(config.nc_channel, epsilon2_keV=eps2_keV, scattering_length_fm=None)
-    eng = _Engine(replace(config, nc_channel=nc), grid)
-    return eng.eigenvalues(-eps2_keV / KEV_PER_MEV)
+    return replace(config, nc_channel=nc)
 
 
 def threshold_scan(
@@ -487,18 +484,21 @@ def threshold_scan(
 
     A crossing eps2*(n) is where excited state n satisfies eps3(n) = eps2
     (the state dissolves into the n+dimer continuum); located by
-    bisection in eps2, well inside the 0.1 keV contract.
+    bisection in eps2, well inside the 0.1 keV contract.  Every point
+    and bisection step shares one pair of exchange blocks.
     """
     eps2 = np.asarray(epsilon2_values, dtype=float)
     if eps2.size == 0 or np.any(eps2 <= 0):
         raise ConfigurationError("epsilon2 values must be positive")
     if np.any(np.diff(eps2) <= 0):
         raise ConfigurationError("epsilon2 values must be strictly ascending")
+    base = _Engine(_set_epsilon2(config_template, eps2[0]), grid)
+
+    def at_threshold(e2):  # eigenvalues of K at the n+dimer threshold E = -e2
+        return base.with_epsilon2(e2).eigenvalues(-e2 / KEV_PER_MEV)
+
     # excited trimers bound relative to the dimer at each eps2 (strict)
-    counts = [
-        int(np.sum(_threshold_eigenvalues(config_template, grid, e)[1:] > 1.0))
-        for e in eps2
-    ]
+    counts = [int(np.sum(at_threshold(e)[1:] > 1.0)) for e in eps2]
     points = tuple(
         ScanPoint(epsilon2_keV=float(e), bound_excited_count=c)
         for e, c in zip(eps2, counts)
@@ -508,10 +508,10 @@ def threshold_scan(
         c_hi, c_lo = counts[i], counts[i + 1]
         for n in range(c_lo + 1, c_hi + 1):
             # excited state n corresponds to eigenvalue index n (0-based)
-            def at_threshold(e2, n=n):
-                return float(_threshold_eigenvalues(config_template, grid, e2)[n] - 1.0)
+            def misfit(e2, n=n):
+                return float(at_threshold(e2)[n] - 1.0)
 
-            star = _brentq(at_threshold, eps2[i], eps2[i + 1], rtol=1e-10, xtol=1e-300)
+            star = _brentq(misfit, eps2[i], eps2[i + 1], rtol=1e-10, xtol=1e-300)
             crossings.append(Crossing(state_index=n, epsilon2_star_keV=float(star)))
     crossings.sort(key=lambda c: c.state_index)
     return ThresholdScan(points=points, crossings=tuple(crossings))
@@ -533,9 +533,10 @@ def calibrate_range_parameter(
     target = target_epsilon2_star_keV
 
     def misfit(beta):
+        # beta changes the exchange blocks: a new engine per step
         nc = replace(config_template.nc_channel, beta_inv_fm=beta)
-        cfg = replace(config_template, nc_channel=nc)
-        return float(_threshold_eigenvalues(cfg, grid, target)[state_index] - 1.0)
+        eng = _Engine(_set_epsilon2(replace(config_template, nc_channel=nc), target), grid)
+        return float(eng.eigenvalues(-target / KEV_PER_MEV)[state_index] - 1.0)
 
     lo, hi = beta_bounds
     f_lo, f_hi = misfit(lo), misfit(hi)
@@ -602,14 +603,3 @@ def unitary_boson_config(
         )
     )
 
-
-def boron19_check(
-    config: SystemConfig | None = None,
-    grid: MomentumGrid | None = None,
-) -> ThreeBodySpectrum:
-    """Spectrum of the 19B-like system (defaults: A=17, a_nc = -179 fm)."""
-    if config is None:
-        config = boron19_config()
-    if grid is None:
-        grid = build_grid(160, 0.05)
-    return find_trimers(config, grid, search_window=(1e-9, 1e12), max_states=8)

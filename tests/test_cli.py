@@ -212,6 +212,17 @@ def test_scatter_without_elastic_window_is_config_error(tmp_path, capsys):
     assert last_line(capsys).startswith("RESULT config_error")
 
 
+@pytest.mark.parametrize("eps2", [1e200, 1e300])
+def test_scatter_extreme_dimer_energy_ends_in_result_line(tmp_path, capsys, eps2):
+    # the residue of the dimer pole leaves the float range (1e300 used to
+    # overflow in a traceback), and 1e200 is a numerical, not a config, error
+    system = {**SYSTEM, "nc": {"pole": "bound", "epsilon2_keV": eps2, "beta_inv_fm": 1.0}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"system": system, "grid": {"count": 16}}))
+    assert main(["scatter", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert last_line(capsys).startswith("RESULT numerical_error")
+
+
 def test_spectrum_empty_window_header_only(tmp_path, capsys):
     cfg = write_config(
         tmp_path, spectrum={"window_keV": [1e8, 1e9], "max_states": 4}

@@ -5,16 +5,28 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from trihalo.errors import ConfigurationError, DomainError
+from trihalo import spectrum
+from trihalo.errors import ConfigurationError, DomainError, NumericalError
 from trihalo.fanofit import FanoParameters, fano_profile
-from trihalo.model import ChannelLabel, default_c20_config, reduced_mass
+from trihalo.model import (
+    KEV_PER_MEV,
+    ChannelLabel,
+    default_c20_config,
+    propagator_residue,
+    reduced_mass,
+    two_body_propagator_subtracted,
+)
+from trihalo.pipeline import curve_mesh
 from trihalo.quadrature import build_grid
 from trihalo.scattering import (
+    CrossSectionCurve,
+    ScatteringPoint,
     cross_section_curve,
     elastic_amplitude,
     resonance_window,
     scattering_point,
 )
+from trihalo.spectrum import _Engine, _exchanges
 
 
 def c20(calibrated, eps2):
@@ -142,3 +154,109 @@ def test_computed_curves_are_monotone_threshold_shapes(curve250):
     # interior resonance: the excited state crosses into a virtual state
     assert resonance_window(curve250) is None
     assert np.all(np.diff(curve250.sigmas_fm2) < 0)
+
+
+def dense_amplitude(cfg, grid, E_cm_keV):
+    """Reference f (fm) from the full complex (2N+1) system on p + {q0}.
+
+    Unknowns F_n on the N nodes plus q0 and F_c on the N nodes; the on-shell
+    column carries the principal-value counter-term and -i pi Mn R q0.  Every
+    Born block is built afresh on p + {q0}: nothing is shared with the
+    library's elimination of F_c.  E and q0 are rounded as the library
+    rounds them: near a node, one ulp of q0 can move f by 1e-8.
+    """
+    eng = _Engine(cfg, grid)
+    Mn, n = eng.M_n, grid.count
+    Ecm = E_cm_keV / KEV_PER_MEV
+    E = -eng.config.nc_channel.epsilon2_keV / KEV_PER_MEV + Ecm
+    q0 = math.sqrt(2.0 * Mn * Ecm)
+    p, w = eng.p, eng.w
+    pe = np.append(p, q0)
+    Znn, Znc = (z(E) for z in _exchanges(eng, pe[:, None], pe[None, :]))
+    Bnn, Bnc = 2.0 * math.pi * Znn.real, 2.0 * math.pi * Znc.real
+    nc = eng.config.nc_channel
+    R = propagator_residue(nc, eng.mu_nc, eng.config.constants)
+    tau_full = two_body_propagator_subtracted(
+        nc, eng.mu_nc, E - p**2 / (2.0 * Mn), eng.config.constants
+    ).real + 2.0 * Mn * R / (q0**2 - p**2)
+    tau_c = eng.tau_c(E).real
+    wq2 = w * p**2
+    counter = -2.0 * Mn * R * q0**2 * float(np.sum(w / (q0**2 - p**2)))
+    onshell = counter - 1j * math.pi * Mn * R * q0
+    M = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+    rhs = np.zeros(2 * n + 1, dtype=complex)
+    rhs[: n + 1] = Bnn[:, n]
+    M[: n + 1, :n] = Bnn[:, :n] * (wq2 * tau_full)[None, :]
+    M[: n + 1, n] = Bnn[:, n] * onshell
+    M[: n + 1, n + 1 :] = Bnc[:, :n] * (wq2 * tau_c)[None, :]
+    rhs[n + 1 :] = 2.0 * Bnc[n, :n]
+    M[n + 1 :, :n] = 2.0 * Bnc[:n, :n].T * (wq2 * tau_full)[None, :]
+    M[n + 1 :, n] = 2.0 * Bnc[n, :n] * onshell
+    X = np.linalg.solve(np.eye(2 * n + 1) - M, rhs)
+    return complex(-math.pi * Mn * R * X[n] * eng.hbar_c)
+
+
+@pytest.mark.parametrize("count", [32, 96])
+@pytest.mark.parametrize("eps2", [150.0, 250.0])
+def test_amplitude_matches_dense_complex_system(calibrated_c20, count, eps2):
+    # the real (N+1) Schur solve plus Sherman-Morrison is an exact rewrite
+    # of the complex (2N+1) system: only rounding may separate them
+    cfg, g = c20(calibrated_c20, eps2), build_grid(count, 0.1)
+    for E in curve_mesh(eps2, 20):
+        f, ref = elastic_amplitude(cfg, g, E), dense_amplitude(cfg, g, E)
+        assert abs(f / ref - 1.0) <= 1e-11, E
+
+
+def test_elastic_unitarity_to_rounding(grid, calibrated_c20):
+    # Im(1/f) = -k holds by construction of the Sherman-Morrison step
+    cfg = c20(calibrated_c20, 250.0)
+    for E in curve_mesh(250.0, 20):
+        assert unitarity_residual(cfg, grid, E) <= 1e-12
+
+
+def count_grid_exchanges(monkeypatch, n):
+    """Count _Exchange constructions over a full n x n momentum grid."""
+    built = []
+    init = spectrum._Exchange.__init__
+
+    def counting_init(self, q, qp, *args):
+        built.append(np.broadcast(q, qp).shape == (n, n))
+        init(self, q, qp, *args)
+
+    monkeypatch.setattr(spectrum._Exchange, "__init__", counting_init)
+    return built
+
+
+def test_curve_builds_one_grid_exchange_pair(monkeypatch, calibrated_c20):
+    g = build_grid(48, 0.1)
+    built = count_grid_exchanges(monkeypatch, g.count)
+    cross_section_curve(c20(calibrated_c20, 250.0), g, curve_mesh(250.0, 12))
+    # Z_nn and Z_nc once over the grid; each energy adds only its q0 border
+    assert sum(built) == 2 and len(built) == 2 + 2 * 12
+
+
+def test_threshold_scan_builds_one_grid_exchange_pair(monkeypatch, calibrated_c20):
+    g = build_grid(48, 0.1)
+    built = count_grid_exchanges(monkeypatch, g.count)
+    scan = spectrum.threshold_scan(calibrated_c20, np.geomspace(1.0, 400.0, 12), g)
+    assert scan.crossings and len(built) == 2
+
+
+def test_shared_exchange_scan_equals_fresh_engine_scan(monkeypatch, calibrated_c20):
+    g = build_grid(64, 0.1)
+    values = np.geomspace(1e-3, 400.0, 16)
+    shared = spectrum.threshold_scan(calibrated_c20, values, g)
+
+    def fresh(self, eps2_keV):
+        return _Engine(spectrum._set_epsilon2(self.config, eps2_keV), self.grid)
+
+    monkeypatch.setattr(_Engine, "with_epsilon2", fresh)
+    assert spectrum.threshold_scan(calibrated_c20, values, g) == shared
+    assert len(shared.crossings) == 2
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, 1e12])
+def test_curve_outside_unitarity_is_numerical_error(calibrated_c20, sigma):
+    pt = ScatteringPoint(E_cm_keV=1.0, k_inv_fm=0.03, amplitude_fm=0j, sigma_fm2=sigma)
+    with pytest.raises(NumericalError, match="unitarity"):
+        CrossSectionCurve(points=(pt,), config_snapshot=calibrated_c20)

@@ -1,11 +1,15 @@
-"""The demo scripts use trihalo's public API only, like the benchmark does."""
+"""The scripts use trihalo's public API only, like the benchmark does, and
+collect_bench.py gathers perfbench records into one BENCH file."""
 
 import ast
+import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPTS = sorted(SCRIPTS_DIR.glob("*.py"))
 
 
 def private_trihalo_names(tree):
@@ -58,3 +62,43 @@ def test_guard_catches_private_imports_and_attributes():
         "np._private\n"
     )
     assert sorted(private_trihalo_names(tree)) == ["_Engine", "_amplitude", "_born_blocks"]
+
+
+def load_collect_bench():
+    spec = importlib.util.spec_from_file_location("collect_bench", SCRIPTS_DIR / "collect_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_result(runs, workload, seed, trace, metrics, src="a"):
+    record = {"env": {"src_sha256": src}, "attempted": 3, "failed": [], "metrics": metrics}
+    (runs / f"result-{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
+
+
+def test_collect_bench_records_medians_per_side(tmp_path):
+    collect = load_collect_bench()
+    for side, scale in (("parent", 1.0), ("change", 0.5)):
+        runs = tmp_path / side
+        runs.mkdir()
+        for seed, t in ((41, 0.7), (42, 0.9), (43, 0.8)):
+            write_result(runs, "scatter", seed, 0, {"op_p50_s": scale * t}, src=side)
+        write_result(runs, "scatter", 7, 1, {"scattering.calls": 10.0}, src=side)
+    out = tmp_path / "BENCH_9.json"
+    assert collect.main(["--pr", "9", "--out", str(out), f"parent={tmp_path / 'parent'}",
+                         f"change={tmp_path / 'change'}"]) == 0
+    record = json.loads(out.read_text())
+    scatter = record["sides"]["change"]["workloads"]["scatter"]
+    assert scatter["end_to_end"]["op_p50_s"] == {"median": 0.4, "runs": [0.35, 0.45, 0.4]}
+    assert scatter["seeds"] == [41, 42, 43] and scatter["failed"] == [0, 0, 0]
+    assert scatter["per_layer"] == {"scattering.calls": 10.0}
+    assert record["sides"]["parent"]["env"] == [{"src_sha256": "parent"}]
+    assert str(tmp_path) not in out.read_text()
+
+
+def test_collect_bench_refuses_mixed_source_trees(tmp_path):
+    collect = load_collect_bench()
+    write_result(tmp_path, "scan", 1, 0, {"op_p50_s": 1.0}, src="a")
+    write_result(tmp_path, "scan", 2, 0, {"op_p50_s": 1.0}, src="b")
+    with pytest.raises(SystemExit, match="mixes source trees"):
+        collect.main(["--pr", "1", "--out", str(tmp_path / "b.json"), f"x={tmp_path}"])

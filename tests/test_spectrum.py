@@ -21,7 +21,6 @@ from trihalo.quadrature import build_grid
 from trihalo.spectrum import (
     NO_EFIMOV_REGIME,
     ResonantPairs,
-    _born_blocks,
     _brentq,
     _Engine,
     boron19_config,
@@ -105,7 +104,7 @@ def test_engine_cached_blocks_equal_fresh_blocks(system, grid_args, energies):
     cfg = default_c20_config() if system == "c20" else unitary_boson_config()
     eng = _Engine(cfg, build_grid(*grid_args))
     for E in energies:
-        for cached, fresh in zip(eng.born_blocks(E), _born_blocks(eng, eng.p, E)):
+        for cached, fresh in zip(eng.born_blocks(E), _Engine(cfg, eng.grid).born_blocks(E)):
             assert np.array_equal(cached, fresh)
     if system == "boson":
         # identical pairs: the whole diagonal takes the confluent branch
@@ -232,6 +231,29 @@ def test_find_trimers_releases_engine(grid, calibrated_c20, monkeypatch):
     try:
         spec = find_trimers(calibrated_c20, grid, (1e-3, 2e4), max_states=1)
         assert len(spec.levels) == 1
+        assert engines and all(ref() is None for ref in engines)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("search", ["calibration", "scan"])
+def test_calibration_and_scan_release_engines(grid, calibrated_c20, monkeypatch, search):
+    # as for find_trimers: with the GC off, no engine outlives its search
+    engines = []
+    eigenvalues = _Engine.eigenvalues
+
+    def recorded(self, E):
+        engines.append(weakref.ref(self))
+        return eigenvalues(self, E)
+
+    monkeypatch.setattr(_Engine, "eigenvalues", recorded)
+    gc.disable()
+    try:
+        if search == "scan":
+            scan = threshold_scan(calibrated_c20, np.geomspace(100.0, 400.0, 4), grid)
+            assert len(scan.crossings) == 1
+        else:
+            calibrate_range_parameter(default_c20_config(), grid, target_epsilon2_star_keV=220.0)
         assert engines and all(ref() is None for ref in engines)
     finally:
         gc.enable()
