@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 from scipy.optimize import brentq
 
 from .errors import ConfigurationError, DomainError, NumericalError
@@ -109,8 +110,8 @@ class _Engine:
         eng._exchange = self.exchange()
         return eng
 
-    def eigenvalues(self, E: float) -> np.ndarray:
-        """Eigenvalues of K(E), descending, via an exactly symmetric similarity.
+    def symmetric_kernel(self, E: float) -> np.ndarray:
+        """S(E): K(E) under an exactly symmetric similarity, same spectrum.
 
         Below threshold all tau are real negative, so scaling by
         sqrt(-tau * u) per column/row turns K into a real symmetric matrix
@@ -133,10 +134,35 @@ class _Engine:
         S[:n, :n] = -Znn.real * s_n[:, None] * s_n[None, :]
         S[:n, n:] = -math.sqrt(2.0) * Znc.real * s_n[:, None] * s_c[None, :]
         S[n:, :n] = S[:n, n:].T
+        if not np.isfinite(S).all():
+            raise NumericalError(f"kernel at E = {E:.6g} MeV is not finite")
+        return S
+
+    def eigenvalues(self, E: float) -> np.ndarray:
+        """Eigenvalues of K(E), descending."""
+        S = self.symmetric_kernel(E)
         try:
-            return np.sort(eigh(S, eigvals_only=True))[::-1]
-        except ValueError as exc:  # eigh's check for inf or NaN in S
+            return np.sort(eigh(S, eigvals_only=True, check_finite=False))[::-1]
+        except ValueError as exc:  # LinAlgError: no convergence
             raise NumericalError(f"kernel at E = {E:.6g} MeV: {exc}") from exc
+
+    def count_above_one(self, E: float) -> int:
+        """Number of eigenvalues of K(E) above 1, without an eigen-solve.
+
+        By Sylvester's law of inertia it is the number of positive
+        eigenvalues of D in the Bunch-Kaufman factorization S - 1 = L D L^T
+        (dsytrf).  A 1x1 pivot counts when positive; a 2x2 block always
+        counts one, as Bunch-Kaufman picks it only with a negative
+        determinant.
+        """
+        S = self.symmetric_kernel(E)
+        S[np.diag_indices_from(S)] -= 1.0
+        lwork, _ = dsytrf_lwork(len(S))
+        # S is symmetric: its transpose is the Fortran-ordered array dsytrf
+        # factors in place
+        ldu, ipiv, _ = dsytrf(S.T, lwork=int(lwork), overwrite_a=True)
+        pivots = np.diagonal(ldu)[ipiv > 0]
+        return int(np.count_nonzero(pivots > 0.0) + np.count_nonzero(ipiv < 0) // 2)
 
 
 class _Exchange:
@@ -174,23 +200,28 @@ class _Exchange:
         self.conf = (A, B, np.log((A + B) / (A - B)), A**2 - B**2)
 
     def __call__(self, E):
-        A3 = E - self.kin_q - self.kin_qp
-        B3 = -self.q * self.qp * self.inv_mg
-        L3 = np.log((A3 + B3) / (A3 - B3))
-        D13 = self.A1B3 - A3 * (self.cb2 * self.q * self.qp)
-        D23 = self.A2B3 - A3 * (self.ca2 * self.q * self.qp)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (
-                self.B1L1 / (self.D12 * D13)
-                - self.B2L2 / (self.D12 * D23)
-                + B3 * L3 / (D13 * D23)
-            )
-            A, B, LA, A2B2 = self.conf
-            A3, B3, L3 = A3[self.degenerate], B3[self.degenerate], L3[self.degenerate]
-            c = B3**2 / (A * B3 - B * A3) ** 2
-            b = B / (B * A3 - A * B3)
-            a = -c * B / B3
-            out[self.degenerate] = a * LA / B + 2.0 * b / A2B2 + c * L3 / B3
+        # an overflow anywhere in the closed form is a numerical failure,
+        # not a finite block; the divide/invalid entries are replaced below
+        try:
+            with np.errstate(over="raise", divide="ignore", invalid="ignore"):
+                A3 = E - self.kin_q - self.kin_qp
+                B3 = -self.q * self.qp * self.inv_mg
+                L3 = np.log((A3 + B3) / (A3 - B3))
+                D13 = self.A1B3 - A3 * (self.cb2 * self.q * self.qp)
+                D23 = self.A2B3 - A3 * (self.ca2 * self.q * self.qp)
+                out = (
+                    self.B1L1 / (self.D12 * D13)
+                    - self.B2L2 / (self.D12 * D23)
+                    + B3 * L3 / (D13 * D23)
+                )
+                A, B, LA, A2B2 = self.conf
+                A3, B3, L3 = A3[self.degenerate], B3[self.degenerate], L3[self.degenerate]
+                c = B3**2 / (A * B3 - B * A3) ** 2
+                b = B / (B * A3 - A * B3)
+                a = -c * B / B3
+                out[self.degenerate] = a * LA / B + 2.0 * b / A2B2 + c * L3 / B3
+        except FloatingPointError as exc:
+            raise NumericalError(f"exchange kernel at E = {E:.6g} MeV: {exc}") from exc
         return out
 
 
@@ -486,6 +517,12 @@ def threshold_scan(
     (the state dissolves into the n+dimer continuum); located by
     bisection in eps2, well inside the 0.1 keV contract.  Every point
     and bisection step shares one pair of exchange blocks.
+
+    The count at a point is the number of kernel eigenvalues above 1 at
+    the n+dimer threshold, less the ground state.  It comes from the
+    inertia of S - 1 (`_Engine.count_above_one`), not from an
+    eigen-solve, and equals the eigen count unless an eigenvalue lies
+    within rounding of 1.  The bisection uses the eigenvalues.
     """
     eps2 = np.asarray(epsilon2_values, dtype=float)
     if eps2.size == 0 or np.any(eps2 <= 0):
@@ -494,11 +531,11 @@ def threshold_scan(
         raise ConfigurationError("epsilon2 values must be strictly ascending")
     base = _Engine(_set_epsilon2(config_template, eps2[0]), grid)
 
-    def at_threshold(e2):  # eigenvalues of K at the n+dimer threshold E = -e2
-        return base.with_epsilon2(e2).eigenvalues(-e2 / KEV_PER_MEV)
-
     # excited trimers bound relative to the dimer at each eps2 (strict)
-    counts = [int(np.sum(at_threshold(e)[1:] > 1.0)) for e in eps2]
+    counts = [
+        max(base.with_epsilon2(e).count_above_one(-e / KEV_PER_MEV) - 1, 0)
+        for e in eps2
+    ]
     points = tuple(
         ScanPoint(epsilon2_keV=float(e), bound_excited_count=c)
         for e, c in zip(eps2, counts)
@@ -508,8 +545,9 @@ def threshold_scan(
         c_hi, c_lo = counts[i], counts[i + 1]
         for n in range(c_lo + 1, c_hi + 1):
             # excited state n corresponds to eigenvalue index n (0-based)
-            def misfit(e2, n=n):
-                return float(at_threshold(e2)[n] - 1.0)
+            def misfit(e2, n=n):  # at the n+dimer threshold E = -e2
+                ev = base.with_epsilon2(e2).eigenvalues(-e2 / KEV_PER_MEV)
+                return float(ev[n] - 1.0)
 
             star = _brentq(misfit, eps2[i], eps2[i + 1], rtol=1e-10, xtol=1e-300)
             crossings.append(Crossing(state_index=n, epsilon2_star_keV=float(star)))

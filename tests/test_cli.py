@@ -212,10 +212,11 @@ def test_scatter_without_elastic_window_is_config_error(tmp_path, capsys):
     assert last_line(capsys).startswith("RESULT config_error")
 
 
-@pytest.mark.parametrize("eps2", [1e200, 1e300])
+@pytest.mark.parametrize("eps2", [1e100, 1e200, 1e300])
 def test_scatter_extreme_dimer_energy_ends_in_result_line(tmp_path, capsys, eps2):
     # the residue of the dimer pole leaves the float range (1e300 used to
-    # overflow in a traceback), and 1e200 is a numerical, not a config, error
+    # overflow in a traceback), 1e200 is a numerical, not a config, error,
+    # and at 1e100 the exchange blocks overflow (it used to end in RESULT ok)
     system = {**SYSTEM, "nc": {"pole": "bound", "epsilon2_keV": eps2, "beta_inv_fm": 1.0}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"system": system, "grid": {"count": 16}}))
@@ -361,24 +362,46 @@ FUZZ_TARGETS = st.sampled_from([(path, key) for path, key, _ in _ENTRIES]) | st.
 )
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(target=FUZZ_TARGETS, value=MAGNITUDES | JSON_VALUES)
-def test_fuzzed_config_ends_in_result_line(tmp_path_factory, target, value):
+def run_fuzzed(tmp_path_factory, command, target, value):
+    """Run command on FUZZ_BASE with one entry replaced or added."""
     path, key = target
-    # a valid large grid only costs leggauss time
+    # a valid large grid or a long scan only costs time
+    caps = {(("grid",), "count"): 2048}
+    if command == "scan":
+        caps[("scan",), "points"] = 10**5
     assume(not (
-        target == (("grid",), "count")
-        and isinstance(value, (int, float)) and 64 < value <= 2048
+        target in caps and isinstance(value, (int, float)) and 64 < value <= caps[target]
     ))
     body = copy.deepcopy(FUZZ_BASE)
     frag = body
     for name in path:
         frag = frag[name]
     frag[key] = value
-    cfg = tmp_path_factory.getbasetemp() / "fuzz.json"
+    base = tmp_path_factory.getbasetemp()
+    cfg = base / "fuzz.json"
     cfg.write_text(json.dumps(body))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["twobody", "--config", str(cfg)])
+        args = ["--config", str(cfg)]
+        if command != "twobody":
+            args += ["--out", str(base / "fuzz_out")]
+        code = main([command, *args])
     assert code in (0, 2, 3)
     assert out.getvalue().strip().splitlines()[-1].startswith("RESULT")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(target=FUZZ_TARGETS, value=MAGNITUDES | JSON_VALUES)
+def test_fuzzed_config_ends_in_result_line(tmp_path_factory, target, value):
+    run_fuzzed(tmp_path_factory, "twobody", target, value)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "scan"])
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(target=FUZZ_TARGETS, value=MAGNITUDES | JSON_VALUES)
+def test_fuzzed_config_ends_in_result_line_through_kernel(
+    tmp_path_factory, command, target, value
+):
+    # the 16-node grid takes every fuzzed system through the kernel
+    # assembly, the root search and the scan's inertia counts
+    run_fuzzed(tmp_path_factory, command, target, value)

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 from conftest import unitary_boson_config
@@ -109,6 +110,42 @@ def test_engine_cached_blocks_equal_fresh_blocks(system, grid_args, energies):
     if system == "boson":
         # identical pairs: the whole diagonal takes the confluent branch
         assert all(z.degenerate[0].size >= eng.grid.count for z in eng._exchange)
+
+
+@pytest.mark.parametrize("system", ["c20_scan", "boson"])
+def test_inertia_count_equals_eigen_count(calibrated_c20, system):
+    # Sylvester: the positive eigenvalues of D in S - 1 = L D L^T are as
+    # many as the eigenvalues of S above 1
+    eps2 = np.geomspace(1e-3, 400.0, 16)
+    if system == "c20_scan":
+        base = _Engine(calibrated_c20, build_grid(64, 0.1))
+        cases = [(base.with_epsilon2(e), -e / 1e3) for e in eps2]
+    else:
+        eng = _Engine(unitary_boson_config(), build_grid(160, 0.03))
+        cases = [(eng, E) for E in -np.geomspace(1e-9, 1e3, 5)]
+    counts = [eng.count_above_one(E) for eng, E in cases]
+    eigen = [int(np.sum(eigh(eng.symmetric_kernel(E), eigvals_only=True) > 1.0)) for eng, E in cases]
+    assert counts == eigen
+    assert len(set(counts)) >= 3  # the points span several counts
+    if system == "c20_scan":  # the scan's excited counts leave out the ground state
+        scan = threshold_scan(calibrated_c20, eps2, base.grid)
+        assert [p.bound_excited_count for p in scan.points] == [max(c - 1, 0) for c in eigen]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_count_of_non_finite_kernel_is_numerical_error(grid, monkeypatch, bad):
+    # dsytrf does not check its input: the assembly must
+    born_blocks = _Engine.born_blocks
+
+    def spoiled(self, E):
+        Znn, Znc = born_blocks(self, E)
+        Znn = Znn.copy()
+        Znn[3, 5] = bad
+        return Znn, Znc
+
+    monkeypatch.setattr(_Engine, "born_blocks", spoiled)
+    with pytest.raises(NumericalError, match="not finite"):
+        _Engine(default_c20_config(), grid).count_above_one(-1.0)
 
 
 # --- determinant surrogate -------------------------------------------------
@@ -240,13 +277,17 @@ def test_find_trimers_releases_engine(grid, calibrated_c20, monkeypatch):
 def test_calibration_and_scan_release_engines(grid, calibrated_c20, monkeypatch, search):
     # as for find_trimers: with the GC off, no engine outlives its search
     engines = []
-    eigenvalues = _Engine.eigenvalues
 
-    def recorded(self, E):
-        engines.append(weakref.ref(self))
-        return eigenvalues(self, E)
+    def recording(method):
+        def recorded(self, E):
+            engines.append(weakref.ref(self))
+            return method(self, E)
 
-    monkeypatch.setattr(_Engine, "eigenvalues", recorded)
+        return recorded
+
+    # the scan's points only count; its bisection takes eigenvalues
+    for name in ("eigenvalues", "count_above_one"):
+        monkeypatch.setattr(_Engine, name, recording(getattr(_Engine, name)))
     gc.disable()
     try:
         if search == "scan":
