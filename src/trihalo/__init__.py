@@ -18,10 +18,11 @@ from .fanofit import (
     q_consistency,
 )
 from .model import (
+    HBAR_C,
+    NUCLEON_MASS,
     UNITARY_LIMIT,
     ChannelLabel,
     PairChannel,
-    PhysicalConstants,
     PoleKind,
     SystemConfig,
     default_c20_config,
@@ -36,7 +37,6 @@ from .scattering import (
     CrossSectionCurve,
     ScatteringPoint,
     cross_section_curve,
-    elastic_amplitude,
     resonance_window,
 )
 from .spectrum import (
@@ -52,7 +52,6 @@ from .spectrum import (
     efimov_scale_factor,
     find_trimers,
     threshold_scan,
-    trimer_determinant,
     unitary_boson_config,
 )
 

@@ -111,7 +111,7 @@ def cmd_twobody(args) -> str:
     for label in (ChannelLabel.neutron_core, ChannelLabel.neutron_neutron):
         ch = cfg.channel(label)
         mu = reduced_mass(cfg, label)
-        a = scattering_length_from_pole(ch, mu, cfg.constants)
+        a = scattering_length_from_pole(ch, mu)
         a_txt = "unitary limit" if a is UNITARY_LIMIT else io.fmt(a)
         eps_txt = io.fmt(ch.epsilon2_keV)
         print(
@@ -144,8 +144,7 @@ def cmd_scan(args) -> str:
     else:
         values = np.geomspace(start, stop, points)
     scan = threshold_scan(rc["system"], values, rc["grid"])
-    io.write_scan_csv(out / "scan.csv", scan)
-    io.write_json(out / "crossings.json", io.crossings_record(scan))
+    io.write_scan(out, scan)
     return f"scan points={len(scan.points)} crossings={len(scan.crossings)} dir={out}"
 
 
@@ -182,10 +181,8 @@ def cmd_fit(args) -> str:
     window = args.window or rc["fit"]["window"]
     wfit = pipeline.fit_curve(E, s, model=model, window_mode=window)
     result = wfit.result
-    rec = io.fit_record(result)
-    rec["window_mode"] = wfit.window_mode
     path = out / "fit.json"
-    io.write_json(path, rec)
+    io.write_fit_json(path, result, wfit.window_mode)
     if args.svg and model == "fano":
         io.write_curve_svg(
             out / "fit.svg", E, s,

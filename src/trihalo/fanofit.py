@@ -94,21 +94,34 @@ def _fano_jacobian(E, th):
     return np.column_stack([F, dq, dEr, dG])
 
 
-def _bw_value(E, th):
-    bg, amp, Er, G = th
+# the Breit-Wigner profile in root coordinates (c, amp, E_r, Gamma) with
+# background bg = c^2: the bound bg >= 0 is part of the coordinates, so a
+# fit reaches bg = 0 without a feasibility test refusing its steps
+
+
+def _bw_value(E, ph):
+    c, amp, Er, G = ph
     eps = (E - Er) / (G / 2.0)
-    return bg + amp / (1.0 + eps**2)
+    return c * c + amp / (1.0 + eps**2)
 
 
-def _bw_jacobian(E, th):
-    bg, amp, Er, G = th
+def _bw_jacobian(E, ph):
+    c, amp, Er, G = ph
     eps = (E - Er) / (G / 2.0)
     denom = 1.0 + eps**2
     damp = 1.0 / denom
     deps = -2.0 * amp * eps / denom**2
     dEr = deps * (-2.0 / G)
     dG = deps * (-eps / G)
-    return np.column_stack([np.ones_like(E), damp, dEr, dG])
+    return np.column_stack([np.full_like(E, 2.0 * c), damp, dEr, dG])
+
+
+def _to_root(th):
+    return np.array([math.sqrt(th[0]), *th[1:]])
+
+
+def _from_root(ph):
+    return np.array([ph[0] * ph[0], *ph[1:]])
 
 
 # the Fano profile in amplitude coordinates (a, b) = (sqrt(s0) q, sqrt(s0)):
@@ -215,7 +228,7 @@ def _to_params(model: str, th):
             E_r_keV=float(th[2]), Gamma_keV=float(th[3]),
         )
     return BreitWignerParameters(
-        sigma_bg_fm2=float(max(th[0], 0.0)), amplitude_fm2=float(th[1]),
+        sigma_bg_fm2=float(th[0]), amplitude_fm2=float(th[1]),
         E_r_keV=float(th[2]), Gamma_keV=float(th[3]),
     )
 
@@ -297,6 +310,9 @@ def fit(curve_or_E, sigma=None, model: str = "fano", seed="auto") -> FitResult:
     relative parameter step < 1e-10 or the gradient norm < 1e-12;
     returns best-so-far with converged=False after 500 iterations.
 
+    A Breit-Wigner fit runs in (c, amp, E_r, Gamma) with background c^2,
+    so a zero background is an interior point, not a bound.
+
     A Fano fit that is not converged after those 500 iterations goes on
     in the amplitude coordinates (a, b) = (sqrt(sigma0) q, sqrt(sigma0)),
     where the Breit-Wigner limit q -> inf is the finite point b = 0.
@@ -348,9 +364,15 @@ def fit(curve_or_E, sigma=None, model: str = "fano", seed="auto") -> FitResult:
             start, ok, shrink,
         )
 
-    th, iterations, converged = lm(value, jacobian, th, feasible)
     # coordinates the result was found in, and d(th)/d(coords)
-    coords, to_th = th, np.eye(4)
+    if model == "breit_wigner":
+        coords, iterations, converged = lm(
+            value, jacobian, _to_root(th), lambda c: feasible(_from_root(c))
+        )
+        th, to_th = _from_root(coords), np.diag([2.0 * coords[0], 1.0, 1.0, 1.0])
+    else:
+        th, iterations, converged = lm(value, jacobian, th, feasible)
+        coords, to_th = th, np.eye(4)
     if model == "fano" and not converged:
         ph, more, converged = lm(
             _amplitude_value, _amplitude_jacobian, _to_amplitude(th),

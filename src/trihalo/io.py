@@ -85,21 +85,22 @@ def write_spectrum_csv(path, spectrum: ThreeBodySpectrum) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_scan_csv(path, scan: ThresholdScan) -> None:
+def write_scan(out_dir, scan: ThresholdScan) -> None:
+    """scan.csv (bound excited count per eps2) and crossings.json in out_dir."""
     lines = ["epsilon2_keV,bound_excited_count"]
     for pt in scan.points:
         lines.append(f"{fmt(pt.epsilon2_keV)},{pt.bound_excited_count}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def crossings_record(scan: ThresholdScan):
-    return [
+    Path(out_dir, "scan.csv").write_text("\n".join(lines) + "\n")
+    crossings = [
         {"state_index": c.state_index, "epsilon2_star_keV": c.epsilon2_star_keV}
         for c in scan.crossings
     ]
+    write_json(Path(out_dir, "crossings.json"), crossings)
 
 
-def fit_record(result: FitResult) -> dict:
+def write_fit_json(path, result: FitResult, window_mode: str) -> None:
+    """The fit's parameters, residual, convergence and covariance, and the
+    window mode ("auto" or "full") it used."""
     p = result.params
     rec = {"model": result.model}
     if result.model == "fano":
@@ -118,8 +119,9 @@ def fit_record(result: FitResult) -> dict:
         converged=result.converged,
         iterations=result.iterations,
         covariance=[list(row) for row in result.covariance],
+        window_mode=window_mode,
     )
-    return rec
+    write_json(path, rec)
 
 
 # --- minimal self-contained SVG -------------------------------------------

@@ -1,9 +1,9 @@
 """System configuration and two-body (dimer) relations.
 
-Everything downstream consumes the objects defined here: physical
-constants, the two separable s-wave pair channels (n-core and n-n), and
-the two-body t-matrix denominator tau(z) built from the rational form
-factor g(p) = 1/(p^2 + beta^2).
+Everything downstream consumes the objects defined here: the physical
+constants HBAR_C and NUCLEON_MASS, the two separable s-wave pair
+channels (n-core and n-n), and the two-body t-matrix denominator tau(z)
+built from the rational form factor g(p) = 1/(p^2 + beta^2).
 
 Unit convention: configuration objects carry external units (keV, fm,
 fm^-1); all functions that do arithmetic convert to natural units
@@ -15,28 +15,18 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, PoleProximityError
 
 KEV_PER_MEV = 1000.0
+HBAR_C = 197.327  # MeV fm
+NUCLEON_MASS = 939.565  # MeV/c^2
 # The propagator raises beta*hbar_c (MeV) to the fifth power, which
 # overflows beyond about 1e58 fm^-1; nuclear values are 0.1 to 10.
 BETA_MAX_INV_FM = 1e50
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """hbar*c in MeV*fm and the nucleon mass in MeV/c^2."""
-
-    hbar_c: float = 197.327
-    nucleon_mass: float = 939.565
-
-    def __post_init__(self):
-        if self.hbar_c <= 0 or self.nucleon_mass <= 0:
-            raise ConfigurationError("physical constants must be positive")
 
 
 class ChannelLabel(enum.Enum):
@@ -110,7 +100,6 @@ class SystemConfig:
     core_mass_number: int
     nc_channel: PairChannel
     nn_channel: PairChannel
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
         if not (1 <= self.core_mass_number < math.inf):
@@ -128,49 +117,39 @@ class SystemConfig:
 
 def reduced_mass(config: SystemConfig, pair: ChannelLabel) -> float:
     """Reduced mass of the pair in MeV/c^2 (core mass = A * m_n)."""
-    m_n = config.constants.nucleon_mass
     if pair is ChannelLabel.neutron_neutron:
-        return m_n / 2.0
+        return NUCLEON_MASS / 2.0
     A = config.core_mass_number
-    return m_n * A / (A + 1.0)
+    return NUCLEON_MASS * A / (A + 1.0)
 
 
-def scattering_length_from_pole(
-    channel: PairChannel, mu: float, constants: PhysicalConstants | None = None
-) -> float | UnitaryLimit:
+def scattering_length_from_pole(channel: PairChannel, mu: float) -> float | UnitaryLimit:
     """Zero-range |a| = hbar_c / sqrt(2 mu eps2), signed by pole_kind (fm).
 
     Returns the UNITARY_LIMIT marker when epsilon2 = 0.
     """
-    constants = constants or PhysicalConstants()
     if channel.epsilon2_keV is None:
         raise ConfigurationError(f"{channel.label.value}: epsilon2 not set")
     if channel.epsilon2_keV == 0.0:
         return UNITARY_LIMIT
     eps2_mev = channel.epsilon2_keV / KEV_PER_MEV
-    a = constants.hbar_c / math.sqrt(2.0 * mu * eps2_mev)
+    a = HBAR_C / math.sqrt(2.0 * mu * eps2_mev)
     return a if channel.pole_kind is PoleKind.bound else -a
 
 
-def epsilon2_from_scattering_length(
-    a_fm: float, mu: float, constants: PhysicalConstants | None = None
-) -> float:
+def epsilon2_from_scattering_length(a_fm: float, mu: float) -> float:
     """Inverse of scattering_length_from_pole: eps2 in keV from a in fm."""
-    constants = constants or PhysicalConstants()
     if a_fm == 0:
         raise ConfigurationError("scattering length must be nonzero")
-    return constants.hbar_c**2 / (2.0 * mu * a_fm**2) * KEV_PER_MEV
+    return HBAR_C**2 / (2.0 * mu * a_fm**2) * KEV_PER_MEV
 
 
-def resolve_channel(
-    channel: PairChannel, mu: float, constants: PhysicalConstants | None = None
-) -> PairChannel:
+def resolve_channel(channel: PairChannel, mu: float) -> PairChannel:
     """Fill in whichever of (epsilon2, a) is missing; cross-check if both given.
 
     Both given and inconsistent beyond 1e-6 relative is an error, and so
     is a value whose conversion leaves the float range (|a| = 1e300 fm).
     """
-    constants = constants or PhysicalConstants()
     e2, a = channel.epsilon2_keV, channel.scattering_length_fm
     if e2 is None and a is None:
         raise ConfigurationError(
@@ -178,7 +157,7 @@ def resolve_channel(
         )
     try:
         if e2 is not None and a is not None:
-            e2_from_a = epsilon2_from_scattering_length(a, mu, constants)
+            e2_from_a = epsilon2_from_scattering_length(a, mu)
             if abs(e2_from_a - e2) > 1e-6 * max(abs(e2), abs(e2_from_a)):
                 raise ConfigurationError(
                     f"{channel.label.value}: epsilon2_keV={e2} inconsistent with "
@@ -186,9 +165,9 @@ def resolve_channel(
                 )
             return channel
         if e2 is None:
-            e2 = epsilon2_from_scattering_length(a, mu, constants)
+            e2 = epsilon2_from_scattering_length(a, mu)
             return replace(channel, epsilon2_keV=e2)
-        a_or_marker = scattering_length_from_pole(channel, mu, constants)
+        a_or_marker = scattering_length_from_pole(channel, mu)
     except (OverflowError, ZeroDivisionError):
         msg = f"{channel.label.value}: epsilon2 <-> scattering length leaves the float range"
         raise ConfigurationError(msg) from None
@@ -203,28 +182,20 @@ def resolve_config(config: SystemConfig) -> SystemConfig:
     mu_nn = reduced_mass(config, ChannelLabel.neutron_neutron)
     return replace(
         config,
-        nc_channel=resolve_channel(config.nc_channel, mu_nc, config.constants),
-        nn_channel=resolve_channel(config.nn_channel, mu_nn, config.constants),
+        nc_channel=resolve_channel(config.nc_channel, mu_nc),
+        nn_channel=resolve_channel(config.nn_channel, mu_nn),
     )
 
 
-def pole_momentum(
-    channel: PairChannel, mu: float, constants: PhysicalConstants | None = None
-) -> float:
+def pole_momentum(channel: PairChannel, mu: float) -> float:
     """Signed pole momentum kappa_B in MeV: +sqrt(2 mu eps2) bound, - virtual."""
-    constants = constants or PhysicalConstants()
     if channel.epsilon2_keV is None:
         raise ConfigurationError(f"{channel.label.value}: epsilon2 not set")
     kappa = math.sqrt(2.0 * mu * channel.epsilon2_keV / KEV_PER_MEV)
     return kappa if channel.pole_kind is PoleKind.bound else -kappa
 
 
-def two_body_propagator(
-    channel: PairChannel,
-    mu: float,
-    z,
-    constants: PhysicalConstants | None = None,
-):
+def two_body_propagator(channel: PairChannel, mu: float, z):
     """t-matrix denominator tau(z) for the separable channel, z in MeV.
 
     Pole at z = -eps2 on the physical sheet for bound channels only;
@@ -237,9 +208,8 @@ def two_body_propagator(
         tau(z) = -beta (beta+kB)^2 (beta+kappa)^2
                  / [2 pi^2 mu (kappa - kB)(kappa + kB + 2 beta)]
     """
-    constants = constants or PhysicalConstants()
-    beta = channel.beta_inv_fm * constants.hbar_c
-    kB = pole_momentum(channel, mu, constants)
+    beta = channel.beta_inv_fm * HBAR_C
+    kB = pole_momentum(channel, mu)
     z = np.asarray(z, dtype=complex)
     kappa = np.sqrt(-2.0 * mu * z)
     if channel.pole_kind is PoleKind.bound and kB > 0.0:
@@ -253,8 +223,8 @@ def two_body_propagator(
                 f"tau evaluated {dist:.3e} MeV from its pole at z = -{eps2:.6g} MeV",
                 dist,
             )
-        residue = propagator_residue(channel, mu, constants)
-        out = two_body_propagator_subtracted(channel, mu, z, constants)
+        residue = propagator_residue(channel, mu)
+        out = two_body_propagator_subtracted(channel, mu, z)
         out = np.asarray(out) + residue / (z + eps2)
         return out if out.ndim else complex(out)
     num = -beta * (beta + kB) ** 2 * (beta + kappa) ** 2
@@ -263,15 +233,12 @@ def two_body_propagator(
     return out if out.ndim else complex(out)
 
 
-def propagator_residue(
-    channel: PairChannel, mu: float, constants: PhysicalConstants | None = None
-) -> float:
+def propagator_residue(channel: PairChannel, mu: float) -> float:
     """Residue R of tau(z) at the bound-state pole: tau ~ R/(z + eps2)."""
-    constants = constants or PhysicalConstants()
     if channel.pole_kind is not PoleKind.bound:
         raise ConfigurationError("residue defined only for bound channels")
-    beta = channel.beta_inv_fm * constants.hbar_c
-    kB = pole_momentum(channel, mu, constants)
+    beta = channel.beta_inv_fm * HBAR_C
+    kB = pole_momentum(channel, mu)
     try:
         cube = (beta + kB) ** 3
     except OverflowError:  # kB past about 5e102 MeV: R leaves the float range
@@ -279,12 +246,7 @@ def propagator_residue(
     return beta * kB * cube / (4.0 * math.pi**2 * mu**2)
 
 
-def two_body_propagator_subtracted(
-    channel: PairChannel,
-    mu: float,
-    z,
-    constants: PhysicalConstants | None = None,
-):
+def two_body_propagator_subtracted(channel: PairChannel, mu: float, z):
     """tau(z) - R/(z + eps2), analytically regular at the bound pole.
 
     Used by the scattering solver's principal-value subtraction; the
@@ -295,11 +257,10 @@ def two_body_propagator_subtracted(
                   / [2 pi^2 mu (kappa + kB + 2 beta)(kappa + kB)],
         P(kappa) = kappa^2 + 2(kB+beta) kappa + kB^2 + 3 beta kB + beta^2.
     """
-    constants = constants or PhysicalConstants()
     if channel.pole_kind is not PoleKind.bound:
-        return two_body_propagator(channel, mu, z, constants)
-    beta = channel.beta_inv_fm * constants.hbar_c
-    kB = pole_momentum(channel, mu, constants)
+        return two_body_propagator(channel, mu, z)
+    beta = channel.beta_inv_fm * HBAR_C
+    kB = pole_momentum(channel, mu)
     z = np.asarray(z, dtype=complex)
     kappa = np.sqrt(-2.0 * mu * z)
     P = kappa**2 + 2.0 * (kB + beta) * kappa + kB**2 + 3.0 * beta * kB + beta**2

@@ -96,8 +96,7 @@ def run_fig1_fig2(out_dir, grid: MomentumGrid | None = None, svg: bool = False) 
 
     scan_values = np.geomspace(SCAN_START_KEV, SCAN_STOP_KEV, SCAN_POINTS)
     scan = threshold_scan(calibrated, scan_values, grid)
-    io.write_scan_csv(out / "scan.csv", scan)
-    io.write_json(out / "crossings.json", io.crossings_record(scan))
+    io.write_scan(out, scan)
 
     fits = {}
     windows = {}
@@ -111,9 +110,7 @@ def run_fig1_fig2(out_dir, grid: MomentumGrid | None = None, svg: bool = False) 
         wfit = fit_curve(curve, model="fano", window_mode="auto")
         fits[eps2] = wfit
         windows[eps2] = wfit.window
-        rec = io.fit_record(wfit.result)
-        rec["window_mode"] = wfit.window_mode
-        io.write_json(out / f"fit_{tag}.json", rec)
+        io.write_fit_json(out / f"fit_{tag}.json", wfit.result, wfit.window_mode)
         if svg:
             from .fanofit import fano_profile
 

@@ -12,15 +12,10 @@ from .errors import ConfigurationError
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Quadrature rule on (0, inf): p = map_scale*(1+x)/(1-x), x Gauss-Legendre.
-
-    nodes/weights in fm^-1; map_scale sets where the nodes cluster.
-    """
+    """Quadrature rule on (0, inf), nodes and weights in fm^-1 (see build_grid)."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    map_scale: float
-    count: int
 
     def __post_init__(self):
         if not (
@@ -29,16 +24,19 @@ class MomentumGrid:
             and np.all(np.isfinite(self.nodes))
         ):
             raise ConfigurationError("grid nodes must be positive, finite, increasing")
-        if not np.all(self.weights > 0):
-            raise ConfigurationError("grid weights must be positive")
+        if np.shape(self.weights) != np.shape(self.nodes) or not np.all(self.weights > 0):
+            raise ConfigurationError("grid weights must be positive, one per node")
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Quadrature sum of f sampled on the nodes."""
-        return float(np.dot(self.weights, values))
+    @property
+    def count(self) -> int:
+        return len(self.nodes)
 
 
 def build_grid(count: int, map_scale: float) -> MomentumGrid:
-    """Deterministic (0, inf) grid; count >= 8, map_scale > 0 (fm^-1)."""
+    """Deterministic (0, inf) grid: p = map_scale*(1+x)/(1-x), x Gauss-Legendre.
+
+    count >= 8; map_scale > 0 (fm^-1) sets where the nodes cluster.
+    """
     if count < 8:
         raise ConfigurationError(f"grid count must be >= 8, got {count}")
     if map_scale <= 0:
@@ -46,4 +44,4 @@ def build_grid(count: int, map_scale: float) -> MomentumGrid:
     x, w = leggauss(count)
     nodes = map_scale * (1.0 + x) / (1.0 - x)
     weights = w * 2.0 * map_scale / (1.0 - x) ** 2
-    return MomentumGrid(nodes=nodes, weights=weights, map_scale=map_scale, count=count)
+    return MomentumGrid(nodes=nodes, weights=weights)

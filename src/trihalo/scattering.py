@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, NumericalError
 from .fanofit import _curve_arrays
 from .model import (
+    HBAR_C,
     KEV_PER_MEV,
     PoleKind,
     SystemConfig,
@@ -78,16 +79,6 @@ def elastic_window(config: SystemConfig) -> float:
     return config.nc_channel.epsilon2_keV
 
 
-def elastic_amplitude(
-    config: SystemConfig, grid: MomentumGrid, E_cm_keV: float
-) -> complex:
-    """On-shell s-wave amplitude f(E_cm) in fm; sigma = 4 pi |f|^2.
-
-    Valid for 0 < E_cm < eps2 (keV above the n+dimer threshold).
-    """
-    return scattering_point(config, grid, E_cm_keV).amplitude_fm
-
-
 def _amplitude(eng: _Engine, E_cm_keV: float) -> complex:
     config = eng.config
     Ecm = E_cm_keV / KEV_PER_MEV
@@ -100,7 +91,7 @@ def _amplitude(eng: _Engine, E_cm_keV: float) -> complex:
             "on-shell momentum coincides with a grid node; "
             "perturb the grid count or map scale"
         )
-    R = propagator_residue(config.nc_channel, eng.mu_nc, config.constants)
+    R = propagator_residue(config.nc_channel, eng.mu_nc)
     if not math.isfinite(R):
         raise NumericalError("residue of the n-core dimer pole leaves the float range")
     n = eng.grid.count
@@ -117,9 +108,7 @@ def _amplitude(eng: _Engine, E_cm_keV: float) -> complex:
 
     z_n = E - p**2 / (2.0 * Mn)
     # tau with its dimer pole removed analytically: regular at p = q0
-    tau_reg = two_body_propagator_subtracted(
-        config.nc_channel, eng.mu_nc, z_n, config.constants
-    ).real
+    tau_reg = two_body_propagator_subtracted(config.nc_channel, eng.mu_nc, z_n).real
     pole = 2.0 * Mn * R / (q0**2 - p**2)
     tau_full = tau_reg + pole  # full tau at the quadrature nodes
     tau_c = eng.tau_c(E).real
@@ -144,13 +133,7 @@ def _amplitude(eng: _Engine, E_cm_keV: float) -> complex:
     residual = Bnn[:, n] - Y + Bnn @ DY + Bnc_t @ (2.0 * Bnc[n] + 2.0 * (Bnc.T @ DY))
     gamma = math.pi * Mn * R * (Y[n] + residual[n] + DY @ residual)  # -1/(k cot delta)
     f_mev = -gamma / (1.0 + 1j * q0 * gamma)
-    return complex(f_mev * eng.hbar_c)
-
-
-def scattering_point(
-    config: SystemConfig, grid: MomentumGrid, E_cm_keV: float
-) -> ScatteringPoint:
-    return cross_section_curve(config, grid, [E_cm_keV]).points[0]
+    return complex(f_mev * HBAR_C)
 
 
 def cross_section_curve(
@@ -177,7 +160,7 @@ def cross_section_curve(
             f = _amplitude(eng, E)
         except NumericalError as exc:
             raise NumericalError(f"at E_cm = {E} keV: {exc}") from exc
-        k = math.sqrt(2.0 * eng.M_n * E / KEV_PER_MEV) / eng.hbar_c
+        k = math.sqrt(2.0 * eng.M_n * E / KEV_PER_MEV) / HBAR_C
         points.append(ScatteringPoint(E, k, f, 4.0 * math.pi * abs(f) ** 2))
     return CrossSectionCurve(points=tuple(points), config_snapshot=eng.config)
 

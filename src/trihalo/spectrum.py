@@ -27,7 +27,9 @@ from scipy.optimize import brentq
 
 from .errors import ConfigurationError, DomainError, NumericalError
 from .model import (
+    HBAR_C,
     KEV_PER_MEV,
+    NUCLEON_MASS,
     ChannelLabel,
     PairChannel,
     PoleKind,
@@ -55,36 +57,32 @@ class _Engine:
         config = resolve_config(config)
         self.config = config
         self.grid = grid
-        c = config.constants
-        self.hbar_c = c.hbar_c
-        self.m_n = c.nucleon_mass
-        self.m_c = config.core_mass_number * c.nucleon_mass
-        m_tot = 2.0 * self.m_n + self.m_c
+        m_n = NUCLEON_MASS
+        self.m_c = config.core_mass_number * m_n
+        m_tot = 2.0 * m_n + self.m_c
         self.mu_nc = reduced_mass(config, ChannelLabel.neutron_core)
         self.mu_nn = reduced_mass(config, ChannelLabel.neutron_neutron)
         # spectator reduced masses: one particle against the remaining pair
-        self.M_n = self.m_n * (self.m_n + self.m_c) / m_tot
-        self.M_c = self.m_c * 2.0 * self.m_n / m_tot
-        self.beta_nc = config.nc_channel.beta_inv_fm * c.hbar_c
-        self.beta_nn = config.nn_channel.beta_inv_fm * c.hbar_c
+        self.M_n = m_n * (m_n + self.m_c) / m_tot
+        self.M_c = self.m_c * 2.0 * m_n / m_tot
+        self.beta_nc = config.nc_channel.beta_inv_fm * HBAR_C
+        self.beta_nn = config.nn_channel.beta_inv_fm * HBAR_C
         # grid momenta, weights and the measure 2 pi p^2 w, all in MeV
-        self.p = grid.nodes * c.hbar_c
-        self.w = grid.weights * c.hbar_c
+        self.p = grid.nodes * HBAR_C
+        self.w = grid.weights * HBAR_C
         self.u = 2.0 * np.pi * self.p**2 * self.w
         self._exchange = None
 
     def tau_n(self, E):
         """n-core propagator with a neutron spectator at each grid node."""
         return two_body_propagator(
-            self.config.nc_channel, self.mu_nc, E - self.p**2 / (2.0 * self.M_n),
-            self.config.constants,
+            self.config.nc_channel, self.mu_nc, E - self.p**2 / (2.0 * self.M_n)
         )
 
     def tau_c(self, E):
         """n-n propagator with the core as spectator at each grid node."""
         return two_body_propagator(
-            self.config.nn_channel, self.mu_nn, E - self.p**2 / (2.0 * self.M_c),
-            self.config.constants,
+            self.config.nn_channel, self.mu_nn, E - self.p**2 / (2.0 * self.M_c)
         )
 
     def threshold(self) -> float:
@@ -227,15 +225,16 @@ class _Exchange:
 
 def _exchanges(eng: _Engine, q, qp) -> tuple[_Exchange, _Exchange]:
     """The Z_nn and Z_nc exchange blocks at the momenta q, qp (MeV), broadcast."""
-    c_n = eng.m_n / (eng.m_n + eng.m_c)
+    m_n = NUCLEON_MASS
+    c_n = m_n / (m_n + eng.m_c)
     Znn = _Exchange(
         q, qp, c_n, c_n,
         1.0 / (2.0 * eng.mu_nc), 1.0 / (2.0 * eng.mu_nc), 1.0 / eng.m_c,
         eng.beta_nc, eng.beta_nc,
     )
     Znc = _Exchange(
-        q, qp, 0.5, eng.m_c / (eng.m_c + eng.m_n),
-        1.0 / (2.0 * eng.mu_nn), 1.0 / (2.0 * eng.mu_nc), 1.0 / eng.m_n,
+        q, qp, 0.5, eng.m_c / (eng.m_c + m_n),
+        1.0 / (2.0 * eng.mu_nn), 1.0 / (2.0 * eng.mu_nc), 1.0 / m_n,
         eng.beta_nc, eng.beta_nn,
     )
     return Znn, Znc
@@ -262,11 +261,6 @@ class KernelMatrix:
     def nc(self) -> np.ndarray:
         n = self.grid.count
         return self.matrix[:n, n:]
-
-    @property
-    def cn(self) -> np.ndarray:
-        n = self.grid.count
-        return self.matrix[n:, :n]
 
 
 def build_kernel(config: SystemConfig, grid: MomentumGrid, E) -> KernelMatrix:
@@ -300,11 +294,6 @@ def build_kernel(config: SystemConfig, grid: MomentumGrid, E) -> KernelMatrix:
     K[:n, n:] = Znc * (tau_c * u)[None, :]
     K[n:, :n] = 2.0 * Znc.T * (tau_n * u)[None, :]
     return KernelMatrix(energy=E, matrix=K, grid=grid)
-
-
-def trimer_determinant(config: SystemConfig, grid: MomentumGrid, E: float) -> float:
-    """Monotone surrogate 1 - lambda_max(E); sign changes bracket the ground trimer."""
-    return float(1.0 - _Engine(config, grid).eigenvalues(E)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -555,18 +544,20 @@ def threshold_scan(
     return ThresholdScan(points=points, crossings=tuple(crossings))
 
 
+CALIBRATED_STATE = 1  # the first excited trimer
+CALIBRATION_BETA_INV_FM = (0.25, 6.0)  # bracket searched for beta_nc
+
+
 def calibrate_range_parameter(
     config_template: SystemConfig,
     grid: MomentumGrid,
     target_epsilon2_star_keV: float = 220.0,
-    state_index: int = 1,
-    beta_bounds: tuple[float, float] = (0.25, 6.0),
 ) -> SystemConfig:
-    """Adjust beta_nc so excited state `state_index` dissolves at the target eps2.
+    """Adjust beta_nc so the first excited trimer dissolves at the target eps2.
 
-    Single-scalar calibration: returns the template with beta_nc replaced
-    so that eps2*(state_index) = target.  Raises NumericalError if the
-    bracket does not contain a solution.
+    Single-scalar calibration: returns the template with beta_nc replaced,
+    searched in CALIBRATION_BETA_INV_FM, so that eps2*(1) = target.  Raises
+    NumericalError if that bracket does not contain a solution.
     """
     target = target_epsilon2_star_keV
 
@@ -574,9 +565,9 @@ def calibrate_range_parameter(
         # beta changes the exchange blocks: a new engine per step
         nc = replace(config_template.nc_channel, beta_inv_fm=beta)
         eng = _Engine(_set_epsilon2(replace(config_template, nc_channel=nc), target), grid)
-        return float(eng.eigenvalues(-target / KEV_PER_MEV)[state_index] - 1.0)
+        return float(eng.eigenvalues(-target / KEV_PER_MEV)[CALIBRATED_STATE] - 1.0)
 
-    lo, hi = beta_bounds
+    lo, hi = CALIBRATION_BETA_INV_FM
     f_lo, f_hi = misfit(lo), misfit(hi)
     if f_lo * f_hi > 0:
         raise NumericalError(

@@ -29,6 +29,7 @@ from trihalo.fanofit import (
     fit,
 )
 from trihalo.model import (
+    HBAR_C,
     ChannelLabel,
     default_c20_config,
     epsilon2_from_scattering_length,
@@ -37,7 +38,7 @@ from trihalo.model import (
 )
 from trihalo.pipeline import run_fig1_fig2
 from trihalo.quadrature import build_grid
-from trihalo.scattering import scattering_point
+from trihalo.scattering import cross_section_curve
 from trihalo.spectrum import (
     ResonantPairs,
     _Engine,
@@ -117,7 +118,7 @@ def test_acceptance_04_two_body_oracle():
     cfg = default_c20_config()
     mu = reduced_mass(cfg, ChannelLabel.neutron_core)
     a = scattering_length_from_pole(cfg.nc_channel, mu)
-    hand = cfg.constants.hbar_c / math.sqrt(2.0 * mu * 0.250)
+    hand = HBAR_C / math.sqrt(2.0 * mu * 0.250)
     rt = abs(epsilon2_from_scattering_length(a, mu) - 250.0) / 250.0
     ok = abs(a - 9.354) < 0.001 and abs(a - hand) < 1e-12 and rt < 1e-12
     report(4, ok, f"a = {a:.6f} fm (hand {hand:.6f}); round-trip rel err {rt:.1e}")
@@ -175,8 +176,7 @@ def test_acceptance_07_elastic_unitarity(grid, calibrated_c20):
     )
     worst = 0.0
     bound_ok = True
-    for E in np.geomspace(0.1, 245.0, 50):
-        pt = scattering_point(cfg, grid, float(E))
+    for pt in cross_section_curve(cfg, grid, np.geomspace(0.1, 245.0, 50)).points:
         f = pt.amplitude_fm
         k = pt.k_inv_fm
         worst = max(worst, abs(f.imag - k * abs(f) ** 2) / (k * abs(f) ** 2))

@@ -365,10 +365,10 @@ FUZZ_TARGETS = st.sampled_from([(path, key) for path, key, _ in _ENTRIES]) | st.
 def run_fuzzed(tmp_path_factory, command, target, value):
     """Run command on FUZZ_BASE with one entry replaced or added."""
     path, key = target
-    # a valid large grid or a long scan only costs time
+    # a valid large grid, a long scan or a long curve only costs time
     caps = {(("grid",), "count"): 2048}
-    if command == "scan":
-        caps[("scan",), "points"] = 10**5
+    if command in ("scan", "scatter"):
+        caps[(command,), "points"] = 10**5
     assume(not (
         target in caps and isinstance(value, (int, float)) and 64 < value <= caps[target]
     ))
@@ -396,12 +396,13 @@ def test_fuzzed_config_ends_in_result_line(tmp_path_factory, target, value):
     run_fuzzed(tmp_path_factory, "twobody", target, value)
 
 
-@pytest.mark.parametrize("command", ["spectrum", "scan"])
+@pytest.mark.parametrize("command", ["spectrum", "scan", "scatter"])
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(target=FUZZ_TARGETS, value=MAGNITUDES | JSON_VALUES)
 def test_fuzzed_config_ends_in_result_line_through_kernel(
     tmp_path_factory, command, target, value
 ):
     # the 16-node grid takes every fuzzed system through the kernel
-    # assembly, the root search and the scan's inertia counts
+    # assembly, the root search, the scan's inertia counts and the
+    # scattering solve
     run_fuzzed(tmp_path_factory, command, target, value)

@@ -161,6 +161,19 @@ def test_fano_nests_breit_wigner_shape():
     assert np.all(np.linalg.eigvalsh(cov) > -1e-20)
 
 
+def test_breit_wigner_fit_reaches_zero_background():
+    # bg = c^2: a zero background is an interior point the fit can reach
+    for bg in (0.0, 0.1, 3.0):
+        E = np.linspace(0.5, 3.5, 200)
+        s = breit_wigner_profile(E, BreitWignerParameters(bg, 5.0, 1.63, 0.25))
+        res = fit(E, s, model="breit_wigner", seed="auto")
+        assert res.converged and res.iterations < MAX_ITERATIONS
+        assert res.residual_norm < 1e-12
+        assert res.params.sigma_bg_fm2 == pytest.approx(bg, abs=1e-12)
+        assert res.params.amplitude_fm2 == pytest.approx(5.0, rel=1e-12)
+        assert res.params.Gamma_keV == pytest.approx(0.25, rel=1e-12)
+
+
 def test_fit_at_iteration_cap_is_not_converged():
     # a monotone 1/sqrt(E) curve has no resonance: the Fano fit drifts
     # without meeting its step or gradient test and must say so

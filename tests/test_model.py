@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from trihalo.errors import ConfigurationError, PoleProximityError
 from trihalo.model import (
+    NUCLEON_MASS,
     UNITARY_LIMIT,
     ChannelLabel,
     PairChannel,
-    PhysicalConstants,
     PoleKind,
     SystemConfig,
     default_c20_config,
@@ -25,9 +25,6 @@ from trihalo.model import (
     two_body_propagator,
     two_body_propagator_subtracted,
 )
-
-C = PhysicalConstants()
-
 
 def nc(eps2=250.0, beta=1.0, a=None, kind=PoleKind.bound):
     return PairChannel(
@@ -56,7 +53,7 @@ def test_reduced_mass_a1_symmetry():
 def test_reduced_mass_below_lighter_mass(A):
     cfg = replace(default_c20_config(), core_mass_number=A)
     mu = reduced_mass(cfg, ChannelLabel.neutron_core)
-    assert 0 < mu < C.nucleon_mass
+    assert 0 < mu < NUCLEON_MASS
 
 
 def test_scattering_length_examples():

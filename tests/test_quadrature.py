@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trihalo.errors import ConfigurationError
-from trihalo.quadrature import build_grid
+from trihalo.quadrature import MomentumGrid, build_grid
 
 
 def lorentzian_sq_error(count, scale=1.0):
     g = build_grid(count, scale)
-    val = g.integrate(g.nodes**2 / (g.nodes**2 + 1.0) ** 2)
+    val = float(np.dot(g.weights, g.nodes**2 / (g.nodes**2 + 1.0) ** 2))
     return abs(val - math.pi / 4.0) / (math.pi / 4.0)
 
 
@@ -42,6 +42,9 @@ def test_count_validation():
         build_grid(7, 1.0)
     with pytest.raises(ConfigurationError):
         build_grid(16, 0.0)
+    g = build_grid(16, 0.1)
+    with pytest.raises(ConfigurationError):
+        MomentumGrid(g.nodes, g.weights[:8])
 
 
 @given(

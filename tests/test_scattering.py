@@ -9,7 +9,9 @@ from trihalo import spectrum
 from trihalo.errors import ConfigurationError, DomainError, NumericalError
 from trihalo.fanofit import FanoParameters, fano_profile
 from trihalo.model import (
+    HBAR_C,
     KEV_PER_MEV,
+    NUCLEON_MASS,
     ChannelLabel,
     default_c20_config,
     propagator_residue,
@@ -22,9 +24,7 @@ from trihalo.scattering import (
     CrossSectionCurve,
     ScatteringPoint,
     cross_section_curve,
-    elastic_amplitude,
     resonance_window,
-    scattering_point,
 )
 from trihalo.spectrum import _Engine, _exchanges
 
@@ -44,46 +44,44 @@ def curve250(grid, calibrated_c20):
     return cross_section_curve(cfg, grid, np.geomspace(0.05, 245.0, 40))
 
 
-def unitarity_residual(cfg, grid, E_keV):
-    hbar_c = cfg.constants.hbar_c
-    m_n = cfg.constants.nucleon_mass
-    m_c = cfg.core_mass_number * m_n
-    M_n = m_n * (m_n + m_c) / (2 * m_n + m_c)
-    f = elastic_amplitude(cfg, grid, E_keV) / hbar_c  # MeV^-1
-    k = math.sqrt(2.0 * M_n * E_keV / 1000.0)
-    return abs(f.imag - k * abs(f) ** 2) / (k * abs(f) ** 2)
+def neutron_spectator_mass(cfg):
+    m_n, m_c = NUCLEON_MASS, cfg.core_mass_number * NUCLEON_MASS
+    return m_n * (m_n + m_c) / (2 * m_n + m_c)
+
+
+def unitarity_residuals(cfg, grid, E_keV):
+    M_n = neutron_spectator_mass(cfg)
+    for pt in cross_section_curve(cfg, grid, E_keV).points:
+        f = pt.amplitude_fm / HBAR_C  # MeV^-1
+        k = math.sqrt(2.0 * M_n * pt.E_cm_keV / 1000.0)
+        yield abs(f.imag - k * abs(f) ** 2) / (k * abs(f) ** 2)
 
 
 def test_elastic_unitarity(grid, calibrated_c20):
     cfg = c20(calibrated_c20, 250.0)
-    for E in np.geomspace(0.1, 240.0, 12):
-        assert unitarity_residual(cfg, grid, E) < 1e-6
+    assert max(unitarity_residuals(cfg, grid, np.geomspace(0.1, 240.0, 12))) < 1e-6
 
 
 def test_unitarity_bound_and_k_relation(grid, calibrated_c20):
     cfg = c20(calibrated_c20, 250.0)
-    hbar_c = cfg.constants.hbar_c
-    m_n = cfg.constants.nucleon_mass
-    m_c = cfg.core_mass_number * m_n
-    M_n = m_n * (m_n + m_c) / (2 * m_n + m_c)
-    for E in (0.5, 17.0, 180.0):
-        pt = scattering_point(cfg, grid, E)
+    M_n = neutron_spectator_mass(cfg)
+    for pt in cross_section_curve(cfg, grid, [0.5, 17.0, 180.0]).points:
         assert pt.sigma_fm2 <= 4 * math.pi / pt.k_inv_fm**2 * (1 + 1e-9)
         assert pt.k_inv_fm**2 == pytest.approx(
-            2 * M_n * (E / 1000.0) / hbar_c**2, rel=1e-12
+            2 * M_n * (pt.E_cm_keV / 1000.0) / HBAR_C**2, rel=1e-12
         )
 
 
 def test_domain_errors(grid, calibrated_c20):
     cfg = c20(calibrated_c20, 250.0)
     with pytest.raises(DomainError, match="250"):
-        elastic_amplitude(cfg, grid, 260.0)
+        cross_section_curve(cfg, grid, [260.0])
     with pytest.raises(DomainError):
-        elastic_amplitude(cfg, grid, -1.0)
+        cross_section_curve(cfg, grid, [-1.0])
     from trihalo.spectrum import boron19_config
 
     with pytest.raises(ConfigurationError, match="bound"):
-        elastic_amplitude(boron19_config(), grid, 10.0)
+        cross_section_curve(boron19_config(), grid, [10.0])
 
 
 def test_threshold_effective_range_behavior(grid, calibrated_c20):
@@ -91,14 +89,13 @@ def test_threshold_effective_range_behavior(grid, calibrated_c20):
     cfg = c20(calibrated_c20, 250.0)
     E = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
     kcot = []
-    for e in E:
-        f = elastic_amplitude(cfg, grid, e)  # fm
-        pt = scattering_point(cfg, grid, e)
+    for pt in cross_section_curve(cfg, grid, E).points:
+        f = pt.amplitude_fm
         kcot.append((1.0 / f).real)
         assert (1.0 / f).imag == pytest.approx(-pt.k_inv_fm, rel=1e-6)
     kcot = np.array(kcot)
     # linear effective-range fit in k^2; intercept finite and dominant
-    k2 = 2 * 892.587 * E / 1000.0 / cfg.constants.hbar_c**2
+    k2 = 2 * 892.587 * E / 1000.0 / HBAR_C**2
     coeffs = np.polyfit(k2, kcot, 1)
     intercept = coeffs[1]
     assert np.isfinite(intercept) and abs(intercept) > 0
@@ -127,7 +124,7 @@ def test_threshold_enhancement_grows_toward_crossing(grid, calibrated_c20):
     sigmas = []
     for eps2 in (240.0, 260.0, 290.0):
         cfg = c20(calibrated_c20, eps2)
-        sigmas.append(scattering_point(cfg, grid, 0.5).sigma_fm2)
+        sigmas.append(cross_section_curve(cfg, grid, [0.5]).sigmas_fm2[0])
     assert sigmas[0] > sigmas[1] > sigmas[2]
 
 
@@ -175,9 +172,9 @@ def dense_amplitude(cfg, grid, E_cm_keV):
     Znn, Znc = (z(E) for z in _exchanges(eng, pe[:, None], pe[None, :]))
     Bnn, Bnc = 2.0 * math.pi * Znn.real, 2.0 * math.pi * Znc.real
     nc = eng.config.nc_channel
-    R = propagator_residue(nc, eng.mu_nc, eng.config.constants)
+    R = propagator_residue(nc, eng.mu_nc)
     tau_full = two_body_propagator_subtracted(
-        nc, eng.mu_nc, E - p**2 / (2.0 * Mn), eng.config.constants
+        nc, eng.mu_nc, E - p**2 / (2.0 * Mn)
     ).real + 2.0 * Mn * R / (q0**2 - p**2)
     tau_c = eng.tau_c(E).real
     wq2 = w * p**2
@@ -193,7 +190,7 @@ def dense_amplitude(cfg, grid, E_cm_keV):
     M[n + 1 :, :n] = 2.0 * Bnc[:n, :n].T * (wq2 * tau_full)[None, :]
     M[n + 1 :, n] = 2.0 * Bnc[n, :n] * onshell
     X = np.linalg.solve(np.eye(2 * n + 1) - M, rhs)
-    return complex(-math.pi * Mn * R * X[n] * eng.hbar_c)
+    return complex(-math.pi * Mn * R * X[n] * HBAR_C)
 
 
 @pytest.mark.parametrize("count", [32, 96])
@@ -202,16 +199,15 @@ def test_amplitude_matches_dense_complex_system(calibrated_c20, count, eps2):
     # the real (N+1) Schur solve plus Sherman-Morrison is an exact rewrite
     # of the complex (2N+1) system: only rounding may separate them
     cfg, g = c20(calibrated_c20, eps2), build_grid(count, 0.1)
-    for E in curve_mesh(eps2, 20):
-        f, ref = elastic_amplitude(cfg, g, E), dense_amplitude(cfg, g, E)
-        assert abs(f / ref - 1.0) <= 1e-11, E
+    for pt in cross_section_curve(cfg, g, curve_mesh(eps2, 20)).points:
+        ref = dense_amplitude(cfg, g, pt.E_cm_keV)
+        assert abs(pt.amplitude_fm / ref - 1.0) <= 1e-11, pt.E_cm_keV
 
 
 def test_elastic_unitarity_to_rounding(grid, calibrated_c20):
     # Im(1/f) = -k holds by construction of the Sherman-Morrison step
     cfg = c20(calibrated_c20, 250.0)
-    for E in curve_mesh(250.0, 20):
-        assert unitarity_residual(cfg, grid, E) <= 1e-12
+    assert max(unitarity_residuals(cfg, grid, curve_mesh(250.0, 20))) <= 1e-12
 
 
 def count_grid_exchanges(monkeypatch, n):

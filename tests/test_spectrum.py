@@ -30,7 +30,6 @@ from trihalo.spectrum import (
     efimov_scale_factor,
     find_trimers,
     threshold_scan,
-    trimer_determinant,
 )
 
 
@@ -151,31 +150,37 @@ def test_count_of_non_finite_kernel_is_numerical_error(grid, monkeypatch, bad):
 # --- determinant surrogate -------------------------------------------------
 
 
+# 1 - lambda_max(E): a monotone surrogate of det(1 - K(E)) whose sign
+# changes bracket the ground trimer
+
+
 def test_determinant_far_detuning_limit(grid):
-    cfg = default_c20_config()
-    assert trimer_determinant(cfg, grid, -1e6) == pytest.approx(1.0, abs=1e-3)
+    eng = _Engine(default_c20_config(), grid)
+    assert 1.0 - eng.eigenvalues(-1e6)[0] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_determinant_domain_error(grid):
-    cfg = default_c20_config()
+    eng = _Engine(default_c20_config(), grid)
     with pytest.raises(DomainError):
-        trimer_determinant(cfg, grid, -0.1)
+        eng.eigenvalues(-0.1)
 
 
 def test_determinant_bracket_and_bisection(grid, calibrated_c20):
     cfg = calibrated_c20
+    eng = _Engine(cfg, grid)
     lo, hi = -20.0, -0.25  # ground state near -4.16 MeV
-    d_lo = trimer_determinant(cfg, grid, lo)
-    d_hi = trimer_determinant(cfg, grid, hi)
+    d_lo = 1.0 - eng.eigenvalues(lo)[0]
+    d_hi = 1.0 - eng.eigenvalues(hi)[0]
     assert d_lo > 0 > d_hi
-    root = brentq(lambda E: trimer_determinant(cfg, grid, E), lo, hi, rtol=1e-12)
+    root = brentq(lambda E: 1.0 - eng.eigenvalues(E)[0], lo, hi, rtol=1e-12)
     spec = find_trimers(cfg, grid, search_window=(1e-3, 2e4), max_states=1)
     assert -root * 1000.0 == pytest.approx(spec.levels[0].epsilon3_keV, rel=1e-8)
 
 
 def test_determinant_continuity(grid, calibrated_c20):
     E = np.linspace(-8.0, -0.3, 25)
-    vals = [trimer_determinant(calibrated_c20, grid, e) for e in E]
+    eng = _Engine(calibrated_c20, grid)
+    vals = [1.0 - eng.eigenvalues(e)[0] for e in E]
     assert all(np.isfinite(vals))
     assert max(abs(np.diff(vals))) < 0.6  # no jumps on a modest mesh
 
