@@ -16,6 +16,7 @@ from .fanofit import (
     fano_profile,
     fit,
     q_consistency,
+    resonance_window,
 )
 from .model import (
     HBAR_C,
@@ -37,7 +38,6 @@ from .scattering import (
     CrossSectionCurve,
     ScatteringPoint,
     cross_section_curve,
-    resonance_window,
 )
 from .spectrum import (
     NO_EFIMOV_REGIME,

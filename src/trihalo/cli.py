@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io, pipeline
 from .errors import ConfigurationError, NumericalError
-from .fanofit import fano_profile
+from .fanofit import breit_wigner_profile, fano_profile, fit
 from .model import (
     UNITARY_LIMIT,
     ChannelLabel,
@@ -64,8 +64,8 @@ _RUN_SCHEMA = {
         "points": (number(1, 10**5, integer=True), pipeline.SCAN_POINTS),
     },
     "scatter": {
-        "start_keV": (number(), 0.05),
-        "stop_keV": (number(), None),  # None: 0.98 * eps2 of the nc channel
+        "start_keV": (number(), pipeline.CURVE_START_KEV),
+        "stop_keV": (number(), None),  # None: CURVE_STOP_FRACTION * eps2 of the nc channel
         "points": (number(1, 10**5, integer=True), pipeline.CURVE_POINTS),
         "spacing": (choice("log", "linear"), "log"),
     },
@@ -154,7 +154,7 @@ def cmd_scatter(args) -> str:
     sc = rc["scatter"]
     eps2 = rc["system"].nc_channel.epsilon2_keV
     start = sc["start_keV"]
-    stop = 0.98 * eps2 if sc["stop_keV"] is None else sc["stop_keV"]
+    stop = pipeline.CURVE_STOP_FRACTION * eps2 if sc["stop_keV"] is None else sc["stop_keV"]
     if sc["spacing"] == "log":
         if min(start, stop) <= 0:
             raise ConfigurationError(f"scatter: log spacing needs {start}, {stop} > 0 keV")
@@ -178,16 +178,16 @@ def cmd_fit(args) -> str:
     model = args.model or rc["fit"]["model"]
     model = {"bw": "breit_wigner"}.get(model, model)
     E, s = io.read_curve_csv(args.input)
-    window = args.window or rc["fit"]["window"]
-    wfit = pipeline.fit_curve(E, s, model=model, window_mode=window)
-    result = wfit.result
+    result = fit(E, s, model=model, window=args.window or rc["fit"]["window"])
     path = out / "fit.json"
-    io.write_fit_json(path, result, wfit.window_mode)
-    if args.svg and model == "fano":
+    io.write_fit_json(path, result)
+    if args.svg:
+        fano = model == "fano"
+        used = E[result.mask]
+        profile = (fano_profile if fano else breit_wigner_profile)(used, result.params)
         io.write_curve_svg(
-            out / "fit.svg", E, s,
-            overlay=(E[wfit.mask], fano_profile(E[wfit.mask], result.params)),
-            title="data + Fano fit",
+            out / "fit.svg", E, s, overlay=(used, profile),
+            title=f"data + {'Fano' if fano else 'Breit-Wigner'} fit",
         )
     return (
         f"fit model={model} converged={result.converged} "

@@ -176,6 +176,41 @@ class FitResult:
     iterations: int
     converged: bool
     covariance: np.ndarray  # 4x4
+    window: ResonanceWindow | None  # found with window="auto", else None
+    window_mode: str  # "auto" if the fit used only the window's points, else "full"
+    mask: np.ndarray  # the points the fit used
+
+
+@dataclass(frozen=True)
+class ResonanceWindow:
+    """Energy interval around a local max/min pair, used to seed Fano fits."""
+
+    lo_keV: float
+    hi_keV: float
+    peak_keV: float
+    dip_keV: float
+
+
+def resonance_window(curve_or_E, sigma=None) -> ResonanceWindow | None:
+    """Window centered between the curve's extremal pair, width 10x their gap.
+
+    Accepts a CrossSectionCurve or two arrays.  Returns None for a
+    monotone (no interior extrema) curve: the no-resonance result.
+    """
+    E, s = _curve_arrays(curve_or_E, sigma)
+    interior = np.arange(1, len(s) - 1)
+    maxima = [i for i in interior if s[i] > s[i - 1] and s[i] > s[i + 1]]
+    minima = [i for i in interior if s[i] < s[i - 1] and s[i] < s[i + 1]]
+    if not maxima or not minima:
+        return None
+    i_max = max(maxima, key=lambda i: s[i])
+    i_min = min(minima, key=lambda i: s[i])
+    peak, dip = E[i_max], E[i_min]
+    center = 0.5 * (peak + dip)
+    half = 5.0 * abs(peak - dip)
+    lo = max(center - half, E[0])
+    hi = min(center + half, E[-1])
+    return ResonanceWindow(lo_keV=lo, hi_keV=hi, peak_keV=peak, dip_keV=dip)
 
 
 def _canonical(model: str, th):
@@ -302,11 +337,17 @@ def _curve_arrays(curve_or_E, sigma=None):
     return np.asarray(curve_or_E, dtype=float), np.asarray(sigma, dtype=float)
 
 
-def fit(curve_or_E, sigma=None, model: str = "fano", seed="auto") -> FitResult:
+def fit(
+    curve_or_E, sigma=None, model: str = "fano", seed="auto", window: str = "full"
+) -> FitResult:
     """Damped least-squares fit of a lineshape to (E, sigma) data.
 
-    Accepts a CrossSectionCurve or two arrays.  seed is "auto", a
-    parameter dataclass, or a length-4 array.  Converges when the
+    Accepts a CrossSectionCurve or two arrays.  window "full" fits every
+    point.  window "auto" fits only the points of resonance_window when
+    it finds one holding at least 8 points, and falls back to every point
+    otherwise; the result's window_mode and mask say which.  seed is
+    "auto" (auto_seed, from the window when one was found), a parameter
+    dataclass, or a length-4 array.  Converges when the
     relative parameter step < 1e-10 or the gradient norm < 1e-12;
     returns best-so-far with converged=False after 500 iterations.
 
@@ -325,10 +366,19 @@ def fit(curve_or_E, sigma=None, model: str = "fano", seed="auto") -> FitResult:
     E, sig = _curve_arrays(curve_or_E, sigma)
     if model not in _MODELS:
         raise ConfigurationError(f"unknown model {model!r}")
+    if window not in ("auto", "full"):
+        raise ConfigurationError(f"window must be 'auto' or 'full', got {window!r}")
     if len(E) < 8:
         raise ConfigurationError("fit requires at least 8 points")
     if np.any(np.diff(E) <= 0):
         raise ConfigurationError("fit energies must be strictly increasing")
+    win = resonance_window(E, sig) if window == "auto" else None
+    mask, window_mode = np.ones(len(E), dtype=bool), "full"
+    if win is not None:
+        inside = (E >= win.lo_keV) & (E <= win.hi_keV)
+        if int(inside.sum()) >= 8:
+            mask, window_mode = inside, "auto"
+    E, sig = E[mask], sig[mask]
     smax = float(np.max(np.abs(sig)))
     if smax == 0.0 or float(np.max(sig) - np.min(sig)) < 1e-12 * smax:
         raise FlatDataError("cross-section data is flat; nothing to fit")
@@ -340,7 +390,7 @@ def fit(curve_or_E, sigma=None, model: str = "fano", seed="auto") -> FitResult:
     if isinstance(seed, (FanoParameters, BreitWignerParameters)):
         th = seed.as_array()
     elif isinstance(seed, str) and seed == "auto":
-        th = auto_seed(model, E, sig)
+        th = auto_seed(model, E, sig, window=win)
     else:
         th = np.array(seed, dtype=float)
         if th.shape != (4,):
@@ -400,6 +450,9 @@ def fit(curve_or_E, sigma=None, model: str = "fano", seed="auto") -> FitResult:
         iterations=iterations,
         converged=converged,
         covariance=cov,
+        window=win,
+        window_mode=window_mode,
+        mask=mask,
     )
 
 

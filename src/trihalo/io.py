@@ -98,7 +98,7 @@ def write_scan(out_dir, scan: ThresholdScan) -> None:
     write_json(Path(out_dir, "crossings.json"), crossings)
 
 
-def write_fit_json(path, result: FitResult, window_mode: str) -> None:
+def write_fit_json(path, result: FitResult) -> None:
     """The fit's parameters, residual, convergence and covariance, and the
     window mode ("auto" or "full") it used."""
     p = result.params
@@ -119,7 +119,7 @@ def write_fit_json(path, result: FitResult, window_mode: str) -> None:
         converged=result.converged,
         iterations=result.iterations,
         covariance=[list(row) for row in result.covariance],
-        window_mode=window_mode,
+        window_mode=result.window_mode,
     )
     write_json(path, rec)
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
-from .fanofit import _curve_arrays
 from .model import (
     HBAR_C,
     KEV_PER_MEV,
@@ -163,35 +162,3 @@ def cross_section_curve(
         k = math.sqrt(2.0 * eng.M_n * E / KEV_PER_MEV) / HBAR_C
         points.append(ScatteringPoint(E, k, f, 4.0 * math.pi * abs(f) ** 2))
     return CrossSectionCurve(points=tuple(points), config_snapshot=eng.config)
-
-
-@dataclass(frozen=True)
-class ResonanceWindow:
-    """Energy interval around a local max/min pair, used to seed Fano fits."""
-
-    lo_keV: float
-    hi_keV: float
-    peak_keV: float
-    dip_keV: float
-
-
-def resonance_window(curve_or_E, sigma=None) -> ResonanceWindow | None:
-    """Window centered between the curve's extremal pair, width 10x their gap.
-
-    Accepts a CrossSectionCurve or two arrays.  Returns None for a
-    monotone (no interior extrema) curve: the no-resonance result.
-    """
-    E, s = _curve_arrays(curve_or_E, sigma)
-    interior = np.arange(1, len(s) - 1)
-    maxima = [i for i in interior if s[i] > s[i - 1] and s[i] > s[i + 1]]
-    minima = [i for i in interior if s[i] < s[i - 1] and s[i] < s[i + 1]]
-    if not maxima or not minima:
-        return None
-    i_max = max(maxima, key=lambda i: s[i])
-    i_min = min(minima, key=lambda i: s[i])
-    peak, dip = E[i_max], E[i_min]
-    center = 0.5 * (peak + dip)
-    half = 5.0 * abs(peak - dip)
-    lo = max(center - half, E[0])
-    hi = min(center + half, E[-1])
-    return ResonanceWindow(lo_keV=lo, hi_keV=hi, peak_keV=peak, dip_keV=dip)

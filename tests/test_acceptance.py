@@ -189,7 +189,7 @@ def test_acceptance_08_same_q_diagnostic(tmp_path, grid):
     summary = run_fig1_fig2(tmp_path / "fig1-fig2", grid=grid)
     spread = summary["q_spread"]
     fits = summary["fits"]
-    conv = {e: f.result.converged for e, f in fits.items()}
+    conv = {e: f.converged for e, f in fits.items()}
     detail = (
         f"q spread = {spread}; converged = {conv} "
         "(both curves are monotone threshold shapes with no resonance window, "

@@ -310,6 +310,19 @@ def test_fit_bw_alias(tmp_path, capsys):
     assert json.loads((out / "fit.json").read_text())["model"] == "breit_wigner"
 
 
+@pytest.mark.parametrize("model, title", [("fano", "Fano"), ("bw", "Breit-Wigner")])
+def test_fit_svg_draws_data_and_model(tmp_path, capsys, model, title):
+    p = FanoParameters(sigma0_fm2=2.0, q=4.0, E_r_keV=1.63, Gamma_keV=0.25)
+    E = np.linspace(0.5, 3.5, 60)
+    csv = tmp_path / "data.csv"
+    write_curve_csv(csv, E, fano_profile(E, p))
+    out = tmp_path / "out"
+    assert main(["fit", str(csv), "--model", model, "--svg", "--out", str(out)]) == 0
+    svg = (out / "fit.svg").read_text()
+    assert svg.count("<polyline") == 2 and 'stroke-dasharray="6,4"' in svg
+    assert f"data + {title} fit" in svg
+
+
 def test_fit_bad_csv_header(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("energy,sigma\n1,2\n")

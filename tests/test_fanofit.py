@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from trihalo.fanofit import (
     fano_profile,
     fit,
     q_consistency,
+    resonance_window,
 )
 
 REF = FanoParameters(sigma0_fm2=1.0, q=4.0, E_r_keV=1.63, Gamma_keV=0.25)
@@ -229,13 +231,54 @@ def test_fit_validation_errors():
         fit(E[::-1], np.linspace(1, 2, 20), model="fano")
     with pytest.raises(ConfigurationError):
         fit(E, np.linspace(1, 2, 20), model="lorentz")
+    with pytest.raises(ConfigurationError, match="window"):
+        fit(E, np.linspace(1, 2, 20), model="fano", window="bogus")
+
+
+# q = 1 and Gamma = 0.1 keV: the window (10x the peak-dip gap of 0.1 keV)
+# covers about a third of the 200-point mesh on [0.5, 3.5] keV
+NARROW = FanoParameters(sigma0_fm2=1.0, q=1.0, E_r_keV=1.63, Gamma_keV=0.1)
+
+
+def test_fit_window_auto_uses_only_the_window_points():
+    E, s = fano_data(NARROW)
+    res = fit(E, s, model="fano", window="auto")
+    win = res.window
+    assert win == resonance_window(E, s) and res.window_mode == "auto"
+    np.testing.assert_array_equal(res.mask, (E >= win.lo_keV) & (E <= win.hi_keV))
+    assert 8 <= res.mask.sum() < len(E) // 2
+    # the same fit as one on the window's points alone, seeded from the window
+    Ew, sw = E[res.mask], s[res.mask]
+    ref = fit(Ew, sw, model="fano", seed=auto_seed("fano", Ew, sw, window=win))
+    assert res.params == ref.params and res.iterations == ref.iterations
+    np.testing.assert_array_equal(res.covariance, ref.covariance)
+    assert res.converged
+    assert res.params.E_r_keV == pytest.approx(NARROW.E_r_keV, rel=1e-6)
+    assert res.params.q == pytest.approx(NARROW.q, rel=1e-6)
+
+
+def test_fit_window_full_uses_every_point():
+    E, s = fano_data(NARROW)
+    res = fit(E, s, model="fano", window="full")
+    assert res.window is None and res.window_mode == "full" and res.mask.all()
+    assert res.params == fit(E, s, model="fano").params  # "full" is the default
+
+
+def test_fit_window_with_fewer_than_8_points_falls_back_to_full():
+    # a dip at E[1] and a peak at E[2]: the window, ten mesh steps wide
+    # around them, is cut at E[0] and holds 7 of the 50 points
+    E = np.linspace(1.0, 10.0, 50)
+    s = 1.0 / E
+    s[2] *= 1.5
+    win = resonance_window(E, s)
+    assert win is not None
+    assert ((E >= win.lo_keV) & (E <= win.hi_keV)).sum() < 8
+    res = fit(E, s, model="fano", window="auto")
+    assert res.window == win and res.window_mode == "full" and res.mask.all()
 
 
 def test_auto_seed_orientation():
     E, s = fano_data()
-    from trihalo.scattering import resonance_window
-    from types import SimpleNamespace
-
     win = resonance_window(SimpleNamespace(energies_keV=E, sigmas_fm2=s))
     seed = auto_seed("fano", E, s, window=win)
     assert seed[1] == 2.0  # peak above dip in energy -> positive q

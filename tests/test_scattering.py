@@ -7,7 +7,7 @@ import pytest
 
 from trihalo import spectrum
 from trihalo.errors import ConfigurationError, DomainError, NumericalError
-from trihalo.fanofit import FanoParameters, fano_profile
+from trihalo.fanofit import FanoParameters, fano_profile, resonance_window
 from trihalo.model import (
     HBAR_C,
     KEV_PER_MEV,
@@ -24,7 +24,6 @@ from trihalo.scattering import (
     CrossSectionCurve,
     ScatteringPoint,
     cross_section_curve,
-    resonance_window,
 )
 from trihalo.spectrum import _Engine, _exchanges
 
