@@ -226,13 +226,22 @@ def _canonical(model: str, th):
 def auto_seed(model: str, E, sigma, window=None):
     """Initial parameter guess per the documented seeding rule.
 
-    With a resonance window: E_r at the peak/dip midpoint, Gamma their
-    separation, q = sign(peak - dip) * 2, sigma0 the median of the outer
-    quartiles of sigma.  Without one (monotone curve), fall back to the
-    mesh midpoint and a quarter-range width.
+    Breit-Wigner: background min(sigma), amplitude max - min, E_r at the
+    maximum of sigma and Gamma a quarter of the energy range; the window
+    is not used (its peak-dip gap is a Fano width, far too narrow a start
+    for a Lorentzian through Fano-shaped data).
+
+    Fano: sigma0 the median of the outer quartiles of sigma.  With a
+    resonance window, E_r at the peak/dip midpoint, Gamma their
+    separation and q = sign(peak - dip) * 2; without one (monotone
+    curve), the mesh midpoint, a quarter-range width and q = 2.
     """
     E = np.asarray(E, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
+    if model == "breit_wigner":
+        bg = float(np.min(sigma))
+        amp = max(float(np.max(sigma)) - bg, 1e-30)
+        return np.array([bg, amp, float(E[np.argmax(sigma)]), 0.25 * (E[-1] - E[0])])
     m = len(sigma)
     quartile = max(1, m // 4)
     outer = np.concatenate([sigma[:quartile], sigma[-quartile:]])
@@ -248,10 +257,6 @@ def auto_seed(model: str, E, sigma, window=None):
         G = 0.25 * (E[-1] - E[0])
         q = 2.0
     G = max(G, 1e-6 * (E[-1] - E[0]))
-    if model == "breit_wigner":
-        bg = float(np.min(sigma))
-        amp = max(float(np.max(sigma)) - bg, 1e-30)
-        return np.array([bg, amp, float(E[np.argmax(sigma)]), G])
     return np.array([s0, q, Er, G])
 
 
@@ -346,10 +351,11 @@ def fit(
     point.  window "auto" fits only the points of resonance_window when
     it finds one holding at least 8 points, and falls back to every point
     otherwise; the result's window_mode and mask say which.  seed is
-    "auto" (auto_seed, from the window when one was found), a parameter
-    dataclass, or a length-4 array.  Converges when the
-    relative parameter step < 1e-10 or the gradient norm < 1e-12;
-    returns best-so-far with converged=False after 500 iterations.
+    "auto" (auto_seed of the fitted points; a Fano seed comes from the
+    window when one was found), a parameter dataclass, or a length-4
+    array.  Converges when the relative parameter step < 1e-10 or the
+    gradient norm < 1e-12; returns best-so-far with converged=False
+    after 500 iterations.
 
     A Breit-Wigner fit runs in (c, amp, E_r, Gamma) with background c^2,
     so a zero background is an interior point, not a bound.

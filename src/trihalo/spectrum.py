@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork
-from scipy.optimize import brentq
 
 from .errors import ConfigurationError, DomainError, NumericalError
 from .model import (
@@ -364,8 +363,14 @@ def find_trimers(
 def _brentq(f, a: float, b: float, **tolerances) -> float:
     """brentq on [a, b]; non-convergence or a NaN objective is a NumericalError.
 
-    brentq's NaN guard is a self-referencing closure that only the cyclic GC
-    frees; it gets f in a box emptied on return, so f's engine dies at once."""
+    The one root-finder entry point.  brentq is imported here, at the
+    first root search, so import trihalo and the commands that search no
+    root (twobody, scatter, fit) never pay for loading its package.
+    brentq's NaN guard is a self-referencing closure that only the cyclic
+    GC frees; it gets f in a box emptied on return, so f's engine dies at
+    once."""
+    from scipy.optimize import brentq
+
     box = [f]
     try:
         return brentq(lambda x: box[0](x), a, b, maxiter=200, **tolerances)
@@ -461,7 +466,7 @@ def efimov_scale_factor(
         s_hi *= 2.0
         if s_hi > 1e4:
             return NO_EFIMOV_REGIME
-    s0 = brentq(g, s_lo, s_hi, xtol=1e-15, rtol=8.9e-16, maxiter=300)
+    s0 = _brentq(g, s_lo, s_hi, xtol=1e-15, rtol=8.9e-16)
     return ScaleFactor(
         s0=s0, mass_ratio=mass_ratio, energy_ratio=math.exp(2.0 * math.pi / s0)
     )

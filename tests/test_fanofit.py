@@ -288,6 +288,25 @@ def test_auto_seed_orientation():
     assert auto_seed("fano", E, mirrored, window=win2)[1] == -2.0
 
 
+def test_breit_wigner_window_fit_no_worse_than_full_on_fano_data():
+    # the window's peak-dip gap is a Fano width; seeding a Lorentzian with it
+    # once ended this fit at the iteration cap with residual 140 against 0.99
+    E, s = fano_data()
+    auto = fit(E, s, model="breit_wigner", window="auto")
+    full = fit(E, s, model="breit_wigner", window="full")
+    assert auto.window_mode == "auto" and auto.converged
+    assert auto.residual_norm <= full.residual_norm
+
+
+def test_breit_wigner_seed_ignores_the_window():
+    E, s = fano_data(FanoParameters(1.0, -3.0, 2.5, 0.25))
+    win = resonance_window(E, s)
+    assert win is not None
+    np.testing.assert_array_equal(
+        auto_seed("breit_wigner", E, s, window=win), auto_seed("breit_wigner", E, s)
+    )
+
+
 def test_q_consistency():
     E, s = fano_data()
     f1 = fit(E, s, model="fano", seed="auto")

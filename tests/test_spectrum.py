@@ -380,6 +380,26 @@ def test_scale_factor_root_residual():
             assert abs(_scale_equation(A, mode)(sf.s0)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "A, mode",
+    [
+        (1.0, ResonantPairs.all_three),
+        (18.0, ResonantPairs.all_three),
+        (1.0, ResonantPairs.nc_only),
+        (18.0, ResonantPairs.nc_only),
+    ],
+)
+def test_scale_factor_bits_equal_direct_brentq(A, mode):
+    from trihalo.spectrum import _scale_equation
+
+    g = _scale_equation(A, mode)
+    s_hi = 1.0
+    while g(s_hi) < 0.0:
+        s_hi *= 2.0
+    s_ref = brentq(g, 1e-8, s_hi, xtol=1e-15, rtol=8.9e-16, maxiter=300)
+    assert efimov_scale_factor(A, mode).s0 == s_ref
+
+
 def test_scale_factor_nc_only_known_value():
     sf = efimov_scale_factor(1.0, ResonantPairs.nc_only)
     assert sf.s0 == pytest.approx(0.4137, abs=2e-4)
