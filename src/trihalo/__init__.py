@@ -21,7 +21,6 @@ from .fanofit import (
 from .model import (
     HBAR_C,
     NUCLEON_MASS,
-    UNITARY_LIMIT,
     ChannelLabel,
     PairChannel,
     PoleKind,
@@ -40,7 +39,6 @@ from .scattering import (
     cross_section_curve,
 )
 from .spectrum import (
-    NO_EFIMOV_REGIME,
     KernelMatrix,
     ResonantPairs,
     ScaleFactor,

@@ -19,7 +19,6 @@ from . import io, pipeline
 from .errors import ConfigurationError, NumericalError
 from .fanofit import breit_wigner_profile, fano_profile, fit
 from .model import (
-    UNITARY_LIMIT,
     ChannelLabel,
     choice,
     number,
@@ -112,7 +111,7 @@ def cmd_twobody(args) -> str:
         ch = cfg.channel(label)
         mu = reduced_mass(cfg, label)
         a = scattering_length_from_pole(ch, mu)
-        a_txt = "unitary limit" if a is UNITARY_LIMIT else io.fmt(a)
+        a_txt = "unitary limit" if a is None else io.fmt(a)
         eps_txt = io.fmt(ch.epsilon2_keV)
         print(
             f"{label.value:<16}{ch.pole_kind.value:<10}{io.fmt(mu):>12}"

@@ -37,9 +37,6 @@ class FanoParameters:
         if not math.isfinite(self.q):
             raise ConfigurationError("Fano q must be finite")
 
-    def as_array(self):
-        return np.array([self.sigma0_fm2, self.q, self.E_r_keV, self.Gamma_keV])
-
 
 @dataclass(frozen=True)
 class BreitWignerParameters:
@@ -53,11 +50,6 @@ class BreitWignerParameters:
             raise ConfigurationError("Breit-Wigner background must be >= 0")
         if not (self.amplitude_fm2 > 0 and self.Gamma_keV > 0):
             raise ConfigurationError("Breit-Wigner needs amplitude > 0, Gamma > 0")
-
-    def as_array(self):
-        return np.array(
-            [self.sigma_bg_fm2, self.amplitude_fm2, self.E_r_keV, self.Gamma_keV]
-        )
 
 
 def fano_profile(E, p: FanoParameters):
@@ -213,16 +205,6 @@ def resonance_window(curve_or_E, sigma=None) -> ResonanceWindow | None:
     return ResonanceWindow(lo_keV=lo, hi_keV=hi, peak_keV=peak, dip_keV=dip)
 
 
-def _canonical(model: str, th):
-    """Fold sign ambiguities: Gamma < 0 mirrors onto Gamma > 0 (q -> -q)."""
-    th = np.array(th, dtype=float)
-    if th[3] < 0:
-        th[3] = -th[3]
-        if model == "fano":
-            th[1] = -th[1]
-    return th
-
-
 def auto_seed(model: str, E, sigma, window=None):
     """Initial parameter guess per the documented seeding rule.
 
@@ -261,7 +243,6 @@ def auto_seed(model: str, E, sigma, window=None):
 
 
 def _to_params(model: str, th):
-    th = _canonical(model, th)
     if model == "fano":
         return FanoParameters(
             sigma0_fm2=float(th[0]), q=float(th[1]),
@@ -343,19 +324,18 @@ def _curve_arrays(curve_or_E, sigma=None):
 
 
 def fit(
-    curve_or_E, sigma=None, model: str = "fano", seed="auto", window: str = "full"
+    curve_or_E, sigma=None, model: str = "fano", window: str = "full"
 ) -> FitResult:
     """Damped least-squares fit of a lineshape to (E, sigma) data.
 
     Accepts a CrossSectionCurve or two arrays.  window "full" fits every
     point.  window "auto" fits only the points of resonance_window when
     it finds one holding at least 8 points, and falls back to every point
-    otherwise; the result's window_mode and mask say which.  seed is
-    "auto" (auto_seed of the fitted points; a Fano seed comes from the
-    window when one was found), a parameter dataclass, or a length-4
-    array.  Converges when the relative parameter step < 1e-10 or the
-    gradient norm < 1e-12; returns best-so-far with converged=False
-    after 500 iterations.
+    otherwise; the result's window_mode and mask say which.  Every fit
+    starts from auto_seed of the fitted points; a Fano seed comes from
+    the window when one was found.  Converges when the relative
+    parameter step < 1e-10 or the gradient norm < 1e-12; returns
+    best-so-far with converged=False after 500 iterations.
 
     A Breit-Wigner fit runs in (c, amp, E_r, Gamma) with background c^2,
     so a zero background is an interior point, not a bound.
@@ -393,15 +373,7 @@ def fit(
     floor = RESIDUAL_FLOOR_SCALE * smax
     denom = np.maximum(np.abs(sig), floor)
 
-    if isinstance(seed, (FanoParameters, BreitWignerParameters)):
-        th = seed.as_array()
-    elif isinstance(seed, str) and seed == "auto":
-        th = auto_seed(model, E, sig, window=win)
-    else:
-        th = np.array(seed, dtype=float)
-        if th.shape != (4,):
-            raise ConfigurationError("seed must be 4 parameters")
-    th = _canonical(model, th)
+    th = auto_seed(model, E, sig, window=win)
 
     if model == "fano":
         def feasible(t):
@@ -462,13 +434,7 @@ def fit(
     )
 
 
-@dataclass(frozen=True)
-class QConsistency:
-    q_values: tuple[float, ...]
-    max_relative_spread: float
-
-
-def q_consistency(fits) -> QConsistency:
+def q_consistency(fits) -> float:
     """Spread diagnostic max |q_i - q_j| / |mean q| over converged Fano fits.
 
     No pass/fail judgment here; thresholding is the caller's policy.
@@ -483,5 +449,4 @@ def q_consistency(fits) -> QConsistency:
         )
     qs = [f.params.q for f in fits]
     qbar = abs(float(np.mean(qs)))
-    spread = (max(qs) - min(qs)) / qbar if qbar > 0 else math.inf
-    return QConsistency(q_values=tuple(qs), max_relative_spread=float(spread))
+    return (max(qs) - min(qs)) / qbar if qbar > 0 else math.inf

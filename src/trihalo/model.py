@@ -39,23 +39,6 @@ class PoleKind(enum.Enum):
     virtual = "virtual"
 
 
-class UnitaryLimit:
-    """Marker for a divergent scattering length (epsilon2 -> 0)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNITARY_LIMIT"
-
-
-UNITARY_LIMIT = UnitaryLimit()
-
-
 @dataclass(frozen=True)
 class PairChannel:
     """One separable s-wave pair interaction.
@@ -123,15 +106,16 @@ def reduced_mass(config: SystemConfig, pair: ChannelLabel) -> float:
     return NUCLEON_MASS * A / (A + 1.0)
 
 
-def scattering_length_from_pole(channel: PairChannel, mu: float) -> float | UnitaryLimit:
+def scattering_length_from_pole(channel: PairChannel, mu: float) -> float | None:
     """Zero-range |a| = hbar_c / sqrt(2 mu eps2), signed by pole_kind (fm).
 
-    Returns the UNITARY_LIMIT marker when epsilon2 = 0.
+    Returns None at epsilon2 = 0, the unitary limit, as a resolved
+    PairChannel stores it.
     """
     if channel.epsilon2_keV is None:
         raise ConfigurationError(f"{channel.label.value}: epsilon2 not set")
     if channel.epsilon2_keV == 0.0:
-        return UNITARY_LIMIT
+        return None
     eps2_mev = channel.epsilon2_keV / KEV_PER_MEV
     a = HBAR_C / math.sqrt(2.0 * mu * eps2_mev)
     return a if channel.pole_kind is PoleKind.bound else -a
@@ -167,13 +151,11 @@ def resolve_channel(channel: PairChannel, mu: float) -> PairChannel:
         if e2 is None:
             e2 = epsilon2_from_scattering_length(a, mu)
             return replace(channel, epsilon2_keV=e2)
-        a_or_marker = scattering_length_from_pole(channel, mu)
+        a = scattering_length_from_pole(channel, mu)  # None: unitary, kappa = 0
     except (OverflowError, ZeroDivisionError):
         msg = f"{channel.label.value}: epsilon2 <-> scattering length leaves the float range"
         raise ConfigurationError(msg) from None
-    if a_or_marker is UNITARY_LIMIT:
-        return channel  # a stays None; downstream must use kappa = 0
-    return replace(channel, scattering_length_fm=a_or_marker)
+    return replace(channel, scattering_length_fm=a)
 
 
 def resolve_config(config: SystemConfig) -> SystemConfig:

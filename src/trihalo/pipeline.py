@@ -40,11 +40,10 @@ def curve_mesh(eps2_keV: float, points: int = CURVE_POINTS) -> np.ndarray:
     return np.geomspace(CURVE_START_KEV, CURVE_STOP_FRACTION * eps2_keV, points)
 
 
-def run_fig1_fig2(out_dir, grid: MomentumGrid | None = None, svg: bool = False) -> dict:
+def run_fig1_fig2(out_dir, grid: MomentumGrid, svg: bool = False) -> dict:
     """Run the full preset into out_dir; returns a summary dict."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = grid or default_grid()
 
     template = default_c20_config()
     calibrated = calibrate_range_parameter(
@@ -85,7 +84,7 @@ def run_fig1_fig2(out_dir, grid: MomentumGrid | None = None, svg: bool = False) 
             )
 
     if all(f.converged for f in fits.values()):
-        spread = q_consistency(fits.values()).max_relative_spread
+        spread = q_consistency(fits.values())
     else:
         spread = math.inf
 

@@ -395,21 +395,12 @@ class ResonantPairs(enum.Enum):
 class ScaleFactor:
     s0: float
     mass_ratio: float
-    energy_ratio: float
-
-    def __post_init__(self):
-        if self.s0 <= 0 or self.energy_ratio <= 1:
-            raise ConfigurationError("scale factor requires s0 > 0, ratio > 1")
+    energy_ratio: float  # exp(2 pi / s0); inf past the float range (s0 < 8.85e-3)
 
 
-class NoEfimovRegime:
-    """Returned when the transcendental equation has no positive root."""
-
-    def __repr__(self):
-        return "NO_EFIMOV_REGIME"
-
-
-NO_EFIMOV_REGIME = NoEfimovRegime()
+def _sinh_over_cosh(x: float, y: float) -> float:
+    """sinh(x) / cosh(y) for x, y >= 0, finite where sinh and cosh overflow."""
+    return math.exp(x - y) * -math.expm1(-2.0 * x) / (1.0 + math.exp(-2.0 * y))
 
 
 def _scale_equation(A: float, resonant_pairs: ResonantPairs):
@@ -433,43 +424,42 @@ def _scale_equation(A: float, resonant_pairs: ResonantPairs):
     if resonant_pairs is ResonantPairs.all_three:
 
         def g(s):
-            ch = math.cosh(math.pi * s / 2.0)
-            m_nn = P_nn * math.sinh(s * (math.pi / 2.0 - phi_nn)) / (s * ch)
-            m_nc = P_nc * math.sinh(s * (math.pi / 2.0 - phi_nc)) / (s * ch)
-            m_cn = P_cn * math.sinh(s * (math.pi / 2.0 - phi_nc)) / (s * ch)
+            y = math.pi * s / 2.0
+            m_nn = P_nn * _sinh_over_cosh(s * (math.pi / 2.0 - phi_nn), y) / s
+            m_nc = P_nc * _sinh_over_cosh(s * (math.pi / 2.0 - phi_nc), y) / s
+            m_cn = P_cn * _sinh_over_cosh(s * (math.pi / 2.0 - phi_nc), y) / s
             return 1.0 - m_nn - 2.0 * m_nc * m_cn
 
         return g
 
     def g(s):
-        ch = math.cosh(math.pi * s / 2.0)
-        return 1.0 - P_nn * math.sinh(s * (math.pi / 2.0 - phi_nn)) / (s * ch)
+        y = math.pi * s / 2.0
+        return 1.0 - P_nn * _sinh_over_cosh(s * (math.pi / 2.0 - phi_nn), y) / s
 
     return g
 
 
 def efimov_scale_factor(
     mass_ratio: float, resonant_pairs: ResonantPairs = ResonantPairs.all_three
-) -> ScaleFactor | NoEfimovRegime:
+) -> ScaleFactor:
     """Positive root s0 of the scale-invariance condition, to 1e-12.
 
-    mass_ratio A is the core mass in units of the neutron mass.
+    mass_ratio A is the core mass in units of the neutron mass.  Raises
+    NumericalError when [1e-8, 16384] brackets no root.
     """
     if mass_ratio <= 0:
         raise ConfigurationError("mass_ratio must be > 0")
     g = _scale_equation(mass_ratio, resonant_pairs)
     # g(0+) < 0 in the Efimov regime (kernel strength exceeds 1), g(inf) -> 1
     s_lo, s_hi = 1e-8, 1.0
-    if g(s_lo) >= 0.0:
-        return NO_EFIMOV_REGIME
-    while g(s_hi) < 0.0:
+    while g(s_hi) < 0.0 and s_hi < 1e4:
         s_hi *= 2.0
-        if s_hi > 1e4:
-            return NO_EFIMOV_REGIME
     s0 = _brentq(g, s_lo, s_hi, xtol=1e-15, rtol=8.9e-16)
-    return ScaleFactor(
-        s0=s0, mass_ratio=mass_ratio, energy_ratio=math.exp(2.0 * math.pi / s0)
-    )
+    try:
+        ratio = math.exp(2.0 * math.pi / s0)
+    except OverflowError:
+        ratio = math.inf
+    return ScaleFactor(s0=s0, mass_ratio=mass_ratio, energy_ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +562,7 @@ def calibrate_range_parameter(
         eng = _Engine(_set_epsilon2(replace(config_template, nc_channel=nc), target), grid)
         return float(eng.eigenvalues(-target / KEV_PER_MEV)[CALIBRATED_STATE] - 1.0)
 
-    lo, hi = CALIBRATION_BETA_INV_FM
-    f_lo, f_hi = misfit(lo), misfit(hi)
-    if f_lo * f_hi > 0:
-        raise NumericalError(
-            f"calibration bracket beta in [{lo}, {hi}] fm^-1 does not straddle "
-            f"the target (misfits {f_lo:.3g}, {f_hi:.3g})"
-        )
-    beta = _brentq(misfit, lo, hi, rtol=1e-10, xtol=1e-300)
+    beta = _brentq(misfit, *CALIBRATION_BETA_INV_FM, rtol=1e-10, xtol=1e-300)
     nc = replace(config_template.nc_channel, beta_inv_fm=beta)
     return resolve_config(replace(config_template, nc_channel=nc))
 

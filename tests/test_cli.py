@@ -75,6 +75,15 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     assert "bogus" in last_line(capsys)
 
 
+@pytest.mark.parametrize("text", ["{", "9" * 5000], ids=["truncated", "5000-digit-int"])
+def test_invalid_json_config_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["twobody", "--config", str(path)]) == 2
+    line = last_line(capsys)
+    assert line.startswith("RESULT config_error") and "invalid JSON" in line
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["twobody", "--config", str(tmp_path / "absent.json")]) == 2
     assert last_line(capsys).startswith("RESULT config_error")
@@ -328,6 +337,17 @@ def test_fit_bad_csv_header(tmp_path, capsys):
     bad.write_text("energy,sigma\n1,2\n")
     assert main(["fit", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert last_line(capsys).startswith("RESULT config_error")
+
+
+def test_reproduce_svg_draws_each_curve_with_its_fano_fit(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"count": 32, "map_scale_inv_fm": 0.1}}))
+    out = tmp_path / "out"
+    argv = ["reproduce", "fig1-fig2", "--svg", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 0
+    for tag in ("eps250", "eps150"):
+        svg = (out / f"curve_{tag}.svg").read_text()
+        assert svg.count("<polyline") == 2 and 'stroke-dasharray="6,4"' in svg
 
 
 def test_reproduce_bad_preset(tmp_path, capsys):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from trihalo.errors import ConfigurationError, PoleProximityError
 from trihalo.model import (
     NUCLEON_MASS,
-    UNITARY_LIMIT,
     ChannelLabel,
     PairChannel,
     PoleKind,
@@ -62,7 +61,7 @@ def test_scattering_length_examples():
     assert abs(a - 9.354) < 0.001
     a150 = scattering_length_from_pole(nc(150.0), mu)
     assert abs(a150 - 12.075) < 0.001
-    assert scattering_length_from_pole(nc(0.0), mu) is UNITARY_LIMIT
+    assert scattering_length_from_pole(nc(0.0), mu) is None
 
 
 @given(

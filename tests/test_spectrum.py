@@ -20,8 +20,8 @@ from trihalo.model import (
 )
 from trihalo.quadrature import build_grid
 from trihalo.spectrum import (
-    NO_EFIMOV_REGIME,
     ResonantPairs,
+    ScaleFactor,
     _brentq,
     _Engine,
     boron19_config,
@@ -420,6 +420,23 @@ def test_scale_factor_continuity_in_mass_ratio():
         assert 0.3 < ratio < 0.7
 
 
+def test_scale_factor_found_where_sinh_cosh_and_exp_overflow():
+    # cosh(pi s / 2) overflows on the way to s0 ~ 401 at A = 1e-6, and
+    # exp(2 pi / s0) overflows for nc_only once s0 < 8.85e-3 (A >~ 82)
+    from trihalo.spectrum import _scale_equation
+
+    cases = [(1e-6, mode) for mode in ResonantPairs]
+    cases += [(100.0, ResonantPairs.nc_only), (1e4, ResonantPairs.nc_only)]
+    for A, mode in cases:
+        sf = efimov_scale_factor(A, mode)
+        assert isinstance(sf, ScaleFactor) and sf.s0 > 0
+        assert abs(_scale_equation(A, mode)(sf.s0)) < 1e-12
+    assert efimov_scale_factor(1e-6).s0 == pytest.approx(401.03, rel=1e-4)
+    sf = efimov_scale_factor(100.0, ResonantPairs.nc_only)
+    assert sf.s0 == pytest.approx(0.0072786, rel=1e-4)
+    assert sf.energy_ratio == math.inf
+
+
 def test_scale_factor_validation():
     with pytest.raises(ConfigurationError):
         efimov_scale_factor(-1.0)
@@ -442,6 +459,14 @@ def test_threshold_scan_validation(grid, calibrated_c20):
         threshold_scan(calibrated_c20, np.array([300.0, 100.0]), grid)
     with pytest.raises(ConfigurationError):
         threshold_scan(calibrated_c20, np.array([-5.0, 100.0]), grid)
+
+
+@pytest.mark.parametrize("target_keV", [1.0, 5000.0])
+def test_calibration_without_a_root_in_the_bracket_is_numerical_error(target_keV):
+    with pytest.raises(NumericalError):
+        calibrate_range_parameter(
+            default_c20_config(), build_grid(32, 0.1), target_epsilon2_star_keV=target_keV
+        )
 
 
 def test_calibration_hits_target_within_band(calibrated_c20):
