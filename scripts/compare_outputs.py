@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""Run every trihalo subcommand from two source trees and list what differs.
+
+Usage:
+    python3 scripts/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories holding a `trihalo` package (e.g. the
+`src/` of two checkouts).  Each side runs the README example configuration
+through `twobody`, `spectrum`, `scan`, `scatter --svg`, `fit --svg` (Fano and
+Breit-Wigner, `--window auto` and `full`, on the side's own scatter curve and
+on an off-centre Fano curve: q -3, E_r 2.5 keV, Gamma 0.25 keV, 200 points
+on [0.5, 3.5] keV), `reproduce fig1-fig2 --svg` and `reproduce` with an
+unknown preset.  Every run is a fresh `python -m trihalo.cli` process with
+one BLAS thread (outputs move in their last digits with the thread count),
+started in its own directory with relative paths, so stdout is comparable.
+
+Each run's output files and its stdout plus exit code (`stdout.txt`) are
+compared byte for byte.  Every file that differs or exists on one side only
+is printed, one relative path a line; the exit code is 1 if any does, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+
+# the example configuration of README.md
+README_CONFIG = {
+    "system": {
+        "core_mass_number": 18,
+        "nc": {"pole": "bound", "epsilon2_keV": 250.0, "beta_inv_fm": 1.0},
+        "nn": {"pole": "virtual", "scattering_length_fm": -18.5, "beta_inv_fm": 1.0},
+    },
+    "grid": {"count": 96, "map_scale_inv_fm": 0.1},
+    "scan": {"start_keV": 0.001, "stop_keV": 400.0, "points": 40},
+    "scatter": {"start_keV": 0.05, "stop_keV": 245.0, "points": 80, "spacing": "log"},
+    "fit": {"model": "fano", "window": "auto"},
+}
+
+# the input each fit run reads: the side's scatter curve or the off-centre CSV
+SCATTER_CURVE = "scatter/out/curve.csv"
+OFF_CENTRE = "off-centre"
+
+# (run name, argv after `trihalo`, fit input or None); `scatter` runs
+# before every fit that reads its curve
+RUNS = [
+    ("twobody", ["twobody", "--config", "cfg.json"], None),
+    ("spectrum", ["spectrum", "--config", "cfg.json", "--out", "out"], None),
+    ("scan", ["scan", "--config", "cfg.json", "--out", "out"], None),
+    ("scatter", ["scatter", "--config", "cfg.json", "--out", "out", "--svg"], None),
+    *(
+        (
+            f"fit-{source}-{model}-{window}",
+            ["fit", "input.csv", "--model", model, "--window", window,
+             "--config", "cfg.json", "--out", "out", "--svg"],
+            SCATTER_CURVE if source == "curve" else OFF_CENTRE,
+        )
+        for source in ("curve", "off-centre")
+        for model in ("fano", "bw")
+        for window in ("auto", "full")
+    ),
+    ("reproduce", ["reproduce", "fig1-fig2", "--config", "cfg.json", "--out", "out", "--svg"],
+     None),
+    ("reproduce-unknown-preset", ["reproduce", "nope", "--config", "cfg.json", "--out", "out"],
+     None),
+]
+
+
+def off_centre_csv() -> str:
+    """The off-centre Fano curve as an E_keV,sigma_fm2 table (12 digits)."""
+    sigma0, q, E_r, gamma = 1.0, -3.0, 2.5, 0.25
+    E = np.linspace(0.5, 3.5, 200)
+    eps = (E - E_r) / (gamma / 2.0)
+    sigma = sigma0 * (q + eps) ** 2 / (1.0 + eps**2)
+    return "E_keV,sigma_fm2\n" + "".join(f"{e:.12g},{s:.12g}\n" for e, s in zip(E, sigma))
+
+
+def run_side(src: Path, work: Path, grid_count: int) -> None:
+    """Every run of RUNS from the trihalo package in src, into work/<run name>."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = "1"
+    found = subprocess.run(
+        [sys.executable, "-c", "import trihalo; print(trihalo.__file__)"],
+        env=env, cwd=work, capture_output=True, text=True,
+    ).stdout.strip()
+    if not found or Path(found).resolve().parent != (src / "trihalo").resolve():
+        raise SystemExit(f"compare_outputs: {src} does not provide the trihalo package")
+    config = json.loads(json.dumps(README_CONFIG))
+    config["grid"]["count"] = grid_count
+    for name, argv, fit_input in RUNS:
+        run_dir = work / name
+        run_dir.mkdir(parents=True)
+        (run_dir / "cfg.json").write_text(json.dumps(config, indent=1) + "\n")
+        if fit_input == OFF_CENTRE:
+            (run_dir / "input.csv").write_text(off_centre_csv())
+        elif fit_input is not None and (work / fit_input).is_file():
+            (run_dir / "input.csv").write_bytes((work / fit_input).read_bytes())
+        done = subprocess.run(
+            [sys.executable, "-m", "trihalo.cli", *argv],
+            env=env, cwd=run_dir, capture_output=True, text=True,
+        )
+        (run_dir / "stdout.txt").write_text(f"{done.stdout}exit={done.returncode}\n")
+
+
+def differing(old: Path, new: Path) -> list[str]:
+    """Relative paths of the files that differ between two trees or exist in one."""
+    files = {
+        p.relative_to(root).as_posix()
+        for root in (old, new)
+        for p in root.rglob("*")
+        if p.is_file()
+    }
+    return sorted(
+        f for f in files
+        if not ((old / f).is_file() and (new / f).is_file()
+                and (old / f).read_bytes() == (new / f).read_bytes())
+    )
+
+
+def compare(
+    old_src: Path, new_src: Path, work: Path, grid_count=README_CONFIG["grid"]["count"]
+) -> list[str]:
+    """Run both sides into work/old and work/new, on grid_count grid nodes (a
+    smaller grid runs faster); the files that differ."""
+    sides = {"old": old_src, "new": new_src}
+    for side in sides:
+        (work / side).mkdir(parents=True)
+    # the two sides share nothing, so they run side by side
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for done in [
+            pool.submit(run_side, src, work / side, grid_count) for side, src in sides.items()
+        ]:
+            done.result()
+    return differing(work / "old", work / "new")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as work:
+        diff = compare(args.old_src, args.new_src, Path(work))
+    for path in diff:
+        print(path)
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

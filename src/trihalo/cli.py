@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io, pipeline
 from .errors import ConfigurationError, NumericalError
-from .fanofit import breit_wigner_profile, fano_profile, fit
+from .fanofit import fit
 from .model import (
     ChannelLabel,
     choice,
@@ -161,13 +161,7 @@ def cmd_scatter(args) -> str:
     else:
         mesh = np.linspace(start, stop, sc["points"])
     curve = cross_section_curve(rc["system"], rc["grid"], mesh)
-    path = out / "curve.csv"
-    io.write_curve_csv(path, curve.energies_keV, curve.sigmas_fm2)
-    if args.svg:
-        io.write_curve_svg(
-            out / "curve.svg", curve.energies_keV, curve.sigmas_fm2,
-            title=f"elastic n+dimer, eps2 = {eps2:g} keV",
-        )
+    path = io.write_curve(out, "curve", curve, args.svg)
     return f"scatter points={len(curve.points)} file={path}"
 
 
@@ -181,12 +175,9 @@ def cmd_fit(args) -> str:
     path = out / "fit.json"
     io.write_fit_json(path, result)
     if args.svg:
-        fano = model == "fano"
-        used = E[result.mask]
-        profile = (fano_profile if fano else breit_wigner_profile)(used, result.params)
         io.write_curve_svg(
-            out / "fit.svg", E, s, overlay=(used, profile),
-            title=f"data + {'Fano' if fano else 'Breit-Wigner'} fit",
+            out / "fit.svg", E, s, fit=result,
+            title=f"data + {'Fano' if model == 'fano' else 'Breit-Wigner'} fit",
         )
     return (
         f"fit model={model} converged={result.converged} "
@@ -195,10 +186,6 @@ def cmd_fit(args) -> str:
 
 
 def cmd_reproduce(args) -> str:
-    if args.preset not in pipeline.PRESETS:
-        raise ConfigurationError(
-            f"unknown preset {args.preset!r}; available: {', '.join(pipeline.PRESETS)}"
-        )
     rc = load_run_config(args.config, require_system=False)
     out = _out_dir(args.out or rc["output_dir"] / "fig1-fig2")
     summary = pipeline.run_fig1_fig2(out, grid=rc["grid"], svg=args.svg)
@@ -224,41 +211,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, svg=False):
+    def common(p, run, svg=False):
+        p.set_defaults(run=run)
         p.add_argument("--config", default=None, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output directory")
         if svg:
             p.add_argument("--svg", action="store_true", help="also emit an SVG plot")
 
-    common(sub.add_parser("twobody", help="print two-body channel table"))
-    common(sub.add_parser("spectrum", help="trimer spectrum CSV"))
-    common(sub.add_parser("scan", help="epsilon2 threshold scan CSV + crossings JSON"))
-    common(sub.add_parser("scatter", help="elastic cross-section curve CSV"), svg=True)
+    common(sub.add_parser("twobody", help="print two-body channel table"), cmd_twobody)
+    common(sub.add_parser("spectrum", help="trimer spectrum CSV"), cmd_spectrum)
+    common(
+        sub.add_parser("scan", help="epsilon2 threshold scan CSV + crossings JSON"), cmd_scan
+    )
+    common(
+        sub.add_parser("scatter", help="elastic cross-section curve CSV"), cmd_scatter, svg=True
+    )
     p_fit = sub.add_parser("fit", help="fit a lineshape to a curve CSV")
     p_fit.add_argument("input", help="input CSV (E_keV,sigma_fm2)")
     p_fit.add_argument("--model", choices=["fano", "bw"], default=None)
     p_fit.add_argument("--window", choices=["auto", "full"], default=None)
-    common(p_fit, svg=True)
+    common(p_fit, cmd_fit, svg=True)
     p_rep = sub.add_parser("reproduce", help="run a named preset pipeline")
-    p_rep.add_argument("preset", help="preset name (fig1-fig2)")
-    common(p_rep, svg=True)
+    p_rep.add_argument("preset", choices=pipeline.PRESETS, help="preset name")
+    common(p_rep, cmd_reproduce, svg=True)
     return parser
-
-
-_COMMANDS = {
-    "twobody": cmd_twobody,
-    "spectrum": cmd_spectrum,
-    "scan": cmd_scan,
-    "scatter": cmd_scatter,
-    "fit": cmd_fit,
-    "reproduce": cmd_reproduce,
-}
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        summary = _COMMANDS[args.command](args)
+        summary = args.run(args)
     except ConfigurationError as exc:
         print(f"RESULT config_error {exc}")
         return 2

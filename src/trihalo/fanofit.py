@@ -11,7 +11,7 @@ Jacobian: deterministic, no RNG, no external optimizer state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -24,6 +24,12 @@ CONTINUATION_SHRINK = 0.5  # cost factor each amplitude-coordinate step must rea
 RESIDUAL_FLOOR_SCALE = 1e-12
 
 
+def _require_finite(params):
+    bad = [f.name for f in fields(params) if not math.isfinite(getattr(params, f.name))]
+    if bad:
+        raise ConfigurationError(f"{type(params).__name__}: non-finite {', '.join(bad)}")
+
+
 @dataclass(frozen=True)
 class FanoParameters:
     sigma0_fm2: float
@@ -32,10 +38,9 @@ class FanoParameters:
     Gamma_keV: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.sigma0_fm2 > 0 and self.Gamma_keV > 0):
             raise ConfigurationError("Fano parameters need sigma0 > 0, Gamma > 0")
-        if not math.isfinite(self.q):
-            raise ConfigurationError("Fano q must be finite")
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,7 @@ class BreitWignerParameters:
     Gamma_keV: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.sigma_bg_fm2 < 0:
             raise ConfigurationError("Breit-Wigner background must be >= 0")
         if not (self.amplitude_fm2 > 0 and self.Gamma_keV > 0):
@@ -53,8 +59,7 @@ class BreitWignerParameters:
 
 
 def fano_profile(E, p: FanoParameters):
-    eps = (np.asarray(E, dtype=float) - p.E_r_keV) / (p.Gamma_keV / 2.0)
-    out = p.sigma0_fm2 * (p.q + eps) ** 2 / (1.0 + eps**2)
+    out = _fano_value(np.asarray(E, dtype=float), astuple(p))
     return out if out.ndim else float(out)
 
 
@@ -358,6 +363,10 @@ def fit(
         raise ConfigurationError("fit requires at least 8 points")
     if np.any(np.diff(E) <= 0):
         raise ConfigurationError("fit energies must be strictly increasing")
+    if np.any(sig < 0):
+        raise ConfigurationError(
+            f"fit needs cross sections >= 0, got sigma = {float(np.min(sig))!r} fm^2"
+        )
     win = resonance_window(E, sig) if window == "auto" else None
     mask, window_mode = np.ones(len(E), dtype=bool), "full"
     if win is not None:

@@ -6,6 +6,7 @@ identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -13,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .fanofit import FitResult
+from .fanofit import FitResult, breit_wigner_profile, fano_profile
+from .scattering import CrossSectionCurve
 from .spectrum import ThreeBodySpectrum, ThresholdScan
 
 CURVE_HEADER = "E_keV,sigma_fm2"
@@ -38,11 +40,33 @@ def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(_round12(obj), indent=2) + "\n")
 
 
-def write_curve_csv(path, energies_keV, sigmas_fm2) -> None:
-    lines = [CURVE_HEADER]
-    for e, s in zip(energies_keV, sigmas_fm2):
-        lines.append(f"{fmt(e)},{fmt(s)}")
+def _write_csv(path, header, rows) -> None:
+    """header, then one line per row: integers as they are, other cells through fmt()."""
+    lines = [header]
+    for row in rows:
+        cells = (str(c) if isinstance(c, (int, np.integer)) else fmt(c) for c in row)
+        lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_curve_csv(path, energies_keV, sigmas_fm2) -> None:
+    _write_csv(path, CURVE_HEADER, zip(energies_keV, sigmas_fm2))
+
+
+def write_curve(out_dir, name, curve: CrossSectionCurve, svg, fit=None) -> Path:
+    """<name>.csv of the curve and, with svg, <name>.svg titled by the curve's
+    eps2, with fit (if given) drawn over the points it fitted; returns the
+    CSV path."""
+    E, s = curve.energies_keV, curve.sigmas_fm2
+    path = Path(out_dir, f"{name}.csv")
+    write_curve_csv(path, E, s)
+    if svg:
+        eps2 = curve.config_snapshot.nc_channel.epsilon2_keV
+        write_curve_svg(
+            Path(out_dir, f"{name}.svg"), E, s, fit=fit,
+            title=f"elastic n+dimer, eps2 = {eps2:g} keV",
+        )
+    return path
 
 
 def read_text(path) -> str:
@@ -79,18 +103,18 @@ def read_curve_csv(path):
 
 
 def write_spectrum_csv(path, spectrum: ThreeBodySpectrum) -> None:
-    lines = ["n,epsilon3_keV"]
-    for lv in spectrum.levels:
-        lines.append(f"{lv.index},{fmt(lv.epsilon3_keV)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(
+        path, "n,epsilon3_keV", ((lv.index, lv.epsilon3_keV) for lv in spectrum.levels)
+    )
 
 
 def write_scan(out_dir, scan: ThresholdScan) -> None:
     """scan.csv (bound excited count per eps2) and crossings.json in out_dir."""
-    lines = ["epsilon2_keV,bound_excited_count"]
-    for pt in scan.points:
-        lines.append(f"{fmt(pt.epsilon2_keV)},{pt.bound_excited_count}")
-    Path(out_dir, "scan.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(
+        Path(out_dir, "scan.csv"),
+        "epsilon2_keV,bound_excited_count",
+        ((pt.epsilon2_keV, pt.bound_excited_count) for pt in scan.points),
+    )
     crossings = [
         {"state_index": c.state_index, "epsilon2_star_keV": c.epsilon2_star_keV}
         for c in scan.crossings
@@ -101,19 +125,7 @@ def write_scan(out_dir, scan: ThresholdScan) -> None:
 def write_fit_json(path, result: FitResult) -> None:
     """The fit's parameters, residual, convergence and covariance, and the
     window mode ("auto" or "full") it used."""
-    p = result.params
-    rec = {"model": result.model}
-    if result.model == "fano":
-        rec.update(
-            sigma0_fm2=p.sigma0_fm2, q=p.q, E_r_keV=p.E_r_keV, Gamma_keV=p.Gamma_keV
-        )
-    else:
-        rec.update(
-            sigma_bg_fm2=p.sigma_bg_fm2,
-            amplitude_fm2=p.amplitude_fm2,
-            E_r_keV=p.E_r_keV,
-            Gamma_keV=p.Gamma_keV,
-        )
+    rec = {"model": result.model, **dataclasses.asdict(result.params)}
     rec.update(
         residual_norm=result.residual_norm,
         converged=result.converged,
@@ -136,17 +148,18 @@ def _svg_path(xs, ys, color, width, dash=""):
     )
 
 
-def write_curve_svg(path, energies_keV, sigmas_fm2, overlay=None, title="") -> None:
-    """Plot sigma(E) (log y) with an optional fitted-curve overlay.
-
-    overlay: (energies, sigmas) of the model curve, drawn dashed.
-    """
+def write_curve_svg(path, energies_keV, sigmas_fm2, fit=None, title="") -> None:
+    """Plot sigma(E) (log y) and, dashed, the profile of fit (a FitResult of
+    these data) over the points it fitted (fit.mask)."""
     W, H, pad = 640, 420, 56
     E = np.asarray(energies_keV, dtype=float)
     s = np.clip(np.asarray(sigmas_fm2, dtype=float), 1e-300, None)
-    all_s = s if overlay is None else np.concatenate(
-        [s, np.clip(np.asarray(overlay[1], dtype=float), 1e-300, None)]
-    )
+    all_s = s
+    if fit is not None:
+        profile = fano_profile if fit.model == "fano" else breit_wigner_profile
+        fit_E = E[fit.mask]
+        fit_s = np.clip(profile(fit_E, fit.params), 1e-300, None)
+        all_s = np.concatenate([s, fit_s])
     x0, x1 = float(E[0]), float(E[-1])
     y0 = math.log10(float(np.min(all_s)))
     y1 = math.log10(float(np.max(all_s)))
@@ -169,10 +182,9 @@ def write_curve_svg(path, energies_keV, sigmas_fm2, overlay=None, title="") -> N
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{H-pad}" stroke="black"/>',
         _svg_path([X(e) for e in E], [Y(v) for v in s], "#1f4e9c", 1.5),
     ]
-    if overlay is not None:
-        oe, osig = overlay
+    if fit is not None:
         parts.append(
-            _svg_path([X(e) for e in oe], [Y(v) for v in osig], "#c03020", 1.5, "6,4")
+            _svg_path([X(e) for e in fit_E], [Y(v) for v in fit_s], "#c03020", 1.5, "6,4")
         )
     parts += [
         f'<text x="{W/2:.0f}" y="{H-14}" text-anchor="middle" '

@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .fanofit import fano_profile, fit, q_consistency
+from .fanofit import fit, q_consistency
 from .model import default_c20_config
-from .quadrature import MomentumGrid, build_grid
+from .quadrature import MomentumGrid
 from .scattering import cross_section_curve
 from .spectrum import calibrate_range_parameter, threshold_scan
 
@@ -31,10 +31,6 @@ CURVE_STOP_FRACTION = 0.98  # of eps2: the mesh stays below the breakup threshol
 PRESETS = ("fig1-fig2",)
 
 
-def default_grid() -> MomentumGrid:
-    return build_grid(DEFAULT_GRID_COUNT, DEFAULT_MAP_SCALE)
-
-
 def curve_mesh(eps2_keV: float, points: int = CURVE_POINTS) -> np.ndarray:
     """Logarithmic energy mesh covering the elastic window below eps2."""
     return np.geomspace(CURVE_START_KEV, CURVE_STOP_FRACTION * eps2_keV, points)
@@ -45,15 +41,15 @@ def run_fig1_fig2(out_dir, grid: MomentumGrid, svg: bool = False) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    template = default_c20_config()
+    target = 220.0
     calibrated = calibrate_range_parameter(
-        template, grid, target_epsilon2_star_keV=220.0
+        default_c20_config(), grid, target_epsilon2_star_keV=target
     )
     beta_nc = calibrated.nc_channel.beta_inv_fm
     io.write_json(
         out / "calibration.json",
         {
-            "target_epsilon2_star_keV": 220.0,
+            "target_epsilon2_star_keV": target,
             "calibrated_beta_nc_inv_fm": beta_nc,
             "beta_nn_inv_fm": calibrated.nn_channel.beta_inv_fm,
         },
@@ -68,20 +64,9 @@ def run_fig1_fig2(out_dir, grid: MomentumGrid, svg: bool = False) -> dict:
         cfg = default_c20_config(epsilon2_keV=eps2, beta_nc=beta_nc)
         curve = cross_section_curve(cfg, grid, curve_mesh(eps2))
         tag = f"eps{int(eps2)}"
-        io.write_curve_csv(
-            out / f"curve_{tag}.csv", curve.energies_keV, curve.sigmas_fm2
-        )
         result = fits[eps2] = fit(curve, model="fano", window="auto")
+        io.write_curve(out, f"curve_{tag}", curve, svg, fit=result)
         io.write_fit_json(out / f"fit_{tag}.json", result)
-        if svg:
-            overlay = (curve.energies_keV, fano_profile(curve.energies_keV, result.params))
-            io.write_curve_svg(
-                out / f"curve_{tag}.svg",
-                curve.energies_keV,
-                curve.sigmas_fm2,
-                overlay=overlay,
-                title=f"elastic n+dimer, eps2 = {eps2:g} keV",
-            )
 
     if all(f.converged for f in fits.values()):
         spread = q_consistency(fits.values())
@@ -113,8 +98,6 @@ def run_fig1_fig2(out_dir, grid: MomentumGrid, svg: bool = False) -> dict:
     (out / "report.txt").write_text("\n".join(lines) + "\n")
 
     return {
-        "beta_nc": beta_nc,
-        "scan": scan,
         "fits": fits,
         "q_spread": spread,
         "report_path": out / "report.txt",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trihalo.model import default_c20_config
-from trihalo.pipeline import default_grid
+from trihalo.pipeline import DEFAULT_GRID_COUNT, DEFAULT_MAP_SCALE
 from trihalo.quadrature import build_grid
 from trihalo.spectrum import (
     calibrate_range_parameter,
@@ -13,7 +13,7 @@ from trihalo.spectrum import (
 
 @pytest.fixture(scope="session")
 def grid():
-    return default_grid()
+    return build_grid(DEFAULT_GRID_COUNT, DEFAULT_MAP_SCALE)
 
 
 @pytest.fixture(scope="session")

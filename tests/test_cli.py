@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trihalo.cli import main
-from trihalo.fanofit import FanoParameters, fano_profile
+from trihalo.fanofit import FanoParameters, fano_profile, fit
 from trihalo.io import read_curve_csv, write_curve_csv
 
 SYSTEM = {
@@ -286,6 +286,25 @@ def test_scatter_deterministic_and_svg(tmp_path, capsys):
     assert len(E) == 9 and np.all(s > 0)
 
 
+def test_scatter_linear_spacing(tmp_path, capsys):
+    scatter = {"start_keV": 1.0, "stop_keV": 200.0, "points": 9, "spacing": "linear"}
+    cfg = write_config(tmp_path, scatter=scatter)
+    out = tmp_path / "out"
+    assert main(["scatter", "--config", cfg, "--out", str(out)]) == 0
+    E, s = read_curve_csv(out / "curve.csv")
+    np.testing.assert_allclose(E, np.linspace(1.0, 200.0, 9), rtol=1e-12)
+    assert E[:3].tolist() == [1.0, 25.875, 50.75] and np.all(s > 0)
+
+
+def test_scatter_linear_spacing_from_zero_is_config_error(tmp_path, capsys):
+    # E_cm = 0 is outside the elastic window (0, eps2)
+    scatter = {"start_keV": 0, "stop_keV": 200.0, "points": 9, "spacing": "linear"}
+    cfg = write_config(tmp_path, scatter=scatter)
+    assert main(["scatter", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    line = last_line(capsys)
+    assert line.startswith("RESULT config_error") and "elastic window" in line
+
+
 def test_fit_subcommand_schema(tmp_path, capsys):
     p = FanoParameters(sigma0_fm2=2.0, q=4.0, E_r_keV=1.63, Gamma_keV=0.25)
     # 200 points keeps the mesh off the exact profile zero at 1.13 keV;
@@ -330,6 +349,40 @@ def test_fit_svg_draws_data_and_model(tmp_path, capsys, model, title):
     svg = (out / "fit.svg").read_text()
     assert svg.count("<polyline") == 2 and 'stroke-dasharray="6,4"' in svg
     assert f"data + {title} fit" in svg
+
+
+def polylines(svg):
+    """(point count, dashed) of each <polyline> of an SVG, in drawing order."""
+    return [
+        (len(line.split('points="')[1].split('"')[0].split()), "stroke-dasharray" in line)
+        for line in svg.splitlines()
+        if line.startswith("<polyline")
+    ]
+
+
+def test_fit_svg_overlay_covers_the_fitted_points(tmp_path, capsys):
+    # off-centre Fano curve: its resonance window drops the 4 points below
+    # 0.56 keV, so the fit and its dashed overlay use 196 of 200 points
+    E = np.linspace(0.5, 3.5, 200)
+    csv = tmp_path / "data.csv"
+    write_curve_csv(csv, E, fano_profile(E, FanoParameters(1.0, -3.0, 2.5, 0.25)))
+    out = tmp_path / "out"
+    argv = ["fit", str(csv), "--window", "auto", "--svg", "--out", str(out)]
+    assert main(argv) == 0
+    mask = fit(*read_curve_csv(csv), model="fano", window="auto").mask
+    assert mask.sum() == 196
+    assert polylines((out / "fit.svg").read_text()) == [(200, False), (196, True)]
+
+
+@pytest.mark.parametrize("model", ["fano", "bw"])
+def test_fit_negative_cross_sections_is_config_error(tmp_path, capsys, model):
+    E = np.linspace(0.5, 3.5, 60)
+    csv = tmp_path / "data.csv"
+    write_curve_csv(csv, E, -fano_profile(E, FanoParameters(2.0, 4.0, 1.63, 0.25)) - 20.0)
+    argv = ["fit", str(csv), "--model", model, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    line = last_line(capsys)
+    assert line.startswith("RESULT config_error") and "cross sections >= 0" in line
 
 
 def test_fit_bad_csv_header(tmp_path, capsys):

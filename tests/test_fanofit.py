@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -211,6 +212,29 @@ def test_fit_preserves_zero_location():
     zero_ref = REF.E_r_keV - REF.q * REF.Gamma_keV / 2
     zero_fit = p.E_r_keV - p.q * p.Gamma_keV / 2
     assert abs(zero_fit - zero_ref) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "cls, good",
+    [(FanoParameters, (1.0, 4.0, 1.63, 0.25)), (BreitWignerParameters, (0.1, 5.0, 1.63, 0.25))],
+    ids=["fano", "breit_wigner"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_parameters_reject_every_non_finite_field(cls, good, value):
+    cls(*good)
+    for i, field in enumerate(fields(cls)):
+        with pytest.raises(ConfigurationError, match=f"non-finite {field.name}"):
+            cls(*good[:i], value, *good[i + 1:])
+
+
+@pytest.mark.parametrize("model", ["fano", "breit_wigner"])
+def test_fit_rejects_negative_cross_sections(model):
+    E, s = fano_data()
+    with pytest.raises(ConfigurationError, match="cross sections >= 0"):
+        fit(E, -s - 20.0, model=model)
+    s[7] = -1e-9  # one negative point is enough
+    with pytest.raises(ConfigurationError, match="cross sections >= 0"):
+        fit(E, s, model=model, window="auto")
 
 
 def test_fit_validation_errors():

@@ -102,3 +102,33 @@ def test_collect_bench_refuses_mixed_source_trees(tmp_path):
     write_result(tmp_path, "scan", 2, 0, {"op_p50_s": 1.0}, src="b")
     with pytest.raises(SystemExit, match="mixes source trees"):
         collect.main(["--pr", "1", "--out", str(tmp_path / "b.json"), f"x={tmp_path}"])
+
+
+def load_compare_outputs():
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", SCRIPTS_DIR / "compare_outputs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_outputs_same_tree_is_identical_and_a_changed_byte_is_reported(tmp_path):
+    compare = load_compare_outputs()
+    src = SCRIPTS_DIR.parent / "src"
+    assert compare.compare(src, src, tmp_path, grid_count=32) == []
+    old, new = tmp_path / "old", tmp_path / "new"
+    runs = {p.name for p in new.iterdir()}
+    assert runs == {name for name, _, _ in compare.RUNS}
+    for name in runs - {"reproduce-unknown-preset"}:
+        assert (new / name / "stdout.txt").read_text().endswith("exit=0\n"), name
+    assert (new / "fit-curve-bw-full" / "input.csv").read_bytes() == (
+        new / "scatter" / "out" / "curve.csv"
+    ).read_bytes()
+    svg = new / "reproduce" / "out" / "curve_eps250.svg"
+    text = svg.read_bytes()
+    svg.write_bytes(text[:100] + bytes([text[100] ^ 1]) + text[101:])
+    (new / "twobody" / "stdout.txt").unlink()
+    assert compare.differing(old, new) == [
+        "reproduce/out/curve_eps250.svg", "twobody/stdout.txt"
+    ]
