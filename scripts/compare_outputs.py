@@ -7,12 +7,15 @@ Usage:
 OLD_SRC and NEW_SRC are directories holding a `trihalo` package (e.g. the
 `src/` of two checkouts).  Each side runs the README example configuration
 through `twobody`, `spectrum`, `scan`, `scatter --svg`, `fit --svg` (Fano and
-Breit-Wigner, `--window auto` and `full`, on the side's own scatter curve and
-on an off-centre Fano curve: q -3, E_r 2.5 keV, Gamma 0.25 keV, 200 points
-on [0.5, 3.5] keV), `reproduce fig1-fig2 --svg` and `reproduce` with an
-unknown preset.  Every run is a fresh `python -m trihalo.cli` process with
-one BLAS thread (outputs move in their last digits with the thread count),
-started in its own directory with relative paths, so stdout is comparable.
+Breit-Wigner, `--window auto` and `full`, on the side's own scatter curve, on
+an off-centre Fano curve: q -3, E_r 2.5 keV, Gamma 0.25 keV, and on a
+zero-background Breit-Wigner curve: amplitude 5 fm^2, E_r 1.63 keV, Gamma
+0.25 keV, each 200 points on [0.5, 3.5] keV; the Fano fits of the last run
+past 500 iterations into the amplitude continuation), `reproduce fig1-fig2
+--svg` and `reproduce` with an unknown preset.  Every run is a fresh
+`python -m trihalo.cli` process with one BLAS thread (outputs move in their
+last digits with the thread count), started in its own directory with
+relative paths, so stdout is comparable.
 
 Each run's output files and its stdout plus exit code (`stdout.txt`) are
 compared byte for byte.  Every file that differs or exists on one side only
@@ -45,9 +48,10 @@ README_CONFIG = {
     "fit": {"model": "fano", "window": "auto"},
 }
 
-# the input each fit run reads: the side's scatter curve or the off-centre CSV
+# the input each fit run reads: the side's scatter curve or a synthetic CSV
 SCATTER_CURVE = "scatter/out/curve.csv"
 OFF_CENTRE = "off-centre"
+ZERO_BACKGROUND_BW = "zero-background-bw"
 
 # (run name, argv after `trihalo`, fit input or None); `scatter` runs
 # before every fit that reads its curve
@@ -61,9 +65,9 @@ RUNS = [
             f"fit-{source}-{model}-{window}",
             ["fit", "input.csv", "--model", model, "--window", window,
              "--config", "cfg.json", "--out", "out", "--svg"],
-            SCATTER_CURVE if source == "curve" else OFF_CENTRE,
+            SCATTER_CURVE if source == "curve" else source,
         )
-        for source in ("curve", "off-centre")
+        for source in ("curve", OFF_CENTRE, ZERO_BACKGROUND_BW)
         for model in ("fano", "bw")
         for window in ("auto", "full")
     ),
@@ -74,12 +78,16 @@ RUNS = [
 ]
 
 
-def off_centre_csv() -> str:
-    """The off-centre Fano curve as an E_keV,sigma_fm2 table (12 digits)."""
-    sigma0, q, E_r, gamma = 1.0, -3.0, 2.5, 0.25
+def synthetic_csv(source: str) -> str:
+    """The off-centre Fano or the zero-background Breit-Wigner curve as an
+    E_keV,sigma_fm2 table (12 digits)."""
     E = np.linspace(0.5, 3.5, 200)
-    eps = (E - E_r) / (gamma / 2.0)
-    sigma = sigma0 * (q + eps) ** 2 / (1.0 + eps**2)
+    if source == OFF_CENTRE:
+        eps = (E - 2.5) / (0.25 / 2.0)
+        sigma = (-3.0 + eps) ** 2 / (1.0 + eps**2)
+    else:
+        eps = (E - 1.63) / (0.25 / 2.0)
+        sigma = 5.0 / (1.0 + eps**2)
     return "E_keV,sigma_fm2\n" + "".join(f"{e:.12g},{s:.12g}\n" for e, s in zip(E, sigma))
 
 
@@ -100,8 +108,8 @@ def run_side(src: Path, work: Path, grid_count: int) -> None:
         run_dir = work / name
         run_dir.mkdir(parents=True)
         (run_dir / "cfg.json").write_text(json.dumps(config, indent=1) + "\n")
-        if fit_input == OFF_CENTRE:
-            (run_dir / "input.csv").write_text(off_centre_csv())
+        if fit_input in (OFF_CENTRE, ZERO_BACKGROUND_BW):
+            (run_dir / "input.csv").write_text(synthetic_csv(fit_input))
         elif fit_input is not None and (work / fit_input).is_file():
             (run_dir / "input.csv").write_bytes((work / fit_input).read_bytes())
         done = subprocess.run(

@@ -11,11 +11,12 @@ Jacobian: deterministic, no RNG, no external optimizer state.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigurationError, FlatDataError
+from .errors import ConfigurationError, FlatDataError, NumericalError
 
 STEP_TOL = 1e-10
 GRAD_TOL = 1e-12
@@ -69,8 +70,8 @@ def breit_wigner_profile(E, p: BreitWignerParameters):
     return out if out.ndim else float(out)
 
 
-# raw-array model evaluations used inside the fitter (no dataclass
-# validation so intermediate iterates may roam)
+# each chart's profile and Jacobian on raw coordinate arrays (a trial point
+# is checked by the parameter class before the fitter evaluates it)
 
 
 def _fano_value(E, th):
@@ -113,14 +114,6 @@ def _bw_jacobian(E, ph):
     return np.column_stack([np.full_like(E, 2.0 * c), damp, dEr, dG])
 
 
-def _to_root(th):
-    return np.array([math.sqrt(th[0]), *th[1:]])
-
-
-def _from_root(ph):
-    return np.array([ph[0] * ph[0], *ph[1:]])
-
-
 # the Fano profile in amplitude coordinates (a, b) = (sqrt(s0) q, sqrt(s0)):
 # (a + b eps)^2 / (1 + eps^2), with the Breit-Wigner limit q -> inf at b = 0
 
@@ -140,16 +133,6 @@ def _amplitude_jacobian(E, ph):
     return np.column_stack([da, eps * da, deps * (-2.0 / G), deps * (-eps / G)])
 
 
-def _to_amplitude(th):
-    s0, q, Er, G = th
-    return np.array([math.sqrt(s0) * q, math.sqrt(s0), Er, G])
-
-
-def _from_amplitude(ph):
-    a, b, Er, G = ph
-    return np.array([b * b, a / b, Er, G])
-
-
 def _amplitude_to_fano_jacobian(ph):
     """d(s0, q, E_r, Gamma) / d(a, b, E_r, Gamma)."""
     a, b = ph[0], ph[1]
@@ -159,10 +142,37 @@ def _amplitude_to_fano_jacobian(ph):
     return T
 
 
+# the coordinates one Levenberg-Marquardt run works in: the profile and its
+# Jacobian there, the maps from and to the reported parameters, d(params)/d(coords)
+_Chart = namedtuple("_Chart", "value jacobian to_coords to_params params_jacobian")
+
+_FANO_CHART = _Chart(_fano_value, _fano_jacobian, lambda th: th, lambda c: c, lambda c: np.eye(4))
+_BW_CHART = _Chart(
+    _bw_value, _bw_jacobian,
+    lambda th: np.array([math.sqrt(th[0]), *th[1:]]),
+    lambda c: np.array([c[0] * c[0], *c[1:]]),
+    lambda c: np.diag([2.0 * c[0], 1.0, 1.0, 1.0]),
+)
+_AMPLITUDE_CHART = _Chart(
+    _amplitude_value, _amplitude_jacobian,
+    lambda th: np.array([math.sqrt(th[0]) * th[1], math.sqrt(th[0]), th[2], th[3]]),
+    lambda c: np.array([c[1] * c[1], c[0] / c[1], c[2], c[3]]),
+    _amplitude_to_fano_jacobian,
+)
+
+# model name -> (parameter class, fit chart, profile, continuation chart or None)
 _MODELS = {
-    "fano": (_fano_value, _fano_jacobian),
-    "breit_wigner": (_bw_value, _bw_jacobian),
+    "fano": (FanoParameters, _FANO_CHART, fano_profile, _AMPLITUDE_CHART),
+    "breit_wigner": (BreitWignerParameters, _BW_CHART, breit_wigner_profile, None),
 }
+
+
+def _admissible(cls, th) -> bool:
+    try:
+        cls(*th)
+    except ConfigurationError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -176,6 +186,10 @@ class FitResult:
     window: ResonanceWindow | None  # found with window="auto", else None
     window_mode: str  # "auto" if the fit used only the window's points, else "full"
     mask: np.ndarray  # the points the fit used
+
+    def profile(self, E):
+        """The fitted lineshape at the energies E (keV), in fm^2."""
+        return _MODELS[self.model][2](E, self.params)
 
 
 @dataclass(frozen=True)
@@ -227,14 +241,14 @@ def auto_seed(model: str, E, sigma, window=None):
     sigma = np.asarray(sigma, dtype=float)
     if model == "breit_wigner":
         bg = float(np.min(sigma))
-        amp = max(float(np.max(sigma)) - bg, 1e-30)
+        amp = float(np.max(sigma)) - bg
         return np.array([bg, amp, float(E[np.argmax(sigma)]), 0.25 * (E[-1] - E[0])])
     m = len(sigma)
     quartile = max(1, m // 4)
     outer = np.concatenate([sigma[:quartile], sigma[-quartile:]])
     s0 = float(np.median(outer))
     if s0 <= 0:
-        s0 = max(float(np.max(sigma)) * 1e-3, 1e-30)
+        s0 = float(np.max(sigma)) * 1e-3
     if window is not None:
         Er = 0.5 * (window.peak_keV + window.dip_keV)
         G = abs(window.peak_keV - window.dip_keV)
@@ -245,18 +259,6 @@ def auto_seed(model: str, E, sigma, window=None):
         q = 2.0
     G = max(G, 1e-6 * (E[-1] - E[0]))
     return np.array([s0, q, Er, G])
-
-
-def _to_params(model: str, th):
-    if model == "fano":
-        return FanoParameters(
-            sigma0_fm2=float(th[0]), q=float(th[1]),
-            E_r_keV=float(th[2]), Gamma_keV=float(th[3]),
-        )
-    return BreitWignerParameters(
-        sigma_bg_fm2=float(th[0]), amplitude_fm2=float(th[1]),
-        E_r_keV=float(th[2]), Gamma_keV=float(th[3]),
-    )
 
 
 def _levenberg_marquardt(residuals, jacobian, th, feasible, shrink=1.0):
@@ -353,12 +355,20 @@ def fit(
     would not at least halve the cost: a fit with no Breit-Wigner limit
     within reach keeps the result of its first 500 iterations.  The
     result is reported in (sigma0, q, E_r, Gamma) either way.
+
+    Non-finite energies or cross sections are a ConfigurationError; a
+    result whose scaled residuals or Jacobian are not finite (data near
+    the float range limits) is a NumericalError.
     """
     E, sig = _curve_arrays(curve_or_E, sigma)
     if model not in _MODELS:
         raise ConfigurationError(f"unknown model {model!r}")
     if window not in ("auto", "full"):
         raise ConfigurationError(f"window must be 'auto' or 'full', got {window!r}")
+    for name, x in (("energies", E), ("cross sections", sig)):
+        if not np.isfinite(x).all():
+            i = int(np.argmin(np.isfinite(x)))
+            raise ConfigurationError(f"fit needs finite {name}, got {float(x[i])} at index {i}")
     if len(E) < 8:
         raise ConfigurationError("fit requires at least 8 points")
     if np.any(np.diff(E) <= 0):
@@ -378,57 +388,42 @@ def fit(
     if smax == 0.0 or float(np.max(sig) - np.min(sig)) < 1e-12 * smax:
         raise FlatDataError("cross-section data is flat; nothing to fit")
 
-    value, jacobian = _MODELS[model]
-    floor = RESIDUAL_FLOOR_SCALE * smax
-    denom = np.maximum(np.abs(sig), floor)
+    cls, chart, _, continuation = _MODELS[model]
+    denom = np.maximum(np.abs(sig), RESIDUAL_FLOOR_SCALE * smax)
 
     th = auto_seed(model, E, sig, window=win)
-
-    if model == "fano":
-        def feasible(t):
-            return t[0] > 0 and t[3] > 0 and np.isfinite(t).all()
-    else:
-        def feasible(t):
-            return t[0] >= 0 and t[1] > 0 and t[3] > 0 and np.isfinite(t).all()
-
-    if not feasible(th):
+    if not _admissible(cls, th):
         raise ConfigurationError(f"infeasible {model} seed {th.tolist()}")
 
-    def lm(f, df, start, ok, shrink=1.0):
+    def lm(chart, start, shrink=1.0):
         return _levenberg_marquardt(
-            lambda t: (f(E, t) - sig) / denom,
-            lambda t: df(E, t) / denom[:, None],
-            start, ok, shrink,
+            lambda c: (chart.value(E, c) - sig) / denom,
+            lambda c: chart.jacobian(E, c) / denom[:, None],
+            chart.to_coords(start),
+            lambda c: _admissible(cls, chart.to_params(c)),
+            shrink,
         )
 
-    # coordinates the result was found in, and d(th)/d(coords)
-    if model == "breit_wigner":
-        coords, iterations, converged = lm(
-            value, jacobian, _to_root(th), lambda c: feasible(_from_root(c))
-        )
-        th, to_th = _from_root(coords), np.diag([2.0 * coords[0], 1.0, 1.0, 1.0])
-    else:
-        th, iterations, converged = lm(value, jacobian, th, feasible)
-        coords, to_th = th, np.eye(4)
-    if model == "fano" and not converged:
-        ph, more, converged = lm(
-            _amplitude_value, _amplitude_jacobian, _to_amplitude(th),
-            lambda p: feasible(_from_amplitude(p)), shrink=CONTINUATION_SHRINK,
-        )
+    coords, iterations, converged = lm(chart, th)
+    if not converged and continuation is not None:
+        ph, more, converged = lm(continuation, chart.to_params(coords), CONTINUATION_SHRINK)
         if more:
-            value, jacobian = _amplitude_value, _amplitude_jacobian
-            coords, th, iterations = ph, _from_amplitude(ph), iterations + more
-            to_th = _amplitude_to_fano_jacobian(ph)
+            chart, coords, iterations = continuation, ph, iterations + more
 
-    params = _to_params(model, th)
-    J = jacobian(E, coords) / denom[:, None]
-    r = (value(E, coords) - sig) / denom
+    J = chart.jacobian(E, coords) / denom[:, None]
+    r = (chart.value(E, coords) - sig) / denom
+    if not (np.isfinite(r).all() and np.isfinite(J).all()):
+        raise NumericalError(
+            f"{model} fit: non-finite residuals or Jacobian at the result "
+            f"(cross sections up to {smax!r} fm^2 near the float range limits)"
+        )
+    params = cls(*(float(t) for t in chart.to_params(coords)))
     dof = max(len(E) - 4, 1)
     variance = float(r @ r) / dof
     # covariance from the pseudo-inverse of J (not J^T J, which squares its
-    # condition number), mapped to (sigma0, q, E_r, Gamma); as B B^T it is
+    # condition number), mapped to the reported parameters; as B B^T it is
     # symmetric and, up to rounding, positive semi-definite
-    B = to_th @ np.linalg.pinv(J, rcond=0.0)
+    B = chart.params_jacobian(coords) @ np.linalg.pinv(J, rcond=0.0)
     cov = variance * (B @ B.T)
     return FitResult(
         model=model,

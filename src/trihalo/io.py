@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .fanofit import FitResult, breit_wigner_profile, fano_profile
+from .fanofit import FitResult
 from .scattering import CrossSectionCurve
 from .spectrum import ThreeBodySpectrum, ThresholdScan
 
@@ -156,9 +156,8 @@ def write_curve_svg(path, energies_keV, sigmas_fm2, fit=None, title="") -> None:
     s = np.clip(np.asarray(sigmas_fm2, dtype=float), 1e-300, None)
     all_s = s
     if fit is not None:
-        profile = fano_profile if fit.model == "fano" else breit_wigner_profile
         fit_E = E[fit.mask]
-        fit_s = np.clip(profile(fit_E, fit.params), 1e-300, None)
+        fit_s = np.clip(fit.profile(fit_E), 1e-300, None)
         all_s = np.concatenate([s, fit_s])
     x0, x1 = float(E[0]), float(E[-1])
     y0 = math.log10(float(np.min(all_s)))

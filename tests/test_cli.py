@@ -2,12 +2,17 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import trihalo
 from trihalo.cli import main
 from trihalo.fanofit import FanoParameters, fano_profile, fit
 from trihalo.io import read_curve_csv, write_curve_csv
@@ -383,6 +388,23 @@ def test_fit_negative_cross_sections_is_config_error(tmp_path, capsys, model):
     assert main(argv) == 2
     line = last_line(capsys)
     assert line.startswith("RESULT config_error") and "cross sections >= 0" in line
+
+
+@pytest.mark.parametrize("model", ["fano", "bw"])
+def test_fit_near_float_underflow_is_numerical_error(tmp_path, model):
+    # a fresh process with a deadline: this fit once hung in np.linalg.pinv
+    E = np.linspace(0.5, 3.5, 20)
+    csv = tmp_path / "data.csv"
+    write_curve_csv(csv, E, 1e-310 * (1.0 + E))
+    src = Path(trihalo.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1")
+    argv = ["fit", str(csv), "--model", model, "--out", str(tmp_path / "o")]
+    run = subprocess.run(
+        [sys.executable, "-m", "trihalo.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 3, run.stdout + run.stderr
+    assert run.stdout.strip().splitlines()[-1].startswith("RESULT numerical_error")
 
 
 def test_fit_bad_csv_header(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trihalo.errors import ConfigurationError, FlatDataError
+from trihalo.errors import ConfigurationError, FlatDataError, NumericalError
 from trihalo.fanofit import (
     MAX_ITERATIONS,
     BreitWignerParameters,
@@ -177,6 +177,16 @@ def test_breit_wigner_fit_reaches_zero_background():
         assert res.params.Gamma_keV == pytest.approx(0.25, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "model, profile", [("fano", fano_profile), ("breit_wigner", breit_wigner_profile)]
+)
+def test_fit_result_profile_is_the_models_profile_of_its_params(model, profile):
+    E, s = fano_data()
+    res = fit(E, s, model=model)
+    np.testing.assert_array_equal(res.profile(E), profile(E, res.params))
+    assert res.profile(1.7) == profile(1.7, res.params)
+
+
 def test_fit_at_iteration_cap_is_not_converged():
     # a monotone 1/sqrt(E) curve has no resonance: the Fano fit drifts
     # without meeting its step or gradient test and must say so
@@ -194,6 +204,16 @@ def test_fit_scale_invariance():
     assert scaled.q == pytest.approx(base.q, rel=1e-9)
     assert scaled.E_r_keV == pytest.approx(base.E_r_keV, rel=1e-9)
     assert scaled.Gamma_keV == pytest.approx(base.Gamma_keV, rel=1e-9)
+    # far below 1 fm^2 too: no absolute floor in the seed may bind
+    s = breit_wigner_profile(E, BreitWignerParameters(0.5, 5.0, 1.63, 0.25))
+    base = fit(E, s, model="breit_wigner").params
+    for factor in (1e-60, 1e-120):
+        res = fit(E, factor * s, model="breit_wigner")
+        assert res.converged and res.residual_norm < 1e-12
+        assert res.params.sigma_bg_fm2 == pytest.approx(factor * base.sigma_bg_fm2, rel=1e-9)
+        assert res.params.amplitude_fm2 == pytest.approx(factor * base.amplitude_fm2, rel=1e-9)
+        assert res.params.E_r_keV == pytest.approx(base.E_r_keV, rel=1e-9)
+        assert res.params.Gamma_keV == pytest.approx(base.Gamma_keV, rel=1e-9)
 
 
 def test_fit_energy_shift_equivariance():
@@ -235,6 +255,27 @@ def test_fit_rejects_negative_cross_sections(model):
     s[7] = -1e-9  # one negative point is enough
     with pytest.raises(ConfigurationError, match="cross sections >= 0"):
         fit(E, s, model=model, window="auto")
+
+
+@pytest.mark.parametrize("model", ["fano", "breit_wigner"])
+@pytest.mark.parametrize("column", [0, 1], ids=["E", "sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_fit_rejects_non_finite_data_naming_the_first_bad_index(model, column, value):
+    data = list(fano_data(n=20))
+    data[column][[3, 9]] = value
+    name = ("energies", "cross sections")[column]
+    with pytest.raises(ConfigurationError, match=f"finite {name}, got {value} at index 3$"):
+        fit(*data, model=model)
+
+
+@pytest.mark.parametrize("model", ["fano", "breit_wigner"])
+def test_fit_near_float_underflow_is_numerical_error(model):
+    # relative residuals divide by subnormal data, so the scaled Jacobian
+    # overflows: the result must be an error, not converged=True with an
+    # infinite residual or a hang in the covariance's pseudo-inverse
+    E = np.linspace(0.5, 3.5, 20)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-finite"):
+        fit(E, 1e-310 * (1.0 + E), model=model)
 
 
 def test_fit_validation_errors():
