@@ -12,10 +12,13 @@ an off-centre Fano curve: q -3, E_r 2.5 keV, Gamma 0.25 keV, and on a
 zero-background Breit-Wigner curve: amplitude 5 fm^2, E_r 1.63 keV, Gamma
 0.25 keV, each 200 points on [0.5, 3.5] keV; the Fano fits of the last run
 past 500 iterations into the amplitude continuation), `reproduce fig1-fig2
---svg` and `reproduce` with an unknown preset.  Every run is a fresh
-`python -m trihalo.cli` process with one BLAS thread (outputs move in their
-last digits with the thread count), started in its own directory with
-relative paths, so stdout is comparable.
+--svg` and `reproduce` with an unknown preset.  It also runs this
+directory's `unitary_ladder.py` (the A = 1 `unitary_boson_config` preset)
+and `boron19_states.py` (the A = 17 `boron19_config` preset) against each
+side's package; they read no configuration file and use their own grids.
+Every run is a fresh `python` process (`-m trihalo.cli` or a script) with
+one BLAS thread (outputs move in their last digits with the thread count),
+started in its own directory with relative paths, so stdout is comparable.
 
 Each run's output files and its stdout plus exit code (`stdout.txt`) are
 compared byte for byte.  Every file that differs or exists on one side only
@@ -53,17 +56,20 @@ SCATTER_CURVE = "scatter/out/curve.csv"
 OFF_CENTRE = "off-centre"
 ZERO_BACKGROUND_BW = "zero-background-bw"
 
-# (run name, argv after `trihalo`, fit input or None); `scatter` runs
+TRIHALO = ("-m", "trihalo.cli")
+SCRIPTS_DIR = Path(__file__).resolve().parent
+
+# (run name, argv after `python`, fit input or None); `scatter` runs
 # before every fit that reads its curve
 RUNS = [
-    ("twobody", ["twobody", "--config", "cfg.json"], None),
-    ("spectrum", ["spectrum", "--config", "cfg.json", "--out", "out"], None),
-    ("scan", ["scan", "--config", "cfg.json", "--out", "out"], None),
-    ("scatter", ["scatter", "--config", "cfg.json", "--out", "out", "--svg"], None),
+    ("twobody", [*TRIHALO, "twobody", "--config", "cfg.json"], None),
+    ("spectrum", [*TRIHALO, "spectrum", "--config", "cfg.json", "--out", "out"], None),
+    ("scan", [*TRIHALO, "scan", "--config", "cfg.json", "--out", "out"], None),
+    ("scatter", [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out", "--svg"], None),
     *(
         (
             f"fit-{source}-{model}-{window}",
-            ["fit", "input.csv", "--model", model, "--window", window,
+            [*TRIHALO, "fit", "input.csv", "--model", model, "--window", window,
              "--config", "cfg.json", "--out", "out", "--svg"],
             SCATTER_CURVE if source == "curve" else source,
         )
@@ -71,10 +77,14 @@ RUNS = [
         for model in ("fano", "bw")
         for window in ("auto", "full")
     ),
-    ("reproduce", ["reproduce", "fig1-fig2", "--config", "cfg.json", "--out", "out", "--svg"],
+    ("reproduce",
+     [*TRIHALO, "reproduce", "fig1-fig2", "--config", "cfg.json", "--out", "out", "--svg"],
      None),
-    ("reproduce-unknown-preset", ["reproduce", "nope", "--config", "cfg.json", "--out", "out"],
-     None),
+    ("reproduce-unknown-preset",
+     [*TRIHALO, "reproduce", "nope", "--config", "cfg.json", "--out", "out"], None),
+    # the demo scripts of this directory on the side's package: the presets
+    ("unitary-ladder", [str(SCRIPTS_DIR / "unitary_ladder.py")], None),
+    ("boron19-states", [str(SCRIPTS_DIR / "boron19_states.py")], None),
 ]
 
 
@@ -113,7 +123,7 @@ def run_side(src: Path, work: Path, grid_count: int) -> None:
         elif fit_input is not None and (work / fit_input).is_file():
             (run_dir / "input.csv").write_bytes((work / fit_input).read_bytes())
         done = subprocess.run(
-            [sys.executable, "-m", "trihalo.cli", *argv],
+            [sys.executable, *argv],
             env=env, cwd=run_dir, capture_output=True, text=True,
         )
         (run_dir / "stdout.txt").write_text(f"{done.stdout}exit={done.returncode}\n")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -184,34 +185,22 @@ def two_body_propagator(channel: PairChannel, mu: float, z):
     above threshold the principal branch of kappa = sqrt(-2 mu z)
     supplies the unitarity cut. Accepts scalar or ndarray z (complex ok).
 
-    Closed factored form (no cancellation near the pole is hidden;
-    evaluation *at* the pole raises PoleProximityError):
-
-        tau(z) = -beta (beta+kB)^2 (beta+kappa)^2
-                 / [2 pi^2 mu (kappa - kB)(kappa + kB + 2 beta)]
+    tau is its regular part (two_body_propagator_subtracted) plus, for a
+    bound channel, the dimer pole R/(z + eps2), which keeps it stable
+    arbitrarily close to the pole; evaluation *at* the pole raises
+    PoleProximityError.
     """
-    beta = channel.beta_inv_fm * HBAR_C
-    kB = pole_momentum(channel, mu)
-    z = np.asarray(z, dtype=complex)
-    kappa = np.sqrt(-2.0 * mu * z)
-    if channel.pole_kind is PoleKind.bound and kB > 0.0:
-        # pole part split off analytically: stable arbitrarily close to
-        # the pole (the factored direct form loses precision there to
-        # kappa - kB cancellation)
+    out = np.asarray(two_body_propagator_subtracted(channel, mu, z))
+    if channel.pole_kind is PoleKind.bound and pole_momentum(channel, mu) > 0.0:
         eps2 = channel.epsilon2_keV / KEV_PER_MEV
+        z = np.asarray(z, dtype=complex)
         dist = float(np.min(np.abs(z + eps2)))
         if dist < 1e-13 * eps2:
             raise PoleProximityError(
                 f"tau evaluated {dist:.3e} MeV from its pole at z = -{eps2:.6g} MeV",
                 dist,
             )
-        residue = propagator_residue(channel, mu)
-        out = two_body_propagator_subtracted(channel, mu, z)
-        out = np.asarray(out) + residue / (z + eps2)
-        return out if out.ndim else complex(out)
-    num = -beta * (beta + kB) ** 2 * (beta + kappa) ** 2
-    den = 2.0 * math.pi**2 * mu * (kappa - kB) * (kappa + kB + 2.0 * beta)
-    out = num / den
+        out = out + propagator_residue(channel, mu) / (z + eps2)
     return out if out.ndim else complex(out)
 
 
@@ -231,23 +220,30 @@ def propagator_residue(channel: PairChannel, mu: float) -> float:
 def two_body_propagator_subtracted(channel: PairChannel, mu: float, z):
     """tau(z) - R/(z + eps2), analytically regular at the bound pole.
 
-    Used by the scattering solver's principal-value subtraction; the
-    factored form below has no numerical cancellation even when z sits
-    on top of the pole:
+    With no pole on the physical sheet (virtual, or bound at kB = 0,
+    where R = 0) this is tau itself, in its direct factored form
+
+        tau = -beta (beta+kB)^2 (beta+kappa)^2
+              / [2 pi^2 mu (kappa - kB)(kappa + kB + 2 beta)];
+
+    for a bound channel the factored form below has no cancellation even
+    on top of the pole, where the direct form loses kappa - kB:
 
         tau_reg = -beta (beta+kB)^2 P(kappa)
                   / [2 pi^2 mu (kappa + kB + 2 beta)(kappa + kB)],
         P(kappa) = kappa^2 + 2(kB+beta) kappa + kB^2 + 3 beta kB + beta^2.
     """
-    if channel.pole_kind is not PoleKind.bound:
-        return two_body_propagator(channel, mu, z)
     beta = channel.beta_inv_fm * HBAR_C
     kB = pole_momentum(channel, mu)
     z = np.asarray(z, dtype=complex)
     kappa = np.sqrt(-2.0 * mu * z)
-    P = kappa**2 + 2.0 * (kB + beta) * kappa + kB**2 + 3.0 * beta * kB + beta**2
-    num = -beta * (beta + kB) ** 2 * P
-    den = 2.0 * math.pi**2 * mu * (kappa + kB + 2.0 * beta) * (kappa + kB)
+    if channel.pole_kind is PoleKind.bound and kB > 0.0:
+        P = kappa**2 + 2.0 * (kB + beta) * kappa + kB**2 + 3.0 * beta * kB + beta**2
+        num = -beta * (beta + kB) ** 2 * P
+        den = 2.0 * math.pi**2 * mu * (kappa + kB + 2.0 * beta) * (kappa + kB)
+    else:
+        num = -beta * (beta + kB) ** 2 * (beta + kappa) ** 2
+        den = 2.0 * math.pi**2 * mu * (kappa - kB) * (kappa + kB + 2.0 * beta)
     out = num / den
     return out if out.ndim else complex(out)
 
@@ -265,7 +261,7 @@ def number(lo=-math.inf, hi=math.inf, integer: bool = False):
     truncated silently.
     """
     def read(value, name):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigurationError(f"{name}: expected a number, got {value!r}")
         try:
             x = float(value)
@@ -356,20 +352,8 @@ def parse_system_config(frag: dict, where: str = "system") -> SystemConfig:
 
 def default_c20_config(epsilon2_keV: float = 250.0, beta_nc: float = 1.0) -> SystemConfig:
     """n+n+18C with a bound n-core channel and the standard virtual nn channel."""
-    return resolve_config(
-        SystemConfig(
-            core_mass_number=18,
-            nc_channel=PairChannel(
-                ChannelLabel.neutron_core,
-                PoleKind.bound,
-                beta_inv_fm=beta_nc,
-                epsilon2_keV=epsilon2_keV,
-            ),
-            nn_channel=PairChannel(
-                ChannelLabel.neutron_neutron,
-                PoleKind.virtual,
-                beta_inv_fm=1.0,
-                scattering_length_fm=-18.5,
-            ),
-        )
-    )
+    return parse_system_config({
+        "core_mass_number": 18,
+        "nc": {"pole": "bound", "beta_inv_fm": beta_nc, "epsilon2_keV": epsilon2_keV},
+        "nn": {"pole": "virtual", "beta_inv_fm": 1.0, "scattering_length_fm": -18.5},
+    })

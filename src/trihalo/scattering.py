@@ -78,12 +78,12 @@ def elastic_window(config: SystemConfig) -> float:
     return config.nc_channel.epsilon2_keV
 
 
-def _amplitude(eng: _Engine, E_cm_keV: float) -> complex:
+def _amplitude(eng: _Engine, Ecm: float, q0: float) -> float:
+    """gamma = -1/(k cot delta) in MeV^-1 at Ecm (MeV above the n+dimer
+    threshold) and its on-shell momentum q0 = sqrt(2 M_n Ecm) (MeV)."""
     config = eng.config
-    Ecm = E_cm_keV / KEV_PER_MEV
-    E = -config.nc_channel.epsilon2_keV / KEV_PER_MEV + Ecm
+    E = eng.threshold() + Ecm
     Mn = eng.M_n
-    q0 = math.sqrt(2.0 * Mn * Ecm)
     p, w = eng.p, eng.w
     if np.min(np.abs(p - q0)) < 1e-12 * q0:
         raise NumericalError(
@@ -130,9 +130,7 @@ def _amplitude(eng: _Engine, E_cm_keV: float) -> complex:
     # H is symmetric, so row q0 of (1 - H D)^-1 is e_q0 + D Y: no second solve.
     DY = D * Y
     residual = Bnn[:, n] - Y + Bnn @ DY + Bnc_t @ (2.0 * Bnc[n] + 2.0 * (Bnc.T @ DY))
-    gamma = math.pi * Mn * R * (Y[n] + residual[n] + DY @ residual)  # -1/(k cot delta)
-    f_mev = -gamma / (1.0 + 1j * q0 * gamma)
-    return complex(f_mev * HBAR_C)
+    return math.pi * Mn * R * (Y[n] + residual[n] + DY @ residual)
 
 
 def cross_section_curve(
@@ -155,10 +153,13 @@ def cross_section_curve(
         )
     points = []
     for E in map(float, E_values):
+        Ecm = E / KEV_PER_MEV
+        q0 = math.sqrt(2.0 * eng.M_n * Ecm)
         try:
-            f = _amplitude(eng, E)
+            gamma = _amplitude(eng, Ecm, q0)
         except NumericalError as exc:
             raise NumericalError(f"at E_cm = {E} keV: {exc}") from exc
-        k = math.sqrt(2.0 * eng.M_n * E / KEV_PER_MEV) / HBAR_C
-        points.append(ScatteringPoint(E, k, f, 4.0 * math.pi * abs(f) ** 2))
+        # elastic unitarity: f = 1/(k cot delta - ik) = -gamma/(1 + i k gamma)
+        f = complex(-gamma / (1.0 + 1j * q0 * gamma) * HBAR_C)
+        points.append(ScatteringPoint(E, q0 / HBAR_C, f, 4.0 * math.pi * abs(f) ** 2))
     return CrossSectionCurve(points=tuple(points), config_snapshot=eng.config)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,9 +31,9 @@ from .model import (
     KEV_PER_MEV,
     NUCLEON_MASS,
     ChannelLabel,
-    PairChannel,
     PoleKind,
     SystemConfig,
+    parse_system_config,
     reduced_mass,
     resolve_config,
     two_body_propagator,
@@ -421,20 +422,14 @@ def _scale_equation(A: float, resonant_pairs: ResonantPairs):
     P_nc = (1.0 / mu_nn) * math.sqrt(M_c / mu_nn)
     P_cn = (1.0 / mu_nc) * math.sqrt(M_n / mu_nc)
 
-    if resonant_pairs is ResonantPairs.all_three:
-
-        def g(s):
-            y = math.pi * s / 2.0
-            m_nn = P_nn * _sinh_over_cosh(s * (math.pi / 2.0 - phi_nn), y) / s
-            m_nc = P_nc * _sinh_over_cosh(s * (math.pi / 2.0 - phi_nc), y) / s
-            m_cn = P_cn * _sinh_over_cosh(s * (math.pi / 2.0 - phi_nc), y) / s
-            return 1.0 - m_nn - 2.0 * m_nc * m_cn
-
-        return g
-
     def g(s):
         y = math.pi * s / 2.0
-        return 1.0 - P_nn * _sinh_over_cosh(s * (math.pi / 2.0 - phi_nn), y) / s
+        m_nn = P_nn * _sinh_over_cosh(s * (math.pi / 2.0 - phi_nn), y) / s
+        if resonant_pairs is ResonantPairs.nc_only:
+            return 1.0 - m_nn
+        m_nc = P_nc * _sinh_over_cosh(s * (math.pi / 2.0 - phi_nc), y) / s
+        m_cn = P_cn * _sinh_over_cosh(s * (math.pi / 2.0 - phi_nc), y) / s
+        return 1.0 - m_nn - 2.0 * m_nc * m_cn
 
     return g
 
@@ -579,44 +574,18 @@ def boron19_config(
     Large beta plays the role of a zero-range regulator; the physics is
     controlled by the scattering lengths.
     """
-    return resolve_config(
-        SystemConfig(
-            core_mass_number=17,
-            nc_channel=PairChannel(
-                ChannelLabel.neutron_core,
-                PoleKind.virtual if a_nc_fm < 0 else PoleKind.bound,
-                beta_inv_fm=beta_inv_fm,
-                scattering_length_fm=a_nc_fm,
-            ),
-            nn_channel=PairChannel(
-                ChannelLabel.neutron_neutron,
-                PoleKind.virtual,
-                beta_inv_fm=beta_inv_fm,
-                scattering_length_fm=-18.5,
-            ),
-        )
-    )
+    # the reader rejects a non-number by name; it must get that far
+    pole = "virtual" if isinstance(a_nc_fm, numbers.Real) and a_nc_fm < 0 else "bound"
+    return parse_system_config({
+        "core_mass_number": 17,
+        "nc": {"pole": pole, "beta_inv_fm": beta_inv_fm, "scattering_length_fm": a_nc_fm},
+        "nn": {"pole": "virtual", "beta_inv_fm": beta_inv_fm, "scattering_length_fm": -18.5},
+    })
 
 
 def unitary_boson_config(
     a_fm: float = -1.0e4, beta_inv_fm: float = 16.0
 ) -> SystemConfig:
     """A=1 with all three pairs identical and |a| near the unitary limit."""
-    return resolve_config(
-        SystemConfig(
-            core_mass_number=1,
-            nc_channel=PairChannel(
-                ChannelLabel.neutron_core,
-                PoleKind.virtual,
-                beta_inv_fm=beta_inv_fm,
-                scattering_length_fm=a_fm,
-            ),
-            nn_channel=PairChannel(
-                ChannelLabel.neutron_neutron,
-                PoleKind.virtual,
-                beta_inv_fm=beta_inv_fm,
-                scattering_length_fm=a_fm,
-            ),
-        )
-    )
-
+    pair = {"pole": "virtual", "beta_inv_fm": beta_inv_fm, "scattering_length_fm": a_fm}
+    return parse_system_config({"core_mass_number": 1, "nc": pair, "nn": pair})

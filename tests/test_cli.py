@@ -89,6 +89,19 @@ def test_invalid_json_config_is_config_error(tmp_path, capsys, text):
     assert line.startswith("RESULT config_error") and "invalid JSON" in line
 
 
+@pytest.mark.parametrize("config", [None, {"grid": {"count": 16}}], ids=["no-config", "no-system"])
+@pytest.mark.parametrize("command", ["twobody", "spectrum", "scan", "scatter"])
+def test_missing_system_block_is_config_error(tmp_path, capsys, monkeypatch, command, config):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--out", "o"]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", "cfg.json"]
+    assert main(argv) == 2
+    assert last_line(capsys) == "RESULT config_error config: missing 'system' block"
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["twobody", "--config", str(tmp_path / "absent.json")]) == 2
     assert last_line(capsys).startswith("RESULT config_error")

@@ -20,10 +20,12 @@ from trihalo.model import (
     propagator_residue,
     reduced_mass,
     resolve_channel,
+    resolve_config,
     scattering_length_from_pole,
     two_body_propagator,
     two_body_propagator_subtracted,
 )
+from trihalo.spectrum import boron19_config, unitary_boson_config
 
 def nc(eps2=250.0, beta=1.0, a=None, kind=PoleKind.bound):
     return PairChannel(
@@ -253,3 +255,67 @@ def test_pole_momentum_sign():
     mu_nn = reduced_mass(cfg, ChannelLabel.neutron_neutron)
     assert pole_momentum(cfg.nc_channel, mu_nc) > 0
     assert pole_momentum(cfg.nn_channel, mu_nn) < 0
+
+
+def _hand_built(A, nc_kind, nc_beta, nn_beta, nc_eps2=None, nc_a=None, nn_a=-18.5):
+    """A preset written out as the PairChannel/SystemConfig construction."""
+    return resolve_config(
+        SystemConfig(
+            core_mass_number=A,
+            nc_channel=PairChannel(
+                ChannelLabel.neutron_core, nc_kind, beta_inv_fm=nc_beta,
+                epsilon2_keV=nc_eps2, scattering_length_fm=nc_a,
+            ),
+            nn_channel=PairChannel(
+                ChannelLabel.neutron_neutron, PoleKind.virtual, beta_inv_fm=nn_beta,
+                scattering_length_fm=nn_a,
+            ),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "preset, expected",
+    [
+        (lambda: default_c20_config(), lambda: _hand_built(18, PoleKind.bound, 1.0, 1.0, 250.0)),
+        (lambda: default_c20_config(150.0, 1.23),
+         lambda: _hand_built(18, PoleKind.bound, 1.23, 1.0, 150.0)),
+        (lambda: default_c20_config(np.int64(150), np.float64(1.23)),
+         lambda: _hand_built(18, PoleKind.bound, 1.23, 1.0, 150.0)),
+        (lambda: boron19_config(),
+         lambda: _hand_built(17, PoleKind.virtual, 40.0, 40.0, nc_a=-179.0)),
+        (lambda: boron19_config(-10.0),
+         lambda: _hand_built(17, PoleKind.virtual, 40.0, 40.0, nc_a=-10.0)),
+        (lambda: boron19_config(5.0),
+         lambda: _hand_built(17, PoleKind.bound, 40.0, 40.0, nc_a=5.0)),
+        (lambda: unitary_boson_config(),
+         lambda: _hand_built(1, PoleKind.virtual, 16.0, 16.0, nc_a=-1.0e4, nn_a=-1.0e4)),
+        (lambda: unitary_boson_config(-50.0, 8.0),
+         lambda: _hand_built(1, PoleKind.virtual, 8.0, 8.0, nc_a=-50.0, nn_a=-50.0)),
+    ],
+    ids=[
+        "c20", "c20-150-1.23", "c20-numpy-scalars", "boron19", "boron19-a-10",
+        "boron19-bound", "boson", "boson-a-50-beta-8",
+    ],
+)
+def test_preset_equals_hand_built_config(preset, expected):
+    assert preset() == expected()
+
+
+@pytest.mark.parametrize(
+    "preset, match",
+    [
+        (lambda: default_c20_config(math.nan), "system.nc.epsilon2_keV"),
+        (lambda: default_c20_config(250.0, None), "system.nc.beta_inv_fm"),
+        (lambda: boron19_config(math.nan), "system.nc.scattering_length_fm"),
+        (lambda: boron19_config(None), "system.nc.scattering_length_fm"),
+        (lambda: boron19_config(True), "system.nc.scattering_length_fm"),
+        (lambda: boron19_config("-179"), "system.nc.scattering_length_fm"),
+        (lambda: unitary_boson_config(-50.0, math.nan), "system.nc.beta_inv_fm"),
+        (lambda: unitary_boson_config(None), "system.nc.scattering_length_fm"),
+        (lambda: unitary_boson_config(50.0), "virtual pole requires"),
+    ],
+)
+def test_preset_rejects_bad_arguments(preset, match):
+    with pytest.raises(ConfigurationError, match=match):
+        preset()

@@ -16,6 +16,7 @@ from trihalo.model import (
     PoleKind,
     SystemConfig,
     default_c20_config,
+    parse_system_config,
     resolve_config,
 )
 from trihalo.quadrature import build_grid
@@ -452,6 +453,26 @@ def test_threshold_scan_counts_and_first_crossing(grid, calibrated_c20):
     assert counts[0] >= 1 and counts[-1] == 0
     stars = {c.state_index: c.epsilon2_star_keV for c in scan.crossings}
     assert stars[1] == pytest.approx(220.0, abs=0.1)
+
+
+def test_threshold_scan_crossings_follow_efimov_scaling():
+    # An independent oracle: with the nn pair at unitarity and short-range
+    # (beta = 20 fm^-1) pairs, consecutive crossings away from the range
+    # scale approach exp(2 pi / s0) of the all-resonant A = 18 equation
+    # (Braaten & Hammer, Phys. Rep. 428, 259 (2006)).  Measured ratios
+    # 294.05, 281.03, 280.036 against 279.940.
+    cfg = parse_system_config({
+        "core_mass_number": 18,
+        "nc": {"pole": "bound", "beta_inv_fm": 20.0, "epsilon2_keV": 1.0},
+        "nn": {"pole": "virtual", "beta_inv_fm": 20.0, "epsilon2_keV": 0.0},
+    })
+    scan = threshold_scan(cfg, np.geomspace(1e-7, 2e4, 80), build_grid(160, 0.03))
+    stars = [c.epsilon2_star_keV for c in scan.crossings]
+    assert len(stars) == 4
+    ratios = [a / b for a, b in zip(stars, stars[1:])]
+    assert ratios[0] > ratios[1] > ratios[2]
+    universal = efimov_scale_factor(18.0).energy_ratio
+    assert ratios[2] == pytest.approx(universal, rel=1e-3)
 
 
 def test_threshold_scan_validation(grid, calibrated_c20):
