@@ -262,7 +262,8 @@ def auto_seed(model: str, E, sigma, window=None):
 
 
 def _levenberg_marquardt(residuals, jacobian, th, feasible, shrink=1.0):
-    """Damped Gauss-Newton from th; returns (th, iterations, converged).
+    """Damped Gauss-Newton from th; returns (th, r, J, iterations, converged)
+    with the residuals r and Jacobian J at the returned th.
 
     A step is taken when it does not raise the cost.  With shrink < 1 the
     run also ends, short of that step and not converged, at the first step
@@ -271,18 +272,14 @@ def _levenberg_marquardt(residuals, jacobian, th, feasible, shrink=1.0):
     r = residuals(th)
     cost = float(r @ r)
     lam = 1e-3
-    iterations = 0
-    converged = False
     J = jacobian(th)
+    g = J.T @ r
+    if float(np.linalg.norm(g)) < GRAD_TOL:
+        return th, r, J, 0, True
     for iterations in range(1, MAX_ITERATIONS + 1):
-        g = J.T @ r
-        if float(np.linalg.norm(g)) < GRAD_TOL:
-            converged = True
-            break
         JTJ = J.T @ J
         diag = np.diag(JTJ).copy()
         diag[diag <= 0] = 1e-30
-        accepted = False
         for _ in range(50):
             try:
                 step = np.linalg.solve(JTJ + lam * np.diag(diag), -g)
@@ -296,28 +293,22 @@ def _levenberg_marquardt(residuals, jacobian, th, feasible, shrink=1.0):
             r_trial = residuals(trial)
             cost_trial = float(r_trial @ r_trial)
             if np.isfinite(cost_trial) and cost_trial <= cost:
-                accepted = True
                 break
             lam *= 10.0
-        if not accepted:
-            converged = True  # no descent direction left: stationary
-            break
+        else:  # no descent direction left: stationary
+            return th, r, J, iterations, True
         if cost_trial > shrink * cost:
-            return th, iterations - 1, False
+            return th, r, J, iterations - 1, False
         rel_step = float(
             np.max(np.abs(step) / np.maximum(np.abs(th), 1e-300))
         )
         th, r, cost = trial, r_trial, cost_trial
         J = jacobian(th)
         lam = max(lam / 3.0, 1e-15)
-        if rel_step < STEP_TOL:
-            converged = True
-            break
         g = J.T @ r
-        if float(np.linalg.norm(g)) < GRAD_TOL:
-            converged = True
-            break
-    return th, iterations, converged
+        if rel_step < STEP_TOL or float(np.linalg.norm(g)) < GRAD_TOL:
+            return th, r, J, iterations, True
+    return th, r, J, MAX_ITERATIONS, False
 
 
 def _curve_arrays(curve_or_E, sigma=None):
@@ -404,14 +395,14 @@ def fit(
             shrink,
         )
 
-    coords, iterations, converged = lm(chart, th)
+    coords, r, J, iterations, converged = lm(chart, th)
     if not converged and continuation is not None:
-        ph, more, converged = lm(continuation, chart.to_params(coords), CONTINUATION_SHRINK)
+        ph, r_ph, J_ph, more, converged = lm(
+            continuation, chart.to_params(coords), CONTINUATION_SHRINK
+        )
         if more:
-            chart, coords, iterations = continuation, ph, iterations + more
+            chart, coords, r, J, iterations = continuation, ph, r_ph, J_ph, iterations + more
 
-    J = chart.jacobian(E, coords) / denom[:, None]
-    r = (chart.value(E, coords) - sig) / denom
     if not (np.isfinite(r).all() and np.isfinite(J).all()):
         raise NumericalError(
             f"{model} fit: non-finite residuals or Jacobian at the result "

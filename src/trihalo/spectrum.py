@@ -102,9 +102,13 @@ class _Engine:
         return tuple(z(E) for z in self.exchange())
 
     def with_epsilon2(self, eps2_keV: float) -> _Engine:
-        """This engine at another n-core eps2, sharing its exchange blocks
-        (they depend on the masses and betas, not on eps2)."""
-        eng = _Engine(_set_epsilon2(self.config, eps2_keV), self.grid)
+        """This engine at another n-core eps2 (the scattering length follows),
+        sharing its exchange blocks: they depend on the masses and betas only."""
+        nc = self.config.nc_channel
+        if nc.pole_kind is not PoleKind.bound:  # no n+dimer threshold to move
+            raise ConfigurationError("an n+dimer threshold requires a bound n-core channel")
+        nc = replace(nc, epsilon2_keV=eps2_keV, scattering_length_fm=None)
+        eng = _Engine(replace(self.config, nc_channel=nc), self.grid)
         eng._exchange = self.exchange()
         return eng
 
@@ -137,10 +141,10 @@ class _Engine:
         return S
 
     def eigenvalues(self, E: float) -> np.ndarray:
-        """Eigenvalues of K(E), descending."""
+        """Eigenvalues of K(E), descending: eigh's ascending order reversed."""
         S = self.symmetric_kernel(E)
         try:
-            return np.sort(eigh(S, eigvals_only=True, check_finite=False))[::-1]
+            return eigh(S, eigvals_only=True, check_finite=False)[::-1]
         except ValueError as exc:  # LinAlgError: no convergence
             raise NumericalError(f"kernel at E = {E:.6g} MeV: {exc}") from exc
 
@@ -427,8 +431,9 @@ def _scale_equation(A: float, resonant_pairs: ResonantPairs):
         m_nn = P_nn * _sinh_over_cosh(s * (math.pi / 2.0 - phi_nn), y) / s
         if resonant_pairs is ResonantPairs.nc_only:
             return 1.0 - m_nn
-        m_nc = P_nc * _sinh_over_cosh(s * (math.pi / 2.0 - phi_nc), y) / s
-        m_cn = P_cn * _sinh_over_cosh(s * (math.pi / 2.0 - phi_nc), y) / s
+        t_nc = _sinh_over_cosh(s * (math.pi / 2.0 - phi_nc), y)  # shared by m_nc and m_cn
+        m_nc = P_nc * t_nc / s
+        m_cn = P_cn * t_nc / s
         return 1.0 - m_nn - 2.0 * m_nc * m_cn
 
     return g
@@ -442,8 +447,8 @@ def efimov_scale_factor(
     mass_ratio A is the core mass in units of the neutron mass.  Raises
     NumericalError when [1e-8, 16384] brackets no root.
     """
-    if mass_ratio <= 0:
-        raise ConfigurationError("mass_ratio must be > 0")
+    if not 0 < mass_ratio < math.inf:  # NaN fails it too
+        raise ConfigurationError(f"mass_ratio must be finite and > 0, got {mass_ratio!r}")
     g = _scale_equation(mass_ratio, resonant_pairs)
     # g(0+) < 0 in the Efimov regime (kernel strength exceeds 1), g(inf) -> 1
     s_lo, s_hi = 1e-8, 1.0
@@ -479,12 +484,6 @@ class ThresholdScan:
     crossings: tuple[Crossing, ...]
 
 
-def _set_epsilon2(config: SystemConfig, eps2_keV: float) -> SystemConfig:
-    """config with the n-core eps2 set; its scattering length follows from it."""
-    nc = replace(config.nc_channel, epsilon2_keV=eps2_keV, scattering_length_fm=None)
-    return replace(config, nc_channel=nc)
-
-
 def threshold_scan(
     config_template: SystemConfig,
     epsilon2_values: np.ndarray,
@@ -501,20 +500,22 @@ def threshold_scan(
     the n+dimer threshold, less the ground state.  It comes from the
     inertia of S - 1 (`_Engine.count_above_one`), not from an
     eigen-solve, and equals the eigen count unless an eigenvalue lies
-    within rounding of 1.  The bisection uses the eigenvalues.
+    within rounding of 1.  The bisection uses the eigenvalues.  A template
+    whose n-core channel is virtual has no n+dimer threshold: a
+    ConfigurationError.
     """
     eps2 = np.asarray(epsilon2_values, dtype=float)
     if eps2.size == 0 or np.any(eps2 <= 0):
         raise ConfigurationError("epsilon2 values must be positive")
     if np.any(np.diff(eps2) <= 0):
         raise ConfigurationError("epsilon2 values must be strictly ascending")
-    base = _Engine(_set_epsilon2(config_template, eps2[0]), grid)
+    base = _Engine(config_template, grid)
 
     # excited trimers bound relative to the dimer at each eps2 (strict)
-    counts = [
-        max(base.with_epsilon2(e).count_above_one(-e / KEV_PER_MEV) - 1, 0)
-        for e in eps2
-    ]
+    counts = []
+    for e in eps2:
+        eng = base.with_epsilon2(e)
+        counts.append(max(eng.count_above_one(eng.threshold()) - 1, 0))
     points = tuple(
         ScanPoint(epsilon2_keV=float(e), bound_excited_count=c)
         for e, c in zip(eps2, counts)
@@ -524,9 +525,9 @@ def threshold_scan(
         c_hi, c_lo = counts[i], counts[i + 1]
         for n in range(c_lo + 1, c_hi + 1):
             # excited state n corresponds to eigenvalue index n (0-based)
-            def misfit(e2, n=n):  # at the n+dimer threshold E = -e2
-                ev = base.with_epsilon2(e2).eigenvalues(-e2 / KEV_PER_MEV)
-                return float(ev[n] - 1.0)
+            def misfit(e2, n=n):
+                eng = base.with_epsilon2(e2)
+                return float(eng.eigenvalues(eng.threshold())[n] - 1.0)
 
             star = _brentq(misfit, eps2[i], eps2[i + 1], rtol=1e-10, xtol=1e-300)
             crossings.append(Crossing(state_index=n, epsilon2_star_keV=float(star)))
@@ -547,19 +548,19 @@ def calibrate_range_parameter(
 
     Single-scalar calibration: returns the template with beta_nc replaced,
     searched in CALIBRATION_BETA_INV_FM, so that eps2*(1) = target.  Raises
-    NumericalError if that bracket does not contain a solution.
+    NumericalError if that bracket does not contain a solution, and
+    ConfigurationError for a virtual n-core channel, as threshold_scan does.
     """
-    target = target_epsilon2_star_keV
+    def engine(beta):  # beta changes the exchange blocks: a new engine per step
+        nc = replace(config_template.nc_channel, beta_inv_fm=beta)
+        return _Engine(replace(config_template, nc_channel=nc), grid)
 
     def misfit(beta):
-        # beta changes the exchange blocks: a new engine per step
-        nc = replace(config_template.nc_channel, beta_inv_fm=beta)
-        eng = _Engine(_set_epsilon2(replace(config_template, nc_channel=nc), target), grid)
-        return float(eng.eigenvalues(-target / KEV_PER_MEV)[CALIBRATED_STATE] - 1.0)
+        eng = engine(beta).with_epsilon2(target_epsilon2_star_keV)
+        return float(eng.eigenvalues(eng.threshold())[CALIBRATED_STATE] - 1.0)
 
     beta = _brentq(misfit, *CALIBRATION_BETA_INV_FM, rtol=1e-10, xtol=1e-300)
-    nc = replace(config_template.nc_channel, beta_inv_fm=beta)
-    return resolve_config(replace(config_template, nc_channel=nc))
+    return engine(beta).config
 
 
 # ---------------------------------------------------------------------------

@@ -188,12 +188,15 @@ def test_help_exits_zero(capsys):
         ("system.nc.beta_inv_fm", 1e300),
         ("system.nn.scattering_length_fm", -1e-300),
         ("system.nn.scattering_length_fm", -1e300),
+        ("spectrum.window_keV", [10.0, 1.0]),
+        pytest.param("grid.count", int("9" * 400), id="grid.count-400-digit-int"),
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, capsys, key, value):
     # every subcommand reads and checks the whole run configuration, so
-    # fit runs all cases but the mesh starts: scatter alone checks its
-    # start against log spacing, and scan.start_keV runs scan as before
+    # fit runs all cases but the mesh starts and the spectrum window:
+    # scatter alone checks its start against log spacing, scan.start_keV
+    # runs scan as before, and spectrum checks its window's order
     body = {"system": json.loads(json.dumps(SYSTEM)), "grid": {"count": 48}}
     *parents, leaf = key.split(".")
     frag = body
@@ -205,7 +208,7 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, key, value):
     E = np.linspace(0.5, 3.5, 20)
     csv = tmp_path / "data.csv"
     write_curve_csv(csv, E, fano_profile(E, FanoParameters(2.0, 4.0, 1.63, 0.25)))
-    command = parents[0] if leaf == "start_keV" else "fit"
+    command = parents[0] if leaf in ("start_keV", "window_keV") else "fit"
     inputs = [str(csv)] if command == "fit" else []
     code = main([command, *inputs, "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
@@ -228,6 +231,16 @@ def test_spectrum_extreme_window_ends_in_result_line(tmp_path, capsys):
     code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code in (0, 3)
     assert last_line(capsys).startswith("RESULT")
+
+
+def test_scan_of_virtual_nc_channel_is_config_error(tmp_path, capsys):
+    # a virtual n-core pair has no n+dimer threshold to scan
+    nc = {"pole": "virtual", "scattering_length_fm": -179.0, "beta_inv_fm": 1.0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"system": {**SYSTEM, "nc": nc}, "grid": {"count": 16}}))
+    assert main(["scan", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    expected = "RESULT config_error an n+dimer threshold requires a bound n-core channel"
+    assert last_line(capsys) == expected
 
 
 def test_scatter_without_elastic_window_is_config_error(tmp_path, capsys):

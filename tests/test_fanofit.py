@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trihalo import fanofit
 from trihalo.errors import ConfigurationError, FlatDataError, NumericalError
 from trihalo.fanofit import (
     MAX_ITERATIONS,
@@ -140,6 +141,23 @@ def test_fit_recovers_noise_free_fano():
     cov = res.covariance
     assert np.allclose(cov, cov.T)
     assert np.all(np.linalg.eigvalsh(cov) > -1e-20)
+
+
+def test_fit_evaluates_the_jacobian_once_per_accepted_step(monkeypatch):
+    # the seed's Jacobian, then one per accepted step: the fitter hands the
+    # result's residuals and Jacobian back, so fit evaluates neither again
+    cls, chart, profile, continuation = fanofit._MODELS["fano"]
+    points = []
+
+    def jacobian(E, th):
+        points.append(th)
+        return chart.jacobian(E, th)
+
+    counted = (cls, chart._replace(jacobian=jacobian), profile, continuation)
+    monkeypatch.setitem(fanofit._MODELS, "fano", counted)
+    res = fit(*fano_data(), model="fano")
+    assert res.converged and res.iterations > 1
+    assert len(points) <= res.iterations + 1
 
 
 def test_fit_breit_wigner_residual_strictly_worse_on_fano_data():

@@ -243,7 +243,8 @@ def test_shared_exchange_scan_equals_fresh_engine_scan(monkeypatch, calibrated_c
     shared = spectrum.threshold_scan(calibrated_c20, values, g)
 
     def fresh(self, eps2_keV):
-        return _Engine(spectrum._set_epsilon2(self.config, eps2_keV), self.grid)
+        nc = replace(self.config.nc_channel, epsilon2_keV=eps2_keV, scattering_length_fm=None)
+        return _Engine(replace(self.config, nc_channel=nc), self.grid)
 
     monkeypatch.setattr(_Engine, "with_epsilon2", fresh)
     assert spectrum.threshold_scan(calibrated_c20, values, g) == shared

@@ -233,6 +233,9 @@ def test_find_trimers_empty_spectrum_is_valid(grid):
     )
     spec = find_trimers(weak, grid, search_window=(1e-3, 1e6), max_states=4)
     assert spec.levels == ()
+    # a window wholly inside the n+dimer continuum (eps2 = 250 keV) holds no level
+    spec = find_trimers(default_c20_config(), grid, search_window=(1.0, 100.0))
+    assert spec.levels == ()
 
 
 def test_unitary_ladder_eigen_evaluations(monkeypatch):
@@ -439,8 +442,9 @@ def test_scale_factor_found_where_sinh_cosh_and_exp_overflow():
 
 
 def test_scale_factor_validation():
-    with pytest.raises(ConfigurationError):
-        efimov_scale_factor(-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="mass_ratio"):
+            efimov_scale_factor(bad)
 
 
 # --- threshold scan and calibration ---------------------------------------
@@ -480,6 +484,39 @@ def test_threshold_scan_validation(grid, calibrated_c20):
         threshold_scan(calibrated_c20, np.array([300.0, 100.0]), grid)
     with pytest.raises(ConfigurationError):
         threshold_scan(calibrated_c20, np.array([-5.0, 100.0]), grid)
+
+
+@pytest.mark.parametrize("search", ["calibration", "scan"])
+def test_calibration_and_scan_reject_a_virtual_nc_channel(search):
+    # a virtual n-core channel has no n+dimer threshold (threshold() is 0 MeV)
+    g = build_grid(48, 0.1)
+    with pytest.raises(ConfigurationError, match="requires a bound n-core channel"):
+        if search == "scan":
+            threshold_scan(boron19_config(), np.geomspace(1e-3, 400.0, 8), g)
+        else:
+            calibrate_range_parameter(boron19_config(), g)
+
+
+def test_calibration_and_scan_solver_work(monkeypatch):
+    # the eigen-solves and inertia counts calibration and scan make at N = 64
+    calls = dict.fromkeys(("eigenvalues", "count_above_one"), 0)
+
+    def counting(name, method):
+        def counted(self, E):
+            calls[name] += 1
+            return method(self, E)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(_Engine, name, counting(name, getattr(_Engine, name)))
+    g = build_grid(64, 0.1)
+    calibrated = calibrate_range_parameter(default_c20_config(), g, 220.0)
+    assert calls["eigenvalues"] <= 16 and calls["count_above_one"] == 0
+    calls.update(eigenvalues=0)
+    scan = threshold_scan(calibrated, np.geomspace(1e-3, 400.0, 16), g)
+    assert len(scan.crossings) == 2
+    assert calls["eigenvalues"] <= 16 and calls["count_above_one"] <= 16
 
 
 @pytest.mark.parametrize("target_keV", [1.0, 5000.0])
