@@ -12,7 +12,10 @@ an off-centre Fano curve: q -3, E_r 2.5 keV, Gamma 0.25 keV, and on a
 zero-background Breit-Wigner curve: amplitude 5 fm^2, E_r 1.63 keV, Gamma
 0.25 keV, each 200 points on [0.5, 3.5] keV; the Fano fits of the last run
 past 500 iterations into the amplitude continuation), `reproduce fig1-fig2
---svg` and `reproduce` with an unknown preset.  It also runs this
+--svg`, and four runs that end in a configuration error: `reproduce` with
+an unknown preset and with `--out` naming an existing file, `scan` with
+start_keV > stop_keV, and `scatter` with a virtual n-core channel
+(a = -179 fm), which has no elastic n+dimer window.  It also runs this
 directory's `unitary_ladder.py` (the A = 1 `unitary_boson_config` preset)
 and `boron19_states.py` (the A = 17 `boron19_config` preset) against each
 side's package; they read no configuration file and use their own grids.
@@ -51,6 +54,17 @@ README_CONFIG = {
     "fit": {"model": "fano", "window": "auto"},
 }
 
+# run name -> the sections of README_CONFIG that the run's cfg.json replaces
+CONFIG_EDITS = {
+    "scan-descending": {"scan": {"start_keV": 400.0, "stop_keV": 0.001, "points": 40}},
+    "scatter-virtual-nc": {
+        "system": {
+            **README_CONFIG["system"],
+            "nc": {"pole": "virtual", "scattering_length_fm": -179.0, "beta_inv_fm": 1.0},
+        },
+    },
+}
+
 # the input each fit run reads: the side's scatter curve or a synthetic CSV
 SCATTER_CURVE = "scatter/out/curve.csv"
 OFF_CENTRE = "off-centre"
@@ -82,6 +96,11 @@ RUNS = [
      None),
     ("reproduce-unknown-preset",
      [*TRIHALO, "reproduce", "nope", "--config", "cfg.json", "--out", "out"], None),
+    ("reproduce-out-file",
+     [*TRIHALO, "reproduce", "fig1-fig2", "--config", "cfg.json", "--out", "cfg.json"], None),
+    ("scan-descending", [*TRIHALO, "scan", "--config", "cfg.json", "--out", "out"], None),
+    ("scatter-virtual-nc",
+     [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None),
     # the demo scripts of this directory on the side's package: the presets
     ("unitary-ladder", [str(SCRIPTS_DIR / "unitary_ladder.py")], None),
     ("boron19-states", [str(SCRIPTS_DIR / "boron19_states.py")], None),
@@ -117,7 +136,8 @@ def run_side(src: Path, work: Path, grid_count: int) -> None:
     for name, argv, fit_input in RUNS:
         run_dir = work / name
         run_dir.mkdir(parents=True)
-        (run_dir / "cfg.json").write_text(json.dumps(config, indent=1) + "\n")
+        run_config = {**config, **CONFIG_EDITS.get(name, {})}
+        (run_dir / "cfg.json").write_text(json.dumps(run_config, indent=1) + "\n")
         if fit_input in (OFF_CENTRE, ZERO_BACKGROUND_BW):
             (run_dir / "input.csv").write_text(synthetic_csv(fit_input))
         elif fit_input is not None and (work / fit_input).is_file():

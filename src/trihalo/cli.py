@@ -13,8 +13,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io, pipeline
 from .errors import ConfigurationError, NumericalError
 from .fanofit import fit
@@ -25,10 +23,9 @@ from .model import (
     parse_system_config,
     read_fragment,
     reduced_mass,
-    scattering_length_from_pole,
 )
 from .quadrature import build_grid
-from .scattering import cross_section_curve
+from .scattering import cross_section_curve, elastic_window
 from .spectrum import find_trimers, threshold_scan
 
 
@@ -95,34 +92,22 @@ def load_run_config(path: str | None, require_system: bool) -> dict:
     return rc
 
 
-def _out_dir(path) -> Path:
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:  # ValueError: embedded NUL
-        raise ConfigurationError(f"cannot create output directory {out}: {exc}") from None
-    return out
-
-
-def cmd_twobody(args) -> str:
-    cfg = load_run_config(args.config, require_system=True)["system"]
+def cmd_twobody(args, rc) -> str:
+    cfg = rc["system"]
     print(f"{'channel':<16}{'pole':<10}{'mu_MeV':>12}{'eps2_keV':>14}{'a_fm':>12}")
     for label in (ChannelLabel.neutron_core, ChannelLabel.neutron_neutron):
         ch = cfg.channel(label)
-        mu = reduced_mass(cfg, label)
-        a = scattering_length_from_pole(ch, mu)
+        a = ch.scattering_length_fm
         a_txt = "unitary limit" if a is None else io.fmt(a)
-        eps_txt = io.fmt(ch.epsilon2_keV)
         print(
-            f"{label.value:<16}{ch.pole_kind.value:<10}{io.fmt(mu):>12}"
-            f"{eps_txt:>14}{a_txt:>14}"
+            f"{label.value:<16}{ch.pole_kind.value:<10}{io.fmt(reduced_mass(cfg, label)):>12}"
+            f"{io.fmt(ch.epsilon2_keV):>14}{a_txt:>14}"
         )
     return "twobody"
 
 
-def cmd_spectrum(args) -> str:
-    rc = load_run_config(args.config, require_system=True)
-    out = _out_dir(args.out or rc["output_dir"])
+def cmd_spectrum(args, rc) -> str:
+    out = io.out_dir(args.out or rc["output_dir"])
     spec = find_trimers(
         rc["system"], rc["grid"], search_window=rc["spectrum"]["window_keV"],
         max_states=rc["spectrum"]["max_states"],
@@ -132,42 +117,23 @@ def cmd_spectrum(args) -> str:
     return f"spectrum levels={len(spec.levels)} file={path}"
 
 
-def cmd_scan(args) -> str:
-    rc = load_run_config(args.config, require_system=True)
-    out = _out_dir(args.out or rc["output_dir"])
-    start, stop, points = (rc["scan"][k] for k in ("start_keV", "stop_keV", "points"))
-    if stop < start:
-        raise ConfigurationError(f"scan range descending: start_keV={start} > stop_keV={stop}")
-    if stop == start or points == 1:
-        values = np.array([start])
-    else:
-        values = np.geomspace(start, stop, points)
-    scan = threshold_scan(rc["system"], values, rc["grid"])
+def cmd_scan(args, rc) -> str:
+    out = io.out_dir(args.out or rc["output_dir"])
+    scan = threshold_scan(rc["system"], pipeline.scan_values(**rc["scan"]), rc["grid"])
     io.write_scan(out, scan)
     return f"scan points={len(scan.points)} crossings={len(scan.crossings)} dir={out}"
 
 
-def cmd_scatter(args) -> str:
-    rc = load_run_config(args.config, require_system=True)
-    out = _out_dir(args.out or rc["output_dir"])
-    sc = rc["scatter"]
-    eps2 = rc["system"].nc_channel.epsilon2_keV
-    start = sc["start_keV"]
-    stop = pipeline.CURVE_STOP_FRACTION * eps2 if sc["stop_keV"] is None else sc["stop_keV"]
-    if sc["spacing"] == "log":
-        if min(start, stop) <= 0:
-            raise ConfigurationError(f"scatter: log spacing needs {start}, {stop} > 0 keV")
-        mesh = np.geomspace(start, stop, sc["points"])
-    else:
-        mesh = np.linspace(start, stop, sc["points"])
+def cmd_scatter(args, rc) -> str:
+    out = io.out_dir(args.out or rc["output_dir"])
+    mesh = pipeline.curve_mesh(elastic_window(rc["system"]), **rc["scatter"])
     curve = cross_section_curve(rc["system"], rc["grid"], mesh)
     path = io.write_curve(out, "curve", curve, args.svg)
     return f"scatter points={len(curve.points)} file={path}"
 
 
-def cmd_fit(args) -> str:
-    rc = load_run_config(args.config, require_system=False)
-    out = _out_dir(args.out or rc["output_dir"])
+def cmd_fit(args, rc) -> str:
+    out = io.out_dir(args.out or rc["output_dir"])
     model = args.model or rc["fit"]["model"]
     model = {"bw": "breit_wigner"}.get(model, model)
     E, s = io.read_curve_csv(args.input)
@@ -175,19 +141,16 @@ def cmd_fit(args) -> str:
     path = out / "fit.json"
     io.write_fit_json(path, result)
     if args.svg:
-        io.write_curve_svg(
-            out / "fit.svg", E, s, fit=result,
-            title=f"data + {'Fano' if model == 'fano' else 'Breit-Wigner'} fit",
-        )
+        title = f"data + {'Fano' if model == 'fano' else 'Breit-Wigner'} fit"
+        io.write_curve_svg(out / "fit.svg", E, s, title, fit=result)
     return (
         f"fit model={model} converged={result.converged} "
         f"residual_norm={io.fmt(result.residual_norm)} file={path}"
     )
 
 
-def cmd_reproduce(args) -> str:
-    rc = load_run_config(args.config, require_system=False)
-    out = _out_dir(args.out or rc["output_dir"] / "fig1-fig2")
+def cmd_reproduce(args, rc) -> str:
+    out = args.out or rc["output_dir"] / "fig1-fig2"
     summary = pipeline.run_fig1_fig2(out, grid=rc["grid"], svg=args.svg)
     return (
         f"reproduce preset={args.preset} q_spread={io.fmt(summary['q_spread'])} "
@@ -211,8 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, run, svg=False):
-        p.set_defaults(run=run)
+    def common(p, run, svg=False, system=True):
+        # system: the subcommand needs the config's 'system' block
+        p.set_defaults(run=run, system=system)
         p.add_argument("--config", default=None, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output directory")
         if svg:
@@ -230,17 +194,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("input", help="input CSV (E_keV,sigma_fm2)")
     p_fit.add_argument("--model", choices=["fano", "bw"], default=None)
     p_fit.add_argument("--window", choices=["auto", "full"], default=None)
-    common(p_fit, cmd_fit, svg=True)
+    common(p_fit, cmd_fit, svg=True, system=False)
     p_rep = sub.add_parser("reproduce", help="run a named preset pipeline")
     p_rep.add_argument("preset", choices=pipeline.PRESETS, help="preset name")
-    common(p_rep, cmd_reproduce, svg=True)
+    common(p_rep, cmd_reproduce, svg=True, system=False)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        summary = args.run(args)
+        summary = args.run(args, load_run_config(args.config, require_system=args.system))
     except ConfigurationError as exc:
         print(f"RESULT config_error {exc}")
         return 2

@@ -36,6 +36,17 @@ def _round12(obj):
     return obj
 
 
+def out_dir(path) -> Path:
+    """path as a directory, created with its parents if missing; a path that
+    cannot be one is a config error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: embedded NUL
+        raise ConfigurationError(f"cannot create output directory {out}: {exc}") from None
+    return out
+
+
 def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(_round12(obj), indent=2) + "\n")
 
@@ -62,10 +73,8 @@ def write_curve(out_dir, name, curve: CrossSectionCurve, svg, fit=None) -> Path:
     write_curve_csv(path, E, s)
     if svg:
         eps2 = curve.config_snapshot.nc_channel.epsilon2_keV
-        write_curve_svg(
-            Path(out_dir, f"{name}.svg"), E, s, fit=fit,
-            title=f"elastic n+dimer, eps2 = {eps2:g} keV",
-        )
+        title = f"elastic n+dimer, eps2 = {eps2:g} keV"
+        write_curve_svg(Path(out_dir, f"{name}.svg"), E, s, title, fit=fit)
     return path
 
 
@@ -115,10 +124,7 @@ def write_scan(out_dir, scan: ThresholdScan) -> None:
         "epsilon2_keV,bound_excited_count",
         ((pt.epsilon2_keV, pt.bound_excited_count) for pt in scan.points),
     )
-    crossings = [
-        {"state_index": c.state_index, "epsilon2_star_keV": c.epsilon2_star_keV}
-        for c in scan.crossings
-    ]
+    crossings = [dataclasses.asdict(c) for c in scan.crossings]
     write_json(Path(out_dir, "crossings.json"), crossings)
 
 
@@ -148,7 +154,7 @@ def _svg_path(xs, ys, color, width, dash=""):
     )
 
 
-def write_curve_svg(path, energies_keV, sigmas_fm2, fit=None, title="") -> None:
+def write_curve_svg(path, energies_keV, sigmas_fm2, title, fit=None) -> None:
     """Plot sigma(E) (log y) and, dashed, the profile of fit (a FitResult of
     these data) over the points it fitted (fit.mask)."""
     W, H, pad = 640, 420, 56
@@ -192,11 +198,8 @@ def write_curve_svg(path, energies_keV, sigmas_fm2, fit=None, title="") -> None:
         f'<text x="18" y="{H/2:.0f}" text-anchor="middle" font-family="monospace" '
         f'font-size="13" transform="rotate(-90 18 {H/2:.0f})">'
         f"log10 sigma [fm^2]</text>",
+        f'<text x="{W/2:.0f}" y="24" text-anchor="middle" '
+        f'font-family="monospace" font-size="14">{title}</text>',
+        "</svg>",
     ]
-    if title:
-        parts.append(
-            f'<text x="{W/2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="monospace" font-size="14">{title}</text>'
-        )
-    parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

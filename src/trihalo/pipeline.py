@@ -9,11 +9,11 @@ cross-curve q spread.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 import numpy as np
 
 from . import io
+from .errors import ConfigurationError
 from .fanofit import fit, q_consistency
 from .model import default_c20_config
 from .quadrature import MomentumGrid
@@ -31,15 +31,38 @@ CURVE_STOP_FRACTION = 0.98  # of eps2: the mesh stays below the breakup threshol
 PRESETS = ("fig1-fig2",)
 
 
-def curve_mesh(eps2_keV: float, points: int = CURVE_POINTS) -> np.ndarray:
-    """Logarithmic energy mesh covering the elastic window below eps2."""
-    return np.geomspace(CURVE_START_KEV, CURVE_STOP_FRACTION * eps2_keV, points)
+def scan_values(
+    start_keV: float = SCAN_START_KEV, stop_keV: float = SCAN_STOP_KEV,
+    points: int = SCAN_POINTS,
+) -> np.ndarray:
+    """Logarithmic eps2 values (keV) of a threshold scan; one value if the
+    range is a point or points is 1."""
+    if stop_keV < start_keV:
+        raise ConfigurationError(
+            f"scan range descending: start_keV={start_keV} > stop_keV={stop_keV}"
+        )
+    if stop_keV == start_keV or points == 1:
+        return np.array([start_keV])
+    return np.geomspace(start_keV, stop_keV, points)
+
+
+def curve_mesh(
+    eps2_keV: float, points: int = CURVE_POINTS, start_keV: float = CURVE_START_KEV,
+    stop_keV: float | None = None, spacing: str = "log",
+) -> np.ndarray:
+    """Energy mesh (keV) of an elastic curve, "log" or "linear" from start_keV
+    to stop_keV; stop_keV None ends it at CURVE_STOP_FRACTION * eps2_keV."""
+    stop = CURVE_STOP_FRACTION * eps2_keV if stop_keV is None else stop_keV
+    if spacing == "linear":
+        return np.linspace(start_keV, stop, points)
+    if min(start_keV, stop) <= 0:
+        raise ConfigurationError(f"scatter: log spacing needs {start_keV}, {stop} > 0 keV")
+    return np.geomspace(start_keV, stop, points)
 
 
 def run_fig1_fig2(out_dir, grid: MomentumGrid, svg: bool = False) -> dict:
-    """Run the full preset into out_dir; returns a summary dict."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Run the full preset into out_dir, created if missing; returns a summary dict."""
+    out = io.out_dir(out_dir)
 
     target = 220.0
     calibrated = calibrate_range_parameter(
@@ -55,8 +78,7 @@ def run_fig1_fig2(out_dir, grid: MomentumGrid, svg: bool = False) -> dict:
         },
     )
 
-    scan_values = np.geomspace(SCAN_START_KEV, SCAN_STOP_KEV, SCAN_POINTS)
-    scan = threshold_scan(calibrated, scan_values, grid)
+    scan = threshold_scan(calibrated, scan_values(), grid)
     io.write_scan(out, scan)
 
     fits = {}

@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 import trihalo
 from trihalo.cli import main
+from trihalo.errors import ConfigurationError
 from trihalo.fanofit import FanoParameters, fano_profile, fit
 from trihalo.io import read_curve_csv, write_curve_csv
+from trihalo.pipeline import run_fig1_fig2
+from trihalo.quadrature import build_grid
 
 SYSTEM = {
     "core_mass_number": 18,
@@ -250,6 +253,25 @@ def test_scatter_without_elastic_window_is_config_error(tmp_path, capsys):
     path.write_text(json.dumps({"system": system, "grid": {"count": 48}}))
     assert main(["scatter", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert last_line(capsys).startswith("RESULT config_error")
+
+
+@pytest.mark.parametrize("spacing", ["log", "linear"])
+def test_scatter_default_stop_of_virtual_nc_channel_is_config_error(tmp_path, capsys, spacing):
+    # the default stop is 0.98 eps2 of a bound n-core channel; a virtual
+    # one at eps2 = 0 has none, which is the error, not the mesh it implies
+    system = {**SYSTEM, "nc": {"pole": "virtual", "epsilon2_keV": 0.0, "beta_inv_fm": 1.0}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"system": system, "scatter": {"spacing": spacing}}))
+    assert main(["scatter", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    expected = "RESULT config_error elastic n+dimer scattering requires a bound n-core channel"
+    assert last_line(capsys) == expected
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_run_fig1_fig2_unusable_out_dir_is_config_error(tmp_path, out):
+    (tmp_path / "file").write_text("x")
+    with pytest.raises(ConfigurationError, match="^cannot create output directory "):
+        run_fig1_fig2(tmp_path / out, grid=build_grid(8, 0.1))
 
 
 @pytest.mark.parametrize("eps2", [1e100, 1e200, 1e300])

@@ -120,8 +120,13 @@ def test_compare_outputs_same_tree_is_identical_and_a_changed_byte_is_reported(t
     old, new = tmp_path / "old", tmp_path / "new"
     runs = {p.name for p in new.iterdir()}
     assert runs == {name for name, _, _ in compare.RUNS}
-    for name in runs - {"reproduce-unknown-preset"}:
-        assert (new / name / "stdout.txt").read_text().endswith("exit=0\n"), name
+    config_errors = {
+        "reproduce-unknown-preset", "reproduce-out-file", "scan-descending",
+        "scatter-virtual-nc",
+    }
+    for name in runs:
+        code = 2 if name in config_errors else 0
+        assert (new / name / "stdout.txt").read_text().endswith(f"exit={code}\n"), name
     assert (new / "fit-curve-bw-full" / "input.csv").read_bytes() == (
         new / "scatter" / "out" / "curve.csv"
     ).read_bytes()
