@@ -9,8 +9,7 @@ Usage: python3 scripts/boron19_states.py [a_nc_fm ...]
 
 import sys
 
-from trihalo.quadrature import build_grid
-from trihalo.spectrum import boron19_config, find_trimers
+from trihalo import boron19_config, build_grid, find_trimers
 
 
 def main() -> int:

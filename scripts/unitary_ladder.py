@@ -10,9 +10,9 @@ Usage: python3 scripts/unitary_ladder.py [a_fm] [beta_inv_fm]
 
 import sys
 
-from trihalo.quadrature import build_grid
-from trihalo.spectrum import (
+from trihalo import (
     ResonantPairs,
+    build_grid,
     efimov_scale_factor,
     find_trimers,
     unitary_boson_config,

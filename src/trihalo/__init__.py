@@ -25,12 +25,14 @@ from .model import (
     PairChannel,
     PoleKind,
     SystemConfig,
+    boron19_config,
     default_c20_config,
     parse_system_config,
     reduced_mass,
     resolve_config,
     scattering_length_from_pole,
     two_body_propagator,
+    unitary_boson_config,
 )
 from .quadrature import MomentumGrid, build_grid
 from .scattering import (
@@ -44,13 +46,11 @@ from .spectrum import (
     ScaleFactor,
     ThreeBodySpectrum,
     ThresholdScan,
-    boron19_config,
     build_kernel,
     calibrate_range_parameter,
     efimov_scale_factor,
     find_trimers,
     threshold_scan,
-    unitary_boson_config,
 )
 
 __version__ = "0.1.0"

@@ -202,13 +202,13 @@ class ResonanceWindow:
     dip_keV: float
 
 
-def resonance_window(curve_or_E, sigma=None) -> ResonanceWindow | None:
+def resonance_window(E, sigma) -> ResonanceWindow | None:
     """Window centered between the curve's extremal pair, width 10x their gap.
 
-    Accepts a CrossSectionCurve or two arrays.  Returns None for a
-    monotone (no interior extrema) curve: the no-resonance result.
+    Returns None for a monotone (no interior extrema) curve: the
+    no-resonance result.
     """
-    E, s = _curve_arrays(curve_or_E, sigma)
+    E, s = np.asarray(E, dtype=float), np.asarray(sigma, dtype=float)
     interior = np.arange(1, len(s) - 1)
     maxima = [i for i in interior if s[i] > s[i - 1] and s[i] > s[i + 1]]
     minima = [i for i in interior if s[i] < s[i - 1] and s[i] < s[i + 1]]
@@ -311,29 +311,17 @@ def _levenberg_marquardt(residuals, jacobian, th, feasible, shrink=1.0):
     return th, r, J, MAX_ITERATIONS, False
 
 
-def _curve_arrays(curve_or_E, sigma=None):
-    """(energies_keV, sigmas_fm2) as float arrays from a curve or two arrays."""
-    if sigma is None:
-        return (
-            np.asarray(curve_or_E.energies_keV, dtype=float),
-            np.asarray(curve_or_E.sigmas_fm2, dtype=float),
-        )
-    return np.asarray(curve_or_E, dtype=float), np.asarray(sigma, dtype=float)
-
-
-def fit(
-    curve_or_E, sigma=None, model: str = "fano", window: str = "full"
-) -> FitResult:
+def fit(E, sigma, model: str = "fano", window: str = "full") -> FitResult:
     """Damped least-squares fit of a lineshape to (E, sigma) data.
 
-    Accepts a CrossSectionCurve or two arrays.  window "full" fits every
-    point.  window "auto" fits only the points of resonance_window when
-    it finds one holding at least 8 points, and falls back to every point
-    otherwise; the result's window_mode and mask say which.  Every fit
-    starts from auto_seed of the fitted points; a Fano seed comes from
-    the window when one was found.  Converges when the relative
-    parameter step < 1e-10 or the gradient norm < 1e-12; returns
-    best-so-far with converged=False after 500 iterations.
+    window "full" fits every point.  window "auto" fits only the points
+    of resonance_window when it finds one holding at least 8 points, and
+    falls back to every point otherwise; the result's window_mode and
+    mask say which.  Every fit starts from auto_seed of the fitted
+    points; a Fano seed comes from the window when one was found.
+    Converges when the relative parameter step < 1e-10 or the gradient
+    norm < 1e-12; returns best-so-far with converged=False after 500
+    iterations.
 
     A Breit-Wigner fit runs in (c, amp, E_r, Gamma) with background c^2,
     so a zero background is an interior point, not a bound.
@@ -351,7 +339,7 @@ def fit(
     result whose scaled residuals or Jacobian are not finite (data near
     the float range limits) is a NumericalError.
     """
-    E, sig = _curve_arrays(curve_or_E, sigma)
+    E, sig = np.asarray(E, dtype=float), np.asarray(sigma, dtype=float)
     if model not in _MODELS:
         raise ConfigurationError(f"unknown model {model!r}")
     if window not in ("auto", "full"):

@@ -2,8 +2,9 @@
 
 Everything downstream consumes the objects defined here: the physical
 constants HBAR_C and NUCLEON_MASS, the two separable s-wave pair
-channels (n-core and n-n), and the two-body t-matrix denominator tau(z)
-built from the rational form factor g(p) = 1/(p^2 + beta^2).
+channels (n-core and n-n), the two-body t-matrix denominator tau(z)
+built from the rational form factor g(p) = 1/(p^2 + beta^2), and the
+system presets (18C, 19B, near-unitary bosons).
 
 Unit convention: configuration objects carry external units (keV, fm,
 fm^-1); all functions that do arithmetic convert to natural units
@@ -357,3 +358,24 @@ def default_c20_config(epsilon2_keV: float = 250.0, beta_nc: float = 1.0) -> Sys
         "nc": {"pole": "bound", "beta_inv_fm": beta_nc, "epsilon2_keV": epsilon2_keV},
         "nn": {"pole": "virtual", "beta_inv_fm": 1.0, "scattering_length_fm": -18.5},
     })
+
+
+def boron19_config(a_nc_fm: float = -179.0, beta_inv_fm: float = 40.0) -> SystemConfig:
+    """n+n+17B with a near-threshold virtual n-core channel.
+
+    Large beta plays the role of a zero-range regulator; the physics is
+    controlled by the scattering lengths.
+    """
+    # the reader rejects a non-number by name; it must get that far
+    pole = "virtual" if isinstance(a_nc_fm, numbers.Real) and a_nc_fm < 0 else "bound"
+    return parse_system_config({
+        "core_mass_number": 17,
+        "nc": {"pole": pole, "beta_inv_fm": beta_inv_fm, "scattering_length_fm": a_nc_fm},
+        "nn": {"pole": "virtual", "beta_inv_fm": beta_inv_fm, "scattering_length_fm": -18.5},
+    })
+
+
+def unitary_boson_config(a_fm: float = -1.0e4, beta_inv_fm: float = 16.0) -> SystemConfig:
+    """A=1 with all three pairs identical and |a| near the unitary limit."""
+    pair = {"pole": "virtual", "beta_inv_fm": beta_inv_fm, "scattering_length_fm": a_fm}
+    return parse_system_config({"core_mass_number": 1, "nc": pair, "nn": pair})

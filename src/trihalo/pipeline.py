@@ -86,7 +86,8 @@ def run_fig1_fig2(out_dir, grid: MomentumGrid, svg: bool = False) -> dict:
         cfg = default_c20_config(epsilon2_keV=eps2, beta_nc=beta_nc)
         curve = cross_section_curve(cfg, grid, curve_mesh(eps2))
         tag = f"eps{int(eps2)}"
-        result = fits[eps2] = fit(curve, model="fano", window="auto")
+        E, sigma = curve.energies_keV, curve.sigmas_fm2
+        result = fits[eps2] = fit(E, sigma, model="fano", window="auto")
         io.write_curve(out, f"curve_{tag}", curve, svg, fit=result)
         io.write_fit_json(out / f"fit_{tag}.json", result)
 

@@ -75,7 +75,10 @@ def elastic_window(config: SystemConfig) -> float:
     """eps2 (keV) of the bound n-core channel: elastic for 0 < E_cm < eps2."""
     if config.nc_channel.pole_kind is not PoleKind.bound:
         raise ConfigurationError("elastic n+dimer scattering requires a bound n-core channel")
-    return config.nc_channel.epsilon2_keV
+    eps2 = config.nc_channel.epsilon2_keV
+    if eps2 == 0.0:  # the unitary limit: dimer and breakup thresholds coincide
+        raise ConfigurationError("elastic n+dimer window (0, 0) keV is empty at eps2 = 0")
+    return eps2
 
 
 def _amplitude(eng: _Engine, Ecm: float, q0: float) -> float:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +32,6 @@ from .model import (
     ChannelLabel,
     PoleKind,
     SystemConfig,
-    parse_system_config,
     reduced_mass,
     resolve_config,
     two_body_propagator,
@@ -91,6 +89,15 @@ class _Engine:
             return -self.config.nc_channel.epsilon2_keV / KEV_PER_MEV
         return 0.0
 
+    def check_below_threshold(self, E: float) -> None:
+        """DomainError for a real E (MeV) above the lowest threshold: on a cut."""
+        if E > self.threshold():
+            raise DomainError(
+                f"E = {E:.6g} MeV lies on a scattering cut (threshold at "
+                f"{self.threshold():.6g} MeV); use the scattering module for "
+                "on-shell energies"
+            )
+
     def exchange(self) -> tuple[_Exchange, _Exchange]:
         """The grid's Z_nn and Z_nc exchange blocks, built on first use."""
         if self._exchange is None:
@@ -119,11 +126,7 @@ class _Engine:
         sqrt(-tau * u) per column/row turns K into a real symmetric matrix
         with the same spectrum.
         """
-        if E > self.threshold():
-            raise DomainError(
-                f"E = {E:.6g} MeV is not below the lowest threshold "
-                f"({self.threshold():.6g} MeV)"
-            )
+        self.check_below_threshold(E)
         Znn, Znc = self.born_blocks(E)
         tau_n = self.tau_n(E).real
         tau_c = self.tau_c(E).real
@@ -278,13 +281,8 @@ def build_kernel(config: SystemConfig, grid: MomentumGrid, E) -> KernelMatrix:
     eng = _Engine(config, grid)
     E = complex(E)
     if E.imag == 0.0:
-        if E.real > eng.threshold():
-            raise DomainError(
-                f"E = {E.real:.6g} MeV lies on a scattering cut (threshold at "
-                f"{eng.threshold():.6g} MeV); use the scattering module for "
-                "on-shell energies"
-            )
         E = E.real
+        eng.check_below_threshold(E)
     Znn, Znc = eng.born_blocks(E)
     tau_n = eng.tau_n(E)
     tau_c = eng.tau_c(E)
@@ -561,32 +559,3 @@ def calibrate_range_parameter(
 
     beta = _brentq(misfit, *CALIBRATION_BETA_INV_FM, rtol=1e-10, xtol=1e-300)
     return engine(beta).config
-
-
-# ---------------------------------------------------------------------------
-# presets: 19B and the near-unitary identical-boson system
-
-
-def boron19_config(
-    a_nc_fm: float = -179.0, beta_inv_fm: float = 40.0
-) -> SystemConfig:
-    """n+n+17B with a near-threshold virtual n-core channel.
-
-    Large beta plays the role of a zero-range regulator; the physics is
-    controlled by the scattering lengths.
-    """
-    # the reader rejects a non-number by name; it must get that far
-    pole = "virtual" if isinstance(a_nc_fm, numbers.Real) and a_nc_fm < 0 else "bound"
-    return parse_system_config({
-        "core_mass_number": 17,
-        "nc": {"pole": pole, "beta_inv_fm": beta_inv_fm, "scattering_length_fm": a_nc_fm},
-        "nn": {"pole": "virtual", "beta_inv_fm": beta_inv_fm, "scattering_length_fm": -18.5},
-    })
-
-
-def unitary_boson_config(
-    a_fm: float = -1.0e4, beta_inv_fm: float = 16.0
-) -> SystemConfig:
-    """A=1 with all three pairs identical and |a| near the unitary limit."""
-    pair = {"pole": "virtual", "beta_inv_fm": beta_inv_fm, "scattering_length_fm": a_fm}
-    return parse_system_config({"core_mass_number": 1, "nc": pair, "nn": pair})

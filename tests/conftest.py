@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from trihalo.model import default_c20_config
+from trihalo.model import default_c20_config, unitary_boson_config
 from trihalo.pipeline import DEFAULT_GRID_COUNT, DEFAULT_MAP_SCALE
 from trihalo.quadrature import build_grid
-from trihalo.spectrum import (
-    calibrate_range_parameter,
-    find_trimers,
-    unitary_boson_config,
-)
+from trihalo.spectrum import calibrate_range_parameter, find_trimers
 
 
 @pytest.fixture(scope="session")

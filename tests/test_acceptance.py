@@ -31,6 +31,7 @@ from trihalo.fanofit import (
 from trihalo.model import (
     HBAR_C,
     ChannelLabel,
+    boron19_config,
     default_c20_config,
     epsilon2_from_scattering_length,
     reduced_mass,
@@ -42,7 +43,6 @@ from trihalo.scattering import cross_section_curve
 from trihalo.spectrum import (
     ResonantPairs,
     _Engine,
-    boron19_config,
     efimov_scale_factor,
     threshold_scan,
 )

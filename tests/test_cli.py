@@ -120,22 +120,30 @@ def test_missing_config_file(tmp_path, capsys):
         ["fit", "{header_only}"],
         ["fit", "{nan}"],
         ["fit", "{inf}"],
+        ["fit", "{three_columns}"],
+        ["fit", "{non_numeric}"],
         ["fit", "{good}", "--out", "{file}"],
         ["reproduce", "fig1-fig2", "--out", "{file}"],
     ],
     ids=[
         "config-dir", "config-not-utf8", "csv-missing", "csv-dir",
-        "csv-header-only", "csv-nan", "csv-inf", "fit-out-file", "reproduce-out-file",
+        "csv-header-only", "csv-nan", "csv-inf", "csv-three-columns", "csv-non-numeric",
+        "fit-out-file", "reproduce-out-file",
     ],
 )
 def test_bad_path_is_config_error(tmp_path, capsys, argv):
     paths = {
         name: tmp_path / name
-        for name in ("dir", "latin1", "missing", "header_only", "nan", "inf", "good", "file")
+        for name in (
+            "dir", "latin1", "missing", "header_only", "nan", "inf", "three_columns",
+            "non_numeric", "good", "file",
+        )
     }
     paths["dir"].mkdir()
     paths["latin1"].write_bytes(b'{"output_dir": "caf\xe9"}')
     paths["header_only"].write_text("E_keV,sigma_fm2\n")
+    paths["three_columns"].write_text("E_keV,sigma_fm2\n1.0,2.0,3.0\n")
+    paths["non_numeric"].write_text("E_keV,sigma_fm2\n1.0,two\n")
     paths["file"].write_text("x")
     E = np.linspace(0.5, 3.5, 20)
     sigma = fano_profile(E, FanoParameters(2.0, 4.0, 1.63, 0.25))
@@ -247,12 +255,16 @@ def test_scan_of_virtual_nc_channel_is_config_error(tmp_path, capsys):
 
 
 def test_scatter_without_elastic_window_is_config_error(tmp_path, capsys):
-    # eps2 = 0: the default log mesh would end at 0.98 * eps2 = 0
+    # eps2 = 0: the window (0, 0) is empty, which is the error, not the
+    # default mesh ending at 0.98 * eps2 = 0 that it implies
     system = {**SYSTEM, "nc": {"pole": "bound", "epsilon2_keV": 0.0, "beta_inv_fm": 1.0}}
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"system": system, "grid": {"count": 48}}))
-    assert main(["scatter", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert last_line(capsys).startswith("RESULT config_error")
+    for spacing in ("log", "linear"):
+        config = {"system": system, "grid": {"count": 48}, "scatter": {"spacing": spacing}}
+        path.write_text(json.dumps(config))
+        assert main(["scatter", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        expected = "RESULT config_error elastic n+dimer window (0, 0) keV is empty at eps2 = 0"
+        assert last_line(capsys) == expected, spacing
 
 
 @pytest.mark.parametrize("spacing", ["log", "linear"])

@@ -1,6 +1,5 @@
 import math
 from dataclasses import fields
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -355,12 +354,12 @@ def test_fit_window_with_fewer_than_8_points_falls_back_to_full():
 
 def test_auto_seed_orientation():
     E, s = fano_data()
-    win = resonance_window(SimpleNamespace(energies_keV=E, sigmas_fm2=s))
+    win = resonance_window(E, s)
     seed = auto_seed("fano", E, s, window=win)
     assert seed[1] == 2.0  # peak above dip in energy -> positive q
     assert win.dip_keV < seed[2] < win.peak_keV
     mirrored = fano_profile(E, FanoParameters(1.0, -4.0, 1.63, 0.25))
-    win2 = resonance_window(SimpleNamespace(energies_keV=E, sigmas_fm2=mirrored))
+    win2 = resonance_window(E, mirrored)
     assert auto_seed("fano", E, mirrored, window=win2)[1] == -2.0
 
 

@@ -54,7 +54,8 @@ for name, argv in (
     stages[name] = loaded()
 
 from trihalo.quadrature import build_grid
-from trihalo.spectrum import find_trimers, unitary_boson_config
+from trihalo.model import unitary_boson_config
+from trihalo.spectrum import find_trimers
 
 spec = find_trimers(unitary_boson_config(), build_grid(32, 0.03), (1e-6, 1e9), max_states=1)
 stages["find_trimers"] = loaded()

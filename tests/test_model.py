@@ -13,6 +13,7 @@ from trihalo.model import (
     PairChannel,
     PoleKind,
     SystemConfig,
+    boron19_config,
     default_c20_config,
     epsilon2_from_scattering_length,
     parse_system_config,
@@ -24,8 +25,8 @@ from trihalo.model import (
     scattering_length_from_pole,
     two_body_propagator,
     two_body_propagator_subtracted,
+    unitary_boson_config,
 )
-from trihalo.spectrum import boron19_config, unitary_boson_config
 
 def nc(eps2=250.0, beta=1.0, a=None, kind=PoleKind.bound):
     return PairChannel(

@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -77,7 +76,7 @@ def test_domain_errors(grid, calibrated_c20):
         cross_section_curve(cfg, grid, [260.0])
     with pytest.raises(DomainError):
         cross_section_curve(cfg, grid, [-1.0])
-    from trihalo.spectrum import boron19_config
+    from trihalo.model import boron19_config
 
     with pytest.raises(ConfigurationError, match="bound"):
         cross_section_curve(boron19_config(), grid, [10.0])
@@ -130,8 +129,7 @@ def test_threshold_enhancement_grows_toward_crossing(grid, calibrated_c20):
 def test_resonance_window_on_synthetic_fano():
     p = FanoParameters(sigma0_fm2=1.0, q=4.0, E_r_keV=1.63, Gamma_keV=0.25)
     E = np.linspace(0.5, 3.5, 400)
-    curve = SimpleNamespace(energies_keV=E, sigmas_fm2=fano_profile(E, p))
-    win = resonance_window(curve)
+    win = resonance_window(E, fano_profile(E, p))
     assert win is not None
     zero = p.E_r_keV - p.q * p.Gamma_keV / 2  # eps = -q
     peak = p.E_r_keV + p.Gamma_keV / (2 * p.q)  # eps = 1/q
@@ -141,14 +139,13 @@ def test_resonance_window_on_synthetic_fano():
 
 def test_resonance_window_monotone_none():
     E = np.linspace(1.0, 10.0, 50)
-    curve = SimpleNamespace(energies_keV=E, sigmas_fm2=1.0 / E)
-    assert resonance_window(curve) is None
+    assert resonance_window(E, 1.0 / E) is None
 
 
 def test_computed_curves_are_monotone_threshold_shapes(curve250):
     # this model's elastic curves show threshold enhancement, not an
     # interior resonance: the excited state crosses into a virtual state
-    assert resonance_window(curve250) is None
+    assert resonance_window(curve250.energies_keV, curve250.sigmas_fm2) is None
     assert np.all(np.diff(curve250.sigmas_fm2) < 0)
 
 

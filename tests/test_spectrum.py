@@ -15,6 +15,7 @@ from trihalo.model import (
     PairChannel,
     PoleKind,
     SystemConfig,
+    boron19_config,
     default_c20_config,
     parse_system_config,
     resolve_config,
@@ -25,7 +26,6 @@ from trihalo.spectrum import (
     ScaleFactor,
     _brentq,
     _Engine,
-    boron19_config,
     build_kernel,
     calibrate_range_parameter,
     efimov_scale_factor,
