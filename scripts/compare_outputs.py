@@ -12,13 +12,15 @@ an off-centre Fano curve: q -3, E_r 2.5 keV, Gamma 0.25 keV, and on a
 zero-background Breit-Wigner curve: amplitude 5 fm^2, E_r 1.63 keV, Gamma
 0.25 keV, each 200 points on [0.5, 3.5] keV; the Fano fits of the last run
 past 500 iterations into the amplitude continuation), `reproduce fig1-fig2
---svg`, and four runs that end in a configuration error: `reproduce` with
-an unknown preset and with `--out` naming an existing file, `scan` with
+--svg`, `scatter --svg` of a one-point curve (start_keV 10, points 1), and
+five runs that end in a configuration error: `reproduce` with an unknown
+preset and with `--out` naming an existing file, `scan` with
 start_keV > stop_keV, and `scatter` with a virtual n-core channel
-(a = -179 fm), which has no elastic n+dimer window.  It also runs this
-directory's `unitary_ladder.py` (the A = 1 `unitary_boson_config` preset)
-and `boron19_states.py` (the A = 17 `boron19_config` preset) against each
-side's package; they read no configuration file and use their own grids.
+(a = -179 fm) and with a bound one at eps2 = 0, neither of which has an
+elastic n+dimer window.  It also runs this directory's `unitary_ladder.py`
+(the A = 1 `unitary_boson_config` preset) and `boron19_states.py` (the
+A = 17 `boron19_config` preset) against each side's package; they read no
+configuration file and use their own grids.
 Every run is a fresh `python` process (`-m trihalo.cli` or a script) with
 one BLAS thread (outputs move in their last digits with the thread count),
 started in its own directory with relative paths, so stdout is comparable.
@@ -63,6 +65,13 @@ CONFIG_EDITS = {
             "nc": {"pole": "virtual", "scattering_length_fm": -179.0, "beta_inv_fm": 1.0},
         },
     },
+    "scatter-unitary-nc": {
+        "system": {
+            **README_CONFIG["system"],
+            "nc": {"pole": "bound", "epsilon2_keV": 0.0, "beta_inv_fm": 1.0},
+        },
+    },
+    "scatter-one-point": {"scatter": {"start_keV": 10.0, "points": 1}},
 }
 
 # the input each fit run reads: the side's scatter curve or a synthetic CSV
@@ -101,6 +110,10 @@ RUNS = [
     ("scan-descending", [*TRIHALO, "scan", "--config", "cfg.json", "--out", "out"], None),
     ("scatter-virtual-nc",
      [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None),
+    ("scatter-unitary-nc",
+     [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None),
+    ("scatter-one-point",
+     [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out", "--svg"], None),
     # the demo scripts of this directory on the side's package: the presets
     ("unitary-ladder", [str(SCRIPTS_DIR / "unitary_ladder.py")], None),
     ("boron19-states", [str(SCRIPTS_DIR / "boron19_states.py")], None),

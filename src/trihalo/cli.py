@@ -17,7 +17,6 @@ from . import io, pipeline
 from .errors import ConfigurationError, NumericalError
 from .fanofit import fit
 from .model import (
-    ChannelLabel,
     choice,
     number,
     parse_system_config,
@@ -95,12 +94,12 @@ def load_run_config(path: str | None, require_system: bool) -> dict:
 def cmd_twobody(args, rc) -> str:
     cfg = rc["system"]
     print(f"{'channel':<16}{'pole':<10}{'mu_MeV':>12}{'eps2_keV':>14}{'a_fm':>12}")
-    for label in (ChannelLabel.neutron_core, ChannelLabel.neutron_neutron):
-        ch = cfg.channel(label)
+    for ch in (cfg.nc_channel, cfg.nn_channel):
         a = ch.scattering_length_fm
         a_txt = "unitary limit" if a is None else io.fmt(a)
+        mu = reduced_mass(cfg, ch.label)
         print(
-            f"{label.value:<16}{ch.pole_kind.value:<10}{io.fmt(reduced_mass(cfg, label)):>12}"
+            f"{ch.label.value:<16}{ch.pole_kind.value:<10}{io.fmt(mu):>12}"
             f"{io.fmt(ch.epsilon2_keV):>14}{a_txt:>14}"
         )
     return "twobody"

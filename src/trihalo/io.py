@@ -194,7 +194,7 @@ def write_curve_svg(path, energies_keV, sigmas_fm2, title, fit=None) -> None:
     parts += [
         f'<text x="{W/2:.0f}" y="{H-14}" text-anchor="middle" '
         f'font-family="monospace" font-size="13">E_cm [keV]  '
-        f"({fmt(x0)} to {fmt(x1)})</text>",
+        f"({fmt(E[0])} to {fmt(E[-1])})</text>",
         f'<text x="18" y="{H/2:.0f}" text-anchor="middle" font-family="monospace" '
         f'font-size="13" transform="rotate(-90 18 {H/2:.0f})">'
         f"log10 sigma [fm^2]</text>",

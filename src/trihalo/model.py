@@ -94,11 +94,6 @@ class SystemConfig:
         if self.nn_channel.label is not ChannelLabel.neutron_neutron:
             raise ConfigurationError("nn_channel must carry the neutron_neutron label")
 
-    def channel(self, label: ChannelLabel) -> PairChannel:
-        return (
-            self.nc_channel if label is ChannelLabel.neutron_core else self.nn_channel
-        )
-
 
 def reduced_mass(config: SystemConfig, pair: ChannelLabel) -> float:
     """Reduced mass of the pair in MeV/c^2 (core mass = A * m_n)."""

@@ -49,11 +49,6 @@ class CrossSectionCurve:
     config_snapshot: SystemConfig
 
     def __post_init__(self):
-        if not self.points:
-            raise ConfigurationError("cross-section curve must be non-empty")
-        E = [pt.E_cm_keV for pt in self.points]
-        if any(np.diff(E) <= 0):
-            raise ConfigurationError("curve energies must be strictly increasing")
         for pt in self.points:
             bound = 4.0 * math.pi / pt.k_inv_fm**2
             if not (0.0 <= pt.sigma_fm2 <= bound * (1.0 + 1e-9)):
@@ -72,12 +67,16 @@ class CrossSectionCurve:
 
 
 def elastic_window(config: SystemConfig) -> float:
-    """eps2 (keV) of the bound n-core channel: elastic for 0 < E_cm < eps2."""
+    """Top of the elastic window 0 < E_cm < top (keV): n-core eps2 less a bound nn eps2."""
     if config.nc_channel.pole_kind is not PoleKind.bound:
         raise ConfigurationError("elastic n+dimer scattering requires a bound n-core channel")
     eps2 = config.nc_channel.epsilon2_keV
     if eps2 == 0.0:  # the unitary limit: dimer and breakup thresholds coincide
         raise ConfigurationError("elastic n+dimer window (0, 0) keV is empty at eps2 = 0")
+    if config.nn_channel.pole_kind is PoleKind.bound:
+        eps2 -= config.nn_channel.epsilon2_keV
+        if eps2 <= 0.0:
+            raise ConfigurationError(f"elastic n+dimer window (0, {eps2:g}) keV is empty")
     return eps2
 
 
@@ -147,12 +146,14 @@ def cross_section_curve(
     if np.any(np.diff(E_values) <= 0):
         raise ConfigurationError("energy mesh must be strictly increasing")
     eng = _Engine(config, grid)
-    eps2 = elastic_window(eng.config)
-    outside = E_values[~((0.0 < E_values) & (E_values < eps2))]
+    top = elastic_window(eng.config)
+    outside = E_values[~((0.0 < E_values) & (E_values < top))]
     if outside.size:  # the whole mesh is checked before any solve
+        bound_nn = eng.config.nn_channel.pole_kind is PoleKind.bound
+        opens = "core+(nn dimer)" if bound_nn else "three-body breakup"
         raise DomainError(
-            f"E_cm = {outside[0]} keV outside the elastic window (0, {eps2} keV); "
-            f"three-body breakup opens at {eps2} keV above the dimer threshold"
+            f"E_cm = {outside[0]} keV outside the elastic window (0, {top} keV); "
+            f"{opens} opens at {top} keV above the dimer threshold"
         )
     points = []
     for E in map(float, E_values):

@@ -70,6 +70,9 @@ class _Engine:
         self.w = grid.weights * HBAR_C
         self.u = 2.0 * np.pi * self.p**2 * self.w
         self._exchange = None
+        nn = config.nn_channel
+        if nn.pole_kind is PoleKind.bound and -nn.epsilon2_keV / KEV_PER_MEV < self.threshold():
+            raise ConfigurationError("n-n dimer below the n+(n-core) threshold: not supported")
 
     def tau_n(self, E):
         """n-core propagator with a neutron spectator at each grid node."""
@@ -255,19 +258,7 @@ def _exchanges(eng: _Engine, q, qp) -> tuple[_Exchange, _Exchange]:
 class KernelMatrix:
     """Discretized kernel K(E) acting on stacked (F_n, F_c) spectator amplitudes."""
 
-    energy: complex  # MeV, relative to three-body breakup
-    matrix: np.ndarray  # (2N, 2N)
-    grid: MomentumGrid
-
-    @property
-    def nn(self) -> np.ndarray:
-        n = self.grid.count
-        return self.matrix[:n, :n]
-
-    @property
-    def nc(self) -> np.ndarray:
-        n = self.grid.count
-        return self.matrix[:n, n:]
+    matrix: np.ndarray  # (2N, 2N): real for real E, complex otherwise
 
 
 def build_kernel(config: SystemConfig, grid: MomentumGrid, E) -> KernelMatrix:
@@ -284,18 +275,14 @@ def build_kernel(config: SystemConfig, grid: MomentumGrid, E) -> KernelMatrix:
         E = E.real
         eng.check_below_threshold(E)
     Znn, Znc = eng.born_blocks(E)
-    tau_n = eng.tau_n(E)
-    tau_c = eng.tau_c(E)
-    u = eng.u
+    tau_n_u = (eng.tau_n(E) * eng.u)[None, :]  # tau times the measure, per column
+    tau_c_u = (eng.tau_c(E) * eng.u)[None, :]
     n = grid.count
-    dtype = float if isinstance(E, float) else complex
-    K = np.zeros((2 * n, 2 * n), dtype=dtype)
-    if dtype is float:
-        tau_n, tau_c, Znn, Znc = tau_n.real, tau_c.real, Znn.real, Znc.real
-    K[:n, :n] = Znn * (tau_n * u)[None, :]
-    K[:n, n:] = Znc * (tau_c * u)[None, :]
-    K[n:, :n] = 2.0 * Znc.T * (tau_n * u)[None, :]
-    return KernelMatrix(energy=E, matrix=K, grid=grid)
+    K = np.zeros((2 * n, 2 * n), dtype=complex)
+    K[:n, :n] = Znn * tau_n_u
+    K[:n, n:] = Znc * tau_c_u
+    K[n:, :n] = 2.0 * Znc.T * tau_n_u
+    return KernelMatrix(K.real if isinstance(E, float) else K)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +384,6 @@ class ResonantPairs(enum.Enum):
 @dataclass(frozen=True)
 class ScaleFactor:
     s0: float
-    mass_ratio: float
     energy_ratio: float  # exp(2 pi / s0); inf past the float range (s0 < 8.85e-3)
 
 
@@ -457,7 +443,7 @@ def efimov_scale_factor(
         ratio = math.exp(2.0 * math.pi / s0)
     except OverflowError:
         ratio = math.inf
-    return ScaleFactor(s0=s0, mass_ratio=mass_ratio, energy_ratio=ratio)
+    return ScaleFactor(s0=s0, energy_ratio=ratio)
 
 
 # ---------------------------------------------------------------------------

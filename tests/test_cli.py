@@ -279,6 +279,62 @@ def test_scatter_default_stop_of_virtual_nc_channel_is_config_error(tmp_path, ca
     assert last_line(capsys) == expected
 
 
+def bound_nn_system(eps2_nn):
+    return {**SYSTEM, "nn": {"pole": "bound", "epsilon2_keV": eps2_nn, "beta_inv_fm": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("spectrum", "n-n dimer below the n+(n-core) threshold: not supported"),
+        ("scan", "n-n dimer below the n+(n-core) threshold: not supported"),
+        ("scatter", "elastic n+dimer window (0, -750) keV is empty"),
+    ],
+    ids=["spectrum", "scan", "scatter"],
+)
+def test_bound_nn_dimer_below_nc_threshold_is_config_error(tmp_path, capsys, command, expected):
+    # core+(nn dimer) would be the lowest threshold, which the kernel does
+    # not model: spectrum and scan used to fail in the symmetric solve, and
+    # scatter returned a curve
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"system": bound_nn_system(1000.0), "grid": {"count": 16}}))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert last_line(capsys) == f"RESULT config_error {expected}"
+
+
+def test_scatter_default_stop_below_the_core_nn_dimer_threshold(tmp_path, capsys):
+    # a bound nn pair at 100 keV opens core+(nn dimer) at E_cm = 250 - 100 keV
+    path = tmp_path / "cfg.json"
+    config = {"system": bound_nn_system(100.0), "grid": {"count": 16}, "scatter": {"points": 3}}
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main(["scatter", "--config", str(path), "--out", str(out)]) == 0
+    E, _ = read_curve_csv(out / "curve.csv")
+    assert E[-1] == pytest.approx(0.98 * 150.0, rel=1e-12)
+    config["scatter"] = {"stop_keV": 150.0}
+    path.write_text(json.dumps(config))
+    assert main(["scatter", "--config", str(path), "--out", str(out)]) == 2
+    assert last_line(capsys) == (
+        "RESULT config_error E_cm = 150.0 keV outside the elastic window (0, 150.0 keV); "
+        "core+(nn dimer) opens at 150.0 keV above the dimer threshold"
+    )
+
+
+def test_on_shell_momentum_on_a_grid_node_is_numerical_error(tmp_path, capsys):
+    # q0 = sqrt(2 M_n E_cm) equals node 2 of build_grid(32, 0.1) at this E_cm
+    E = 0.07015987146424983
+    with pytest.raises(trihalo.NumericalError, match="coincides with a grid node"):
+        trihalo.cross_section_curve(trihalo.default_c20_config(), build_grid(32, 0.1), [E])
+    cfg = write_config(
+        tmp_path, grid={"count": 32, "map_scale_inv_fm": 0.1},
+        scatter={"start_keV": E, "stop_keV": E, "points": 1},
+    )
+    assert main(["scatter", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert last_line(capsys).startswith(
+        f"RESULT numerical_error at E_cm = {E} keV: on-shell momentum coincides with a grid node"
+    )
+
+
 @pytest.mark.parametrize("out", ["file", "file/sub"])
 def test_run_fig1_fig2_unusable_out_dir_is_config_error(tmp_path, out):
     (tmp_path / "file").write_text("x")
@@ -349,6 +405,16 @@ def test_scatter_deterministic_and_svg(tmp_path, capsys):
     assert svg.startswith("<svg") and "polyline" in svg
     E, s = read_curve_csv(out1 / "curve.csv")
     assert len(E) == 9 and np.all(s > 0)
+
+
+def test_scatter_one_point_svg_labels_its_own_energy(tmp_path, capsys):
+    # one point: the x- and y-range guards widen the plot, not the label
+    cfg = write_config(tmp_path, scatter={"start_keV": 10, "points": 1})
+    out = tmp_path / "out"
+    assert main(["scatter", "--config", cfg, "--out", str(out), "--svg"]) == 0
+    svg = (out / "curve.svg").read_text()
+    assert "E_cm [keV]  (10 to 10)</text>" in svg
+    assert '<polyline points="56.00,364.00"' in svg  # the plot's lower-left corner
 
 
 def test_scatter_linear_spacing(tmp_path, capsys):

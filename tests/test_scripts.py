@@ -122,7 +122,7 @@ def test_compare_outputs_same_tree_is_identical_and_a_changed_byte_is_reported(t
     assert runs == {name for name, _, _ in compare.RUNS}
     config_errors = {
         "reproduce-unknown-preset", "reproduce-out-file", "scan-descending",
-        "scatter-virtual-nc",
+        "scatter-virtual-nc", "scatter-unitary-nc",
     }
     for name in runs:
         code = 2 if name in config_errors else 0

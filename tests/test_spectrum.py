@@ -65,10 +65,10 @@ def test_kernel_identical_boson_reduction():
     K = build_kernel(cfg, g, -2.0)
     n = g.count
     # with all three pairs identical the two exchange blocks coincide ...
-    assert np.allclose(K.nn, K.nc, rtol=1e-10)
+    assert np.allclose(K.matrix[:n, :n], K.matrix[:n, n:], rtol=1e-10)
     # ... and the coupled system reduces to the single-amplitude kernel 2*K_nn
     lam_full = np.max(np.linalg.eigvals(K.matrix).real)
-    lam_single = np.max(np.linalg.eigvals(2.0 * K.nn).real)
+    lam_single = np.max(np.linalg.eigvals(2.0 * K.matrix[:n, :n]).real)
     assert lam_full == pytest.approx(lam_single, rel=1e-9)
 
 
