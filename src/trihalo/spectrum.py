@@ -72,7 +72,10 @@ class _Engine:
         self._exchange = None
         nn = config.nn_channel
         if nn.pole_kind is PoleKind.bound and -nn.epsilon2_keV / KEV_PER_MEV < self.threshold():
-            raise ConfigurationError("n-n dimer below the n+(n-core) threshold: not supported")
+            raise ConfigurationError(
+                f"n-n dimer (eps2 = {nn.epsilon2_keV:g} keV) below the n+(n-core) threshold "
+                f"(eps2 = {abs(self.threshold()) * KEV_PER_MEV:g} keV): not supported"
+            )
 
     def tau_n(self, E):
         """n-core propagator with a neutron spectator at each grid node."""

@@ -286,8 +286,10 @@ def bound_nn_system(eps2_nn):
 @pytest.mark.parametrize(
     "command, expected",
     [
-        ("spectrum", "n-n dimer below the n+(n-core) threshold: not supported"),
-        ("scan", "n-n dimer below the n+(n-core) threshold: not supported"),
+        ("spectrum", "n-n dimer (eps2 = 1000 keV) below the n+(n-core) threshold "
+         "(eps2 = 250 keV): not supported"),
+        ("scan", "n-n dimer (eps2 = 1000 keV) below the n+(n-core) threshold "
+         "(eps2 = 250 keV): not supported"),
         ("scatter", "elastic n+dimer window (0, -750) keV is empty"),
     ],
     ids=["spectrum", "scan", "scatter"],
