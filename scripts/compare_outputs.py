@@ -12,8 +12,10 @@ an off-centre Fano curve: q -3, E_r 2.5 keV, Gamma 0.25 keV, and on a
 zero-background Breit-Wigner curve: amplitude 5 fm^2, E_r 1.63 keV, Gamma
 0.25 keV, each 200 points on [0.5, 3.5] keV; the Fano fits of the last run
 past 500 iterations into the amplitude continuation), `reproduce fig1-fig2
---svg`, `scatter --svg` of a one-point curve (start_keV 10, points 1), and
-five runs that end in a configuration error: `reproduce` with an unknown
+--svg`, `scatter --svg` of a one-point curve (start_keV 10, points 1),
+`scatter` of 8 log points on a 192-node grid (its exchange blocks are
+evaluated in five row blocks, a ragged one last; the 96 nodes of the
+other CLI runs give two), and five runs that end in a configuration error: `reproduce` with an unknown
 preset and with `--out` naming an existing file, `scan` with
 start_keV > stop_keV, and `scatter` with a virtual n-core channel
 (a = -179 fm) and with a bound one at eps2 = 0, neither of which has an
@@ -72,6 +74,10 @@ CONFIG_EDITS = {
         },
     },
     "scatter-one-point": {"scatter": {"start_keV": 10.0, "points": 1}},
+    "scatter-large-grid": {
+        "grid": {"count": 192, "map_scale_inv_fm": 0.1},
+        "scatter": {**README_CONFIG["scatter"], "points": 8},
+    },
 }
 
 # the input each fit run reads: the side's scatter curve or a synthetic CSV
@@ -114,6 +120,7 @@ RUNS = [
      [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None),
     ("scatter-one-point",
      [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out", "--svg"], None),
+    ("scatter-large-grid", [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None),
     # the demo scripts of this directory on the side's package: the presets
     ("unitary-ladder", [str(SCRIPTS_DIR / "unitary_ladder.py")], None),
     ("boron19-states", [str(SCRIPTS_DIR / "boron19_states.py")], None),

@@ -13,6 +13,12 @@ The core amplitude is eliminated (there is no core-core block), which
 leaves N+1 real neutron rows on p + {q0} but for the on-shell column;
 that column is proportional to the right-hand side, so one real solve
 and a Sherman-Morrison step give f exactly, and Im(1/f) = -k.
+
+A cross-section curve shares its work between energies: the engine's
+grid exchange blocks are built once, the q0 borders of all M energies
+come from one exchange pair evaluated on (M, 2N+1) momenta, and the
+(N+1)-sized arrays of the Schur system are allocated once and
+overwritten at each energy.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .model import (
     PoleKind,
     SystemConfig,
     propagator_residue,
+    resolve_config,
     two_body_propagator_subtracted,
 )
 from .quadrature import MomentumGrid
@@ -68,6 +75,7 @@ class CrossSectionCurve:
 
 def elastic_window(config: SystemConfig) -> float:
     """Top of the elastic window 0 < E_cm < top (keV): n-core eps2 less a bound nn eps2."""
+    config = resolve_config(config)
     if config.nc_channel.pole_kind is not PoleKind.bound:
         raise ConfigurationError("elastic n+dimer scattering requires a bound n-core channel")
     eps2 = config.nc_channel.epsilon2_keV
@@ -80,9 +88,22 @@ def elastic_window(config: SystemConfig) -> float:
     return eps2
 
 
-def _amplitude(eng: _Engine, Ecm: float, q0: float) -> float:
+def _border_momenta(p, q0):
+    """Momentum pairs (q, qp) of the q0 border along the last axis: the
+    column (p + {q0}, q0), then the row (q0, p).  q0 is a scalar, or an
+    (M, 1) column of M on-shell momenta giving one border a row."""
+    p = np.broadcast_to(p, np.broadcast_shapes(np.shape(q0), p.shape))
+    q0 = np.broadcast_to(q0, p.shape[:-1] + (p.shape[-1] + 1,))
+    return np.concatenate([p, q0], axis=-1), np.concatenate([q0, p], axis=-1)
+
+
+def _amplitude(eng: _Engine, Ecm: float, q0: float, border, work) -> float:
     """gamma = -1/(k cot delta) in MeV^-1 at Ecm (MeV above the n+dimer
-    threshold) and its on-shell momentum q0 = sqrt(2 M_n Ecm) (MeV)."""
+    threshold) and its on-shell momentum q0 = sqrt(2 M_n Ecm) (MeV).
+
+    border is (Z_nn, Z_nc) on _border_momenta(p, q0) at this energy, or
+    None to build it here.  work holds the curve's arrays B_nn, B_nc,
+    B_nc T_c and H, which this call overwrites; H ends as 1 - H D."""
     config = eng.config
     E = eng.threshold() + Ecm
     Mn = eng.M_n
@@ -96,16 +117,21 @@ def _amplitude(eng: _Engine, Ecm: float, q0: float) -> float:
     if not math.isfinite(R):
         raise NumericalError("residue of the n-core dimer pole leaves the float range")
     n = eng.grid.count
-    # Born blocks on p + {q0}: the grid block from the engine's cache, the
-    # q0 border built here on the momentum pairs (p + {q0}, q0), then (q0, p)
-    q = np.concatenate([p, np.full(n + 1, q0)])
-    qp = np.concatenate([np.full(n + 1, q0), p])
-    Znn_b, Znc_b = (z(E) for z in _exchanges(eng, q, qp))
-    Znn_grid, Znc_grid = eng.born_blocks(E)
-    Bnn = 2.0 * math.pi * np.block(
-        [[Znn_grid, Znn_b[:n, None]], [Znn_b[None, n + 1 :], Znn_b[n : n + 1, None]]]
-    ).real
-    Bnc = 2.0 * math.pi * np.vstack([Znc_grid, Znc_b[n + 1 :]]).real
+    if border is None:
+        border = [z(E) for z in _exchanges(eng, *_border_momenta(p, q0))]
+    Znn_b, Znc_b = border
+    # Born blocks on p + {q0}: the grid block from the engine's exchange
+    # blocks, then the q0 border, scaled by 2 pi in place
+    Bnn, Bnc, Bnc_t, H = work
+    Znn, Znc = eng.exchange()
+    Znn(E, out=Bnn[:n, :n])
+    Bnn[:n, n] = Znn_b[:n]
+    Bnn[n, :n] = Znn_b[n + 1 :]
+    Bnn[n, n] = Znn_b[n]
+    Bnn *= 2.0 * math.pi
+    Znc(E, out=Bnc[:n])
+    Bnc[n] = Znc_b[n + 1 :]
+    Bnc *= 2.0 * math.pi
 
     z_n = E - p**2 / (2.0 * Mn)
     # tau with its dimer pole removed analytically: regular at p = q0
@@ -120,13 +146,18 @@ def _amplitude(eng: _Engine, Ecm: float, q0: float) -> float:
     counter = -2.0 * Mn * R * q0**2 * float(np.sum(w / (q0**2 - p**2)))
     # F_c = c_c + C F_n (no core-core block): eliminating it leaves the
     # neutron rows p + {q0} with H = B_nn + 2 B_nc T_c B_cn, T_c = diag(wq2 tau_c)
-    Bnc_t = Bnc * (wq2 * tau_c)[None, :]
-    H = Bnn + (2.0 * Bnc_t) @ Bnc.T
+    np.multiply(Bnc, (wq2 * tau_c)[None, :], out=Bnc_t)
+    np.matmul(2.0 * Bnc_t, Bnc.T, out=H)
+    H += Bnn
     # (1 - H D) X = H[:, q0] with D = diag(wq2 tau_full, counter - i pi Mn R q0).
     # Only D's on-shell entry is complex, so X = Y / (1 + i pi Mn R q0 Y[q0])
     # (Sherman-Morrison) with Y the real solution at D = diag(wq2 tau_full, counter)
     D = np.append(wq2 * tau_full, counter)
-    Y = np.linalg.solve(np.eye(n + 1) - H * D[None, :], H[:, n])
+    rhs = H[:, n].copy()
+    np.multiply(H, D[None, :], out=H)  # H is overwritten by 1 - H D
+    np.subtract(0.0, H, out=H)
+    H[np.diag_indices_from(H)] += 1.0
+    Y = np.linalg.solve(H, rhs)
     # One refinement step of Y[q0] against the unreduced blocks, whose
     # accuracy forming H loses when q0 sits near a node (large D there).
     # H is symmetric, so row q0 of (1 - H D)^-1 is e_q0 + D Y: no second solve.
@@ -139,7 +170,9 @@ def cross_section_curve(
     config: SystemConfig, grid: MomentumGrid, E_values_keV
 ) -> CrossSectionCurve:
     """Pointwise sigma(E) = 4 pi |f|^2 over a sorted energy mesh (keV), on one
-    engine: each energy adds only its q0 border to the cached exchange blocks."""
+    engine: the grid's exchange blocks are built once, every energy's q0
+    border comes from one exchange pair, and the Schur system's arrays are
+    allocated once and refilled per energy."""
     E_values = np.asarray(E_values_keV, dtype=float)
     if E_values.size == 0:
         raise ConfigurationError("energy mesh must be non-empty")
@@ -155,12 +188,29 @@ def cross_section_curve(
             f"E_cm = {outside[0]} keV outside the elastic window (0, {top} keV); "
             f"{opens} opens at {top} keV above the dimer threshold"
         )
+    Ecms = E_values / KEV_PER_MEV
+    q0s = np.sqrt(2.0 * eng.M_n * Ecms)
+    # every energy's border from one exchange pair, a row each; should it
+    # fail, each energy builds its own, so errors (and overflow warnings)
+    # come from the first energy that fails, after that energy's own checks
+    borders = []
+    try:
+        with np.errstate(all="ignore"):
+            for z in _exchanges(eng, *_border_momenta(eng.p, q0s[:, None])):
+                borders.append(z((eng.threshold() + Ecms)[:, None]))
+                del z  # the next block is built without this one held
+    except NumericalError:
+        borders = None
+    n = grid.count
+    work = (
+        np.empty((n + 1, n + 1)), np.empty((n + 1, n)), np.empty((n + 1, n)),
+        np.empty((n + 1, n + 1)),
+    )
+    rows = zip(*borders) if borders is not None else [None] * E_values.size
     points = []
-    for E in map(float, E_values):
-        Ecm = E / KEV_PER_MEV
-        q0 = math.sqrt(2.0 * eng.M_n * Ecm)
+    for E, Ecm, q0, border in zip(E_values.tolist(), Ecms.tolist(), q0s.tolist(), rows):
         try:
-            gamma = _amplitude(eng, Ecm, q0)
+            gamma = _amplitude(eng, Ecm, q0, border, work)
         except NumericalError as exc:
             raise NumericalError(f"at E_cm = {E} keV: {exc}") from exc
         # elastic unitarity: f = 1/(k cot delta - ik) = -gamma/(1 + i k gamma)

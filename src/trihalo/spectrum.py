@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,7 +108,7 @@ class _Engine:
     def exchange(self) -> tuple[_Exchange, _Exchange]:
         """The grid's Z_nn and Z_nc exchange blocks, built on first use."""
         if self._exchange is None:
-            self._exchange = _exchanges(self, self.p[:, None], self.p[None, :])
+            self._exchange = tuple(_exchanges(self, self.p[:, None], self.p[None, :]))
         return self._exchange
 
     def born_blocks(self, E):
@@ -176,6 +177,9 @@ class _Engine:
         return int(np.count_nonzero(pivots > 0.0) + np.count_nonzero(ipiv < 0) // 2)
 
 
+EXCHANGE_BLOCK_ENTRIES = 8192  # entries per row block of an exchange evaluation
+
+
 class _Exchange:
     """Closed form of one s-wave projected one-particle-exchange block.
 
@@ -188,69 +192,104 @@ class _Exchange:
     """
 
     def __init__(self, q, qp, ca, cb, inv2mu_ag, inv2mu_bg, inv_mg, beta_a, beta_b):
-        # the B's are outer products, rebuilt per call from (q, qp): holding
-        # fewer N x N arrays keeps the peak memory of a search at its old level
-        self.q, self.qp, self.inv_mg = q, qp, inv_mg
+        # The five held arrays have the block's full shape.  They are built,
+        # and __call__ evaluates the block, in row blocks of at most
+        # EXCHANGE_BLOCK_ENTRIES entries: every temporary stays small, and an
+        # evaluation's only full-size array is its output (none, given out=).
+        # Each entry sees the same operations in the same order as in a
+        # whole-array evaluation, so the result is bit-identical to one.
+        self.inv_mg = inv_mg
         self.ca2, self.cb2 = 2.0 * ca, 2.0 * cb
-        A1 = qp**2 + cb**2 * q**2 + beta_a**2
-        B1 = self.cb2 * q * qp
-        A2 = q**2 + ca**2 * qp**2 + beta_b**2
-        B2 = self.ca2 * q * qp
-        B3 = -q * qp * inv_mg
-        self.kin_q = q**2 * inv2mu_ag
-        self.kin_qp = qp**2 * inv2mu_bg
-        self.A1B3, self.A2B3 = A1 * B3, A2 * B3
-        self.B1L1 = B1 * np.log((A1 + B1) / (A1 - B1))
-        self.B2L2 = B2 * np.log((A2 + B2) / (A2 - B2))
-        self.D12 = A1 * B2 - A2 * B1
-        # coincident form-factor denominators: confluent partial fractions
-        degenerate = np.abs(self.D12) <= 1e-10 * (np.abs(A1 * B2) + np.abs(A2 * B1))
-        self.degenerate = np.nonzero(degenerate)
-        A = 0.5 * (A1[self.degenerate] + A2[self.degenerate])
-        B = 0.5 * (B1[self.degenerate] + B2[self.degenerate])
+        self.inv2mu_ag, self.inv2mu_bg = inv2mu_ag, inv2mu_bg
+        self.shape = np.broadcast_shapes(np.shape(q), np.shape(qp))
+        step = max(1, EXCHANGE_BLOCK_ENTRIES // math.prod(self.shape[1:]))
+        self.blocks = [  # (rows, q, qp): q and qp sliced where they vary by row
+            (rows, self._rows(q, rows), self._rows(qp, rows))
+            for rows in (slice(i, i + step) for i in range(0, self.shape[0], step))
+        ]
+        dtype = np.result_type(q, qp, float)
+        self.A1B3, self.A2B3, self.B1L1, self.B2L2, self.D12 = (
+            np.empty(self.shape, dtype) for _ in range(5)
+        )
+        degenerate, gathered = [], []
+        for rows, q, qp in self.blocks:
+            A1 = qp**2 + cb**2 * q**2 + beta_a**2
+            B1 = self.cb2 * q * qp
+            A2 = q**2 + ca**2 * qp**2 + beta_b**2
+            B2 = self.ca2 * q * qp
+            B3 = -q * qp * inv_mg
+            np.multiply(A1, B3, out=self.A1B3[rows])
+            np.multiply(A2, B3, out=self.A2B3[rows])
+            np.multiply(B1, np.log((A1 + B1) / (A1 - B1)), out=self.B1L1[rows])
+            np.multiply(B2, np.log((A2 + B2) / (A2 - B2)), out=self.B2L2[rows])
+            D12 = np.subtract(A1 * B2, A2 * B1, out=self.D12[rows])
+            # coincident form-factor denominators: confluent partial fractions
+            d = np.nonzero(np.abs(D12) <= 1e-10 * (np.abs(A1 * B2) + np.abs(A2 * B1)))
+            degenerate.append((d[0] + rows.start, *d[1:]))
+            gathered.append([np.broadcast_to(x, D12.shape)[d] for x in (A1, A2, B1, B2, q, qp)])
+        self.degenerate = tuple(np.concatenate(i) for i in zip(*degenerate))
+        # the confluent branch's inputs, gathered once at its entries
+        A1, A2, B1, B2, self.conf_q, self.conf_qp = (np.concatenate(x) for x in zip(*gathered))
+        A = 0.5 * (A1 + A2)
+        B = 0.5 * (B1 + B2)
         self.conf = (A, B, np.log((A + B) / (A - B)), A**2 - B**2)
 
-    def __call__(self, E):
+    def _rows(self, x, rows):
+        """Rows of a factor that varies along the first axis; others as they are."""
+        return x[rows] if np.ndim(x) == len(self.shape) and np.shape(x)[0] > 1 else x
+
+    def __call__(self, E, out=None):
+        """The block at E (a scalar, or a column of one E per row), written
+        into out if given; float for real E, complex for complex E."""
+        if out is None:
+            out = np.empty(self.shape, dtype=np.result_type(E, self.D12))
         # an overflow anywhere in the closed form is a numerical failure,
         # not a finite block; the divide/invalid entries are replaced below
         try:
             with np.errstate(over="raise", divide="ignore", invalid="ignore"):
-                A3 = E - self.kin_q - self.kin_qp
-                B3 = -self.q * self.qp * self.inv_mg
-                L3 = np.log((A3 + B3) / (A3 - B3))
-                D13 = self.A1B3 - A3 * (self.cb2 * self.q * self.qp)
-                D23 = self.A2B3 - A3 * (self.ca2 * self.q * self.qp)
-                out = (
-                    self.B1L1 / (self.D12 * D13)
-                    - self.B2L2 / (self.D12 * D23)
-                    + B3 * L3 / (D13 * D23)
-                )
+                for rows, q, qp in self.blocks:
+                    A3 = self._rows(E, rows) - q**2 * self.inv2mu_ag - qp**2 * self.inv2mu_bg
+                    B3 = -q * qp * self.inv_mg
+                    L3 = np.log((A3 + B3) / (A3 - B3))
+                    D12 = self.D12[rows]
+                    D13 = self.A1B3[rows] - A3 * (self.cb2 * q * qp)
+                    D23 = self.A2B3[rows] - A3 * (self.ca2 * q * qp)
+                    np.add(
+                        self.B1L1[rows] / (D12 * D13) - self.B2L2[rows] / (D12 * D23),
+                        B3 * L3 / (D13 * D23),
+                        out=out[rows],
+                    )
                 A, B, LA, A2B2 = self.conf
-                A3, B3, L3 = A3[self.degenerate], B3[self.degenerate], L3[self.degenerate]
+                E_d = np.broadcast_to(E, self.shape)[self.degenerate] if np.ndim(E) else E
+                q, qp = self.conf_q, self.conf_qp
+                A3 = E_d - q**2 * self.inv2mu_ag - qp**2 * self.inv2mu_bg
+                B3 = -q * qp * self.inv_mg
+                L3 = np.log((A3 + B3) / (A3 - B3))
                 c = B3**2 / (A * B3 - B * A3) ** 2
                 b = B / (B * A3 - A * B3)
                 a = -c * B / B3
                 out[self.degenerate] = a * LA / B + 2.0 * b / A2B2 + c * L3 / B3
         except FloatingPointError as exc:
-            raise NumericalError(f"exchange kernel at E = {E:.6g} MeV: {exc}") from exc
+            at = f"{E:.6g}" if np.ndim(E) == 0 else f"{np.min(E):.6g} to {np.max(E):.6g}"
+            raise NumericalError(f"exchange kernel at E = {at} MeV: {exc}") from exc
         return out
 
 
-def _exchanges(eng: _Engine, q, qp) -> tuple[_Exchange, _Exchange]:
-    """The Z_nn and Z_nc exchange blocks at the momenta q, qp (MeV), broadcast."""
+def _exchanges(eng: _Engine, q, qp) -> Iterator[_Exchange]:
+    """The Z_nn and Z_nc exchange blocks at the momenta q, qp (MeV), broadcast,
+    built one at a time: a caller that evaluates each once need hold one."""
     m_n = NUCLEON_MASS
     c_n = m_n / (m_n + eng.m_c)
-    Znn = _Exchange(
+    yield _Exchange(
         q, qp, c_n, c_n,
         1.0 / (2.0 * eng.mu_nc), 1.0 / (2.0 * eng.mu_nc), 1.0 / eng.m_c,
         eng.beta_nc, eng.beta_nc,
     )
-    Znc = _Exchange(
+    yield _Exchange(
         q, qp, 0.5, eng.m_c / (eng.m_c + m_n),
         1.0 / (2.0 * eng.mu_nn), 1.0 / (2.0 * eng.mu_nc), 1.0 / m_n,
         eng.beta_nc, eng.beta_nn,
     )
-    return Znn, Znc
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +324,8 @@ def build_kernel(config: SystemConfig, grid: MomentumGrid, E) -> KernelMatrix:
     K[:n, :n] = Znn * tau_n_u
     K[:n, n:] = Znc * tau_c_u
     K[n:, :n] = 2.0 * Znc.T * tau_n_u
-    return KernelMatrix(K.real if isinstance(E, float) else K)
+    # real E: a copy of the real part, so the complex assembly is freed
+    return KernelMatrix(np.ascontiguousarray(K.real) if isinstance(E, float) else K)
 
 
 # ---------------------------------------------------------------------------

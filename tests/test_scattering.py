@@ -12,9 +12,13 @@ from trihalo.model import (
     KEV_PER_MEV,
     NUCLEON_MASS,
     ChannelLabel,
+    PairChannel,
+    PoleKind,
+    SystemConfig,
     default_c20_config,
     propagator_residue,
     reduced_mass,
+    resolve_config,
     two_body_propagator_subtracted,
 )
 from trihalo.pipeline import curve_mesh
@@ -23,6 +27,7 @@ from trihalo.scattering import (
     CrossSectionCurve,
     ScatteringPoint,
     cross_section_curve,
+    elastic_window,
 )
 from trihalo.spectrum import _Engine, _exchanges
 
@@ -82,6 +87,25 @@ def test_domain_errors(grid, calibrated_c20):
         cross_section_curve(boron19_config(), grid, [10.0])
 
 
+@pytest.mark.parametrize(
+    "nc, nn",
+    [
+        ({"epsilon2_keV": 250.0}, {"pole_kind": PoleKind.bound, "scattering_length_fm": 30.0}),
+        ({"scattering_length_fm": 10.0}, {"pole_kind": PoleKind.virtual, "epsilon2_keV": 100.0}),
+    ],
+    ids=["nn-bound-by-length", "nc-by-length"],
+)
+def test_elastic_window_of_an_unresolved_config(nc, nn):
+    # a channel given only by its scattering length is resolved first
+    cfg = SystemConfig(
+        18,
+        PairChannel(ChannelLabel.neutron_core, PoleKind.bound, 1.0, **nc),
+        PairChannel(ChannelLabel.neutron_neutron, beta_inv_fm=1.0, **nn),
+    )
+    top = elastic_window(cfg)
+    assert top == elastic_window(resolve_config(cfg)) and 0.0 < top < 250.0
+
+
 def test_threshold_effective_range_behavior(grid, calibrated_c20):
     # k cot(delta) from Re(1/f) extrapolates to a finite constant at E -> 0
     cfg = c20(calibrated_c20, 250.0)
@@ -98,6 +122,23 @@ def test_threshold_effective_range_behavior(grid, calibrated_c20):
     intercept = coeffs[1]
     assert np.isfinite(intercept) and abs(intercept) > 0
     assert np.max(np.abs(kcot - np.polyval(coeffs, k2))) < 0.05 * abs(intercept)
+
+
+def test_curve_fails_with_its_first_failing_energys_own_error():
+    # at eps2 = 1e100 keV the exchange blocks overflow from some energy on:
+    # the curve, whose q0 borders are built for all energies at once, must
+    # fail at that energy with the message a one-point curve there gives
+    cfg, g = default_c20_config(epsilon2_keV=1e100), build_grid(16, 0.1)
+    mesh = np.geomspace(0.05, 0.98e100, 5)
+    with pytest.raises(NumericalError, match="exchange kernel") as curve_error:
+        cross_section_curve(cfg, g, mesh)
+    alone = []
+    for E in mesh:
+        try:
+            cross_section_curve(cfg, g, [E])
+        except NumericalError as exc:
+            alone.append(str(exc))
+    assert len(alone) < len(mesh) and alone[0] == str(curve_error.value)
 
 
 def test_curve_sorted_validation(grid, calibrated_c20):
@@ -223,8 +264,9 @@ def test_curve_builds_one_grid_exchange_pair(monkeypatch, calibrated_c20):
     g = build_grid(48, 0.1)
     built = count_grid_exchanges(monkeypatch, g.count)
     cross_section_curve(c20(calibrated_c20, 250.0), g, curve_mesh(250.0, 12))
-    # Z_nn and Z_nc once over the grid; each energy adds only its q0 border
-    assert sum(built) == 2 and len(built) == 2 + 2 * 12
+    # Z_nn and Z_nc once over the grid, and once over the q0 borders of all
+    # 12 energies
+    assert sum(built) == 2 and len(built) == 4
 
 
 def test_threshold_scan_builds_one_grid_exchange_pair(monkeypatch, calibrated_c20):

@@ -45,6 +45,12 @@ def test_kernel_real_and_subcritical_far_below(grid):
     assert radius < 1.0
 
 
+def test_real_kernel_owns_a_contiguous_float_matrix(grid):
+    # a copy of the complex assembly's real part, not a view that keeps it alive
+    K = build_kernel(default_c20_config(), grid, -2.0).matrix
+    assert K.dtype == np.float64 and K.flags.c_contiguous and K.flags.owndata
+
+
 def test_kernel_on_cut_error(grid):
     cfg = default_c20_config()
     with pytest.raises(DomainError, match="scattering"):
