@@ -178,8 +178,8 @@ class _Engine:
 
 
 # Most entries in one row block of an exchange evaluation: 64 KiB per
-# temporary.  Twice that evaluated curves a few percent faster, but raised
-# the peak memory of an 80-point curve at N = 96 by its larger temporaries.
+# temporary.  Twice that evaluated curves a few percent faster, but its
+# larger temporaries raised the peak memory of an 80-point curve at N = 96.
 EXCHANGE_BLOCK_ENTRIES = 8192
 
 
@@ -205,34 +205,43 @@ class _Exchange:
         self.ca2, self.cb2 = 2.0 * ca, 2.0 * cb
         self.inv2mu_ag, self.inv2mu_bg = inv2mu_ag, inv2mu_bg
         self.shape = np.broadcast_shapes(np.shape(q), np.shape(qp))
-        step = max(1, EXCHANGE_BLOCK_ENTRIES // math.prod(self.shape[1:]))
+        # as few row blocks as the limit allows, differing by one row at most
+        n_rows = self.shape[0]
+        count = -(-n_rows // max(1, EXCHANGE_BLOCK_ENTRIES // math.prod(self.shape[1:])))
+        ends = [i * n_rows // count for i in range(count + 1)]
         self.blocks = [  # (rows, q, qp): q and qp sliced where they vary by row
             (rows, self._rows(q, rows), self._rows(qp, rows))
-            for rows in (slice(i, i + step) for i in range(0, self.shape[0], step))
+            for rows in map(slice, ends[:-1], ends[1:])
         ]
+
+        def form_factors(q, qp):  # (A1, B1, A2, B2) of the factors A + B x
+            return (
+                qp**2 + cb**2 * q**2 + beta_a**2, self.cb2 * q * qp,
+                q**2 + ca**2 * qp**2 + beta_b**2, self.ca2 * q * qp,
+            )
+
         dtype = np.result_type(q, qp, float)
         self.A1B3, self.A2B3, self.B1L1, self.B2L2, self.D12 = (
             np.empty(self.shape, dtype) for _ in range(5)
         )
-        degenerate, gathered = [], []
-        for rows, q, qp in self.blocks:
-            A1 = qp**2 + cb**2 * q**2 + beta_a**2
-            B1 = self.cb2 * q * qp
-            A2 = q**2 + ca**2 * qp**2 + beta_b**2
-            B2 = self.ca2 * q * qp
-            B3 = -q * qp * inv_mg
+        degenerate = np.empty(self.shape, dtype=bool)
+        for rows, q_rows, qp_rows in self.blocks:
+            A1, B1, A2, B2 = form_factors(q_rows, qp_rows)
+            B3 = -q_rows * qp_rows * inv_mg
             np.multiply(A1, B3, out=self.A1B3[rows])
             np.multiply(A2, B3, out=self.A2B3[rows])
             np.multiply(B1, np.log((A1 + B1) / (A1 - B1)), out=self.B1L1[rows])
             np.multiply(B2, np.log((A2 + B2) / (A2 - B2)), out=self.B2L2[rows])
             D12 = np.subtract(A1 * B2, A2 * B1, out=self.D12[rows])
             # coincident form-factor denominators: confluent partial fractions
-            d = np.nonzero(np.abs(D12) <= 1e-10 * (np.abs(A1 * B2) + np.abs(A2 * B1)))
-            degenerate.append((d[0] + rows.start, *d[1:]))
-            gathered.append([np.broadcast_to(x, D12.shape)[d] for x in (A1, A2, B1, B2, q, qp)])
-        self.degenerate = tuple(np.concatenate(i) for i in zip(*degenerate))
+            bound = 1e-10 * (np.abs(A1 * B2) + np.abs(A2 * B1))
+            np.less_equal(np.abs(D12), bound, out=degenerate[rows])
+        self.degenerate = np.nonzero(degenerate)
         # the confluent branch's inputs, gathered once at its entries
-        A1, A2, B1, B2, self.conf_q, self.conf_qp = (np.concatenate(x) for x in zip(*gathered))
+        self.conf_q, self.conf_qp = (
+            np.broadcast_to(x, self.shape)[self.degenerate] for x in (q, qp)
+        )
+        A1, B1, A2, B2 = form_factors(self.conf_q, self.conf_qp)
         A = 0.5 * (A1 + A2)
         B = 0.5 * (B1 + B2)
         self.conf = (A, B, np.log((A + B) / (A - B)), A**2 - B**2)
