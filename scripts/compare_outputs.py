@@ -14,8 +14,8 @@ zero-background Breit-Wigner curve: amplitude 5 fm^2, E_r 1.63 keV, Gamma
 past 500 iterations into the amplitude continuation), `reproduce fig1-fig2
 --svg`, `scatter --svg` of a one-point curve (start_keV 10, points 1),
 `scatter` of 8 log points on a 192-node grid (its exchange blocks are
-evaluated in five row blocks; the 96 nodes of the other CLI runs give
-two), and five runs that end in a configuration error: `reproduce` with an unknown
+evaluated in three row blocks; at the 96 nodes of the other CLI runs
+they fit in one), and five runs that end in a configuration error: `reproduce` with an unknown
 preset and with `--out` naming an existing file, `scan` with
 start_keV > stop_keV, and `scatter` with a virtual n-core channel
 (a = -179 fm) and with a bound one at eps2 = 0, neither of which has an

@@ -177,10 +177,11 @@ class _Engine:
         return int(np.count_nonzero(pivots > 0.0) + np.count_nonzero(ipiv < 0) // 2)
 
 
-# Most entries in one row block of an exchange evaluation: 64 KiB per
-# temporary.  Twice that evaluated curves a few percent faster, but its
-# larger temporaries raised the peak memory of an 80-point curve at N = 96.
-EXCHANGE_BLOCK_ENTRIES = 8192
+# Most entries in one row block of an exchange evaluation: 128 KiB per
+# temporary.  Half that lowered the peak allocation of an 80-point curve at
+# N = 96 (2.1 to 1.6 MiB) but not the peak RSS of a `reproduce` run, and
+# ran the scan and `reproduce` slower.
+EXCHANGE_BLOCK_ENTRIES = 16384
 
 
 class _Exchange:

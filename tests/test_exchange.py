@@ -14,7 +14,7 @@ from trihalo.spectrum import _Engine, _exchanges
 
 @pytest.fixture(scope="module")
 def engine():
-    return _Engine(default_c20_config(250.0, 1.0), build_grid(130, 0.1))
+    return _Engine(default_c20_config(250.0, 1.0), build_grid(200, 0.1))
 
 
 def exchange_args(eng, monkeypatch):
@@ -98,10 +98,10 @@ def test_exchange_blocks_match_angular_quadrature(engine, monkeypatch, E):
 
 @pytest.mark.parametrize("E", [-0.25, -5.0, complex(-1.0, 0.5)])
 def test_row_blocked_grid_blocks_equal_whole_array(engine, monkeypatch, E):
-    # N = 130: three row blocks of 43, 43 and 44 rows
+    # N = 200: three row blocks of 66, 67 and 67 rows
     p = engine.p
     for Z, args in zip(engine.exchange(), exchange_args(engine, monkeypatch)):
-        assert [rows.stop - rows.start for rows, _, _ in Z.blocks] == [43, 43, 44]
+        assert [rows.stop - rows.start for rows, _, _ in Z.blocks] == [66, 67, 67]
         assert same_bits(Z(E), whole_array(p[:, None], p[None, :], E, *args))
     assert engine.exchange()[0].degenerate[0].size == len(p)  # Z_nn's diagonal
 
@@ -109,7 +109,7 @@ def test_row_blocked_grid_blocks_equal_whole_array(engine, monkeypatch, E):
 def test_curve_borders_equal_per_energy_whole_array(engine, monkeypatch):
     # one exchange pair on (M, 2N+1) border momenta at an (M, 1) column of
     # energies: three row blocks here, each row the border of one energy
-    q0 = np.geomspace(1e-2, 20.0, 70)  # MeV
+    q0 = np.geomspace(1e-2, 20.0, 90)  # MeV
     E = engine.threshold() + q0**2 / (2.0 * engine.M_n)
     pairs = _exchanges(engine, *_border_momenta(engine.p, q0[:, None]))
     for Z, args in zip(pairs, exchange_args(engine, monkeypatch)):
