@@ -15,10 +15,11 @@ that column is proportional to the right-hand side, so one real solve
 and a Sherman-Morrison step give f exactly, and Im(1/f) = -k.
 
 A cross-section curve shares its work between energies: the engine's
-grid exchange blocks are built once, the q0 borders of all M energies
-come from one exchange pair evaluated on (M, 2N+1) momenta, and the
-(N+1)-sized arrays of the Schur system are allocated once and
-overwritten at each energy.
+grid exchange blocks are built once, the q0 borders of a chunk of
+energies come from one exchange pair evaluated on (chunk, 2N+1)
+momenta, and the (N+1)-sized arrays of the Schur system are allocated
+once and overwritten at each energy.  The chunks are small enough that
+a curve's memory does not grow with its number of energies.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .model import (
     two_body_propagator_subtracted,
 )
 from .quadrature import MomentumGrid
-from .spectrum import _Engine, _exchanges
+from .spectrum import EXCHANGE_BLOCK_ENTRIES, _Engine, _exchanges
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,30 @@ def _border_momenta(p, q0):
     p = np.broadcast_to(p, np.broadcast_shapes(np.shape(q0), p.shape))
     q0 = np.broadcast_to(q0, p.shape[:-1] + (p.shape[-1] + 1,))
     return np.concatenate([p, q0], axis=-1), np.concatenate([q0, p], axis=-1)
+
+
+def _borders(eng: _Engine, Ecms, q0s):
+    """Each energy's q0 border (Z_nn, Z_nc) on _border_momenta(p, q0), a row
+    each of one exchange pair per chunk of energies.  A chunk has at most
+    EXCHANGE_BLOCK_ENTRIES // 5 entries, so the five arrays an exchange
+    block holds take no more than one of its row blocks.  A chunk whose
+    build warns or overflows yields None for each of its energies, and each
+    then builds its own border: errors and warnings come from the first
+    energy that fails, after that energy's own checks, as they would
+    without chunks."""
+    size = max(1, EXCHANGE_BLOCK_ENTRIES // (5 * (2 * eng.grid.count + 1)))
+    for start in range(0, len(q0s), size):
+        chunk = slice(start, start + size)
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                rows = [
+                    z((eng.threshold() + Ecms[chunk])[:, None])
+                    for z in _exchanges(eng, *_border_momenta(eng.p, q0s[chunk, None]))
+                ]
+        except (FloatingPointError, NumericalError):
+            yield from [None] * len(q0s[chunk])
+        else:
+            yield from zip(*rows)
 
 
 def _amplitude(eng: _Engine, Ecm: float, q0: float, border, work) -> float:
@@ -170,9 +195,9 @@ def cross_section_curve(
     config: SystemConfig, grid: MomentumGrid, E_values_keV
 ) -> CrossSectionCurve:
     """Pointwise sigma(E) = 4 pi |f|^2 over a sorted energy mesh (keV), on one
-    engine: the grid's exchange blocks are built once, every energy's q0
-    border comes from one exchange pair, and the Schur system's arrays are
-    allocated once and refilled per energy."""
+    engine: the grid's exchange blocks are built once, the q0 borders come
+    from one exchange pair per chunk of energies, and the Schur system's
+    arrays are allocated once and refilled per energy."""
     E_values = np.asarray(E_values_keV, dtype=float)
     if E_values.size == 0:
         raise ConfigurationError("energy mesh must be non-empty")
@@ -190,25 +215,15 @@ def cross_section_curve(
         )
     Ecms = E_values / KEV_PER_MEV
     q0s = np.sqrt(2.0 * eng.M_n * Ecms)
-    # every energy's border from one exchange pair, a row each; should it
-    # fail, each energy builds its own, so errors (and overflow warnings)
-    # come from the first energy that fails, after that energy's own checks
-    borders = []
-    try:
-        with np.errstate(all="ignore"):
-            for z in _exchanges(eng, *_border_momenta(eng.p, q0s[:, None])):
-                borders.append(z((eng.threshold() + Ecms)[:, None]))
-                del z  # the next block is built without this one held
-    except NumericalError:
-        borders = None
     n = grid.count
     work = (
         np.empty((n + 1, n + 1)), np.empty((n + 1, n)), np.empty((n + 1, n)),
         np.empty((n + 1, n + 1)),
     )
-    rows = zip(*borders) if borders is not None else [None] * E_values.size
+    borders = _borders(eng, Ecms, q0s)
+    energies = zip(map(float, E_values), map(float, Ecms), map(float, q0s), borders)
     points = []
-    for E, Ecm, q0, border in zip(E_values.tolist(), Ecms.tolist(), q0s.tolist(), rows):
+    for E, Ecm, q0, border in energies:
         try:
             gamma = _amplitude(eng, Ecm, q0, border, work)
         except NumericalError as exc:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -108,7 +107,7 @@ class _Engine:
     def exchange(self) -> tuple[_Exchange, _Exchange]:
         """The grid's Z_nn and Z_nc exchange blocks, built on first use."""
         if self._exchange is None:
-            self._exchange = tuple(_exchanges(self, self.p[:, None], self.p[None, :]))
+            self._exchange = _exchanges(self, self.p[:, None], self.p[None, :])
         return self._exchange
 
     def born_blocks(self, E):
@@ -288,21 +287,21 @@ class _Exchange:
         return out
 
 
-def _exchanges(eng: _Engine, q, qp) -> Iterator[_Exchange]:
-    """The Z_nn and Z_nc exchange blocks at the momenta q, qp (MeV), broadcast,
-    built one at a time: a caller that evaluates each once need hold one."""
+def _exchanges(eng: _Engine, q, qp) -> tuple[_Exchange, _Exchange]:
+    """The Z_nn and Z_nc exchange blocks at the momenta q, qp (MeV), broadcast."""
     m_n = NUCLEON_MASS
     c_n = m_n / (m_n + eng.m_c)
-    yield _Exchange(
+    Znn = _Exchange(
         q, qp, c_n, c_n,
         1.0 / (2.0 * eng.mu_nc), 1.0 / (2.0 * eng.mu_nc), 1.0 / eng.m_c,
         eng.beta_nc, eng.beta_nc,
     )
-    yield _Exchange(
+    Znc = _Exchange(
         q, qp, 0.5, eng.m_c / (eng.m_c + m_n),
         1.0 / (2.0 * eng.mu_nn), 1.0 / (2.0 * eng.mu_nc), 1.0 / m_n,
         eng.beta_nc, eng.beta_nn,
     )
+    return Znn, Znc
 
 
 # ---------------------------------------------------------------------------

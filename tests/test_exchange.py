@@ -108,7 +108,8 @@ def test_row_blocked_grid_blocks_equal_whole_array(engine, monkeypatch, E):
 
 def test_curve_borders_equal_per_energy_whole_array(engine, monkeypatch):
     # one exchange pair on (M, 2N+1) border momenta at an (M, 1) column of
-    # energies: three row blocks here, each row the border of one energy
+    # energies, as a curve builds for each chunk of its energies: three row
+    # blocks here, each row the border of one energy
     q0 = np.geomspace(1e-2, 20.0, 90)  # MeV
     E = engine.threshold() + q0**2 / (2.0 * engine.M_n)
     pairs = _exchanges(engine, *_border_momenta(engine.p, q0[:, None]))

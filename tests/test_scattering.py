@@ -1,10 +1,12 @@
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from trihalo import spectrum
+from trihalo import scattering, spectrum
 from trihalo.errors import ConfigurationError, DomainError, NumericalError
 from trihalo.fanofit import FanoParameters, fano_profile, resonance_window
 from trihalo.model import (
@@ -126,8 +128,9 @@ def test_threshold_effective_range_behavior(grid, calibrated_c20):
 
 def test_curve_fails_with_its_first_failing_energys_own_error():
     # at eps2 = 1e100 keV the exchange blocks overflow from some energy on:
-    # the curve, whose q0 borders are built for all energies at once, must
-    # fail at that energy with the message a one-point curve there gives
+    # the curve, whose q0 borders are built for a chunk of energies at once
+    # (all five here), must fail at that energy with the message a
+    # one-point curve there gives
     cfg, g = default_c20_config(epsilon2_keV=1e100), build_grid(16, 0.1)
     mesh = np.geomspace(0.05, 0.98e100, 5)
     with pytest.raises(NumericalError, match="exchange kernel") as curve_error:
@@ -139,6 +142,50 @@ def test_curve_fails_with_its_first_failing_energys_own_error():
         except NumericalError as exc:
             alone.append(str(exc))
     assert len(alone) < len(mesh) and alone[0] == str(curve_error.value)
+
+
+def test_a_warning_border_chunk_leaves_each_energy_its_own_border(monkeypatch):
+    # a chunk whose border build warns is dropped, and each of its energies
+    # builds its own border: every energy warns as it would alone, and the
+    # curve keeps its bits
+    cfg, g = default_c20_config(), build_grid(16, 0.1)
+    mesh = np.geomspace(0.05, 240.0, 5)
+    plain = cross_section_curve(cfg, g, mesh)
+    exchanges = scattering._exchanges
+
+    def warning_exchanges(*args):
+        np.log(np.zeros(1))  # a divide-by-zero RuntimeWarning
+        return exchanges(*args)
+
+    monkeypatch.setattr(scattering, "_exchanges", warning_exchanges)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warned = cross_section_curve(cfg, g, mesh)
+    assert len(caught) == len(mesh)
+    assert warned == plain
+
+
+def test_curve_memory_does_not_grow_with_its_energy_count():
+    # the q0 borders are built a chunk of energies at a time (50 energies
+    # at N = 32), so a curve's working memory above its result stays flat
+    # in its energy count; borders for all energies at once took 2.2 MiB
+    # more for the longer curve here
+    cfg, g = default_c20_config(), build_grid(32, 0.1)
+    cross_section_curve(cfg, g, [1.0])  # the first call's one-off allocations
+    working = []
+    tracemalloc.start()
+    try:
+        for count in (150, 600):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            curve = cross_section_curve(cfg, g, np.geomspace(0.05, 240.0, count))
+            result, peak = tracemalloc.get_traced_memory()
+            working.append(peak - result)
+            assert len(curve.points) == count and result > base
+            del curve
+    finally:
+        tracemalloc.stop()
+    assert working[1] - working[0] < 64 * 1024, working
 
 
 def test_curve_sorted_validation(grid, calibrated_c20):
@@ -264,8 +311,8 @@ def test_curve_builds_one_grid_exchange_pair(monkeypatch, calibrated_c20):
     g = build_grid(48, 0.1)
     built = count_grid_exchanges(monkeypatch, g.count)
     cross_section_curve(c20(calibrated_c20, 250.0), g, curve_mesh(250.0, 12))
-    # Z_nn and Z_nc once over the grid, and once over the q0 borders of all
-    # 12 energies
+    # Z_nn and Z_nc once over the grid, and once over the q0 borders of the
+    # 12 energies, one chunk at N = 48
     assert sum(built) == 2 and len(built) == 4
 
 
