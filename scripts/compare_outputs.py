@@ -19,7 +19,12 @@ they fit in one), and five runs that end in a configuration error: `reproduce` w
 preset and with `--out` naming an existing file, `scan` with
 start_keV > stop_keV, and `scatter` with a virtual n-core channel
 (a = -179 fm) and with a bound one at eps2 = 0, neither of which has an
-elastic n+dimer window.  It also runs this directory's `unitary_ladder.py`
+elastic n+dimer window.  Three `scatter` runs end in a numerical error,
+each at its own energy's check: an on-shell momentum on a node of a
+32-node grid, exchange blocks that overflow at the fourth of 5 log points
+up to 0.98e100 keV at eps2 = 1e100 keV (their chunk of q0 borders fails,
+so each energy builds its own), and a dimer residue that leaves the float
+range at eps2 = 1e300 keV.  It also runs this directory's `unitary_ladder.py`
 (the A = 1 `unitary_boson_config` preset) and `boron19_states.py` (the
 A = 17 `boron19_config` preset) against each side's package; they read no
 configuration file and use their own grids.
@@ -78,6 +83,32 @@ CONFIG_EDITS = {
         "grid": {"count": 192, "map_scale_inv_fm": 0.1},
         "scatter": {**README_CONFIG["scatter"], "points": 8},
     },
+    # q0 = sqrt(2 M_n E_cm) equals node 2 of build_grid(32, 0.1) at this E_cm
+    "scatter-grid-node": {
+        "grid": {"count": 32, "map_scale_inv_fm": 0.1},
+        "scatter": {
+            "start_keV": 0.07015987146424983, "stop_keV": 0.07015987146424983,
+            "points": 1, "spacing": "log",
+        },
+    },
+    # the first chunk of q0 borders overflows, so each energy builds its
+    # own, and the fourth fails
+    "scatter-exchange-overflow": {
+        "system": {
+            **README_CONFIG["system"],
+            "nc": {"pole": "bound", "epsilon2_keV": 1e100, "beta_inv_fm": 1.0},
+        },
+        "grid": {"count": 16, "map_scale_inv_fm": 0.1},
+        "scatter": {"start_keV": 0.05, "stop_keV": 0.98e100, "points": 5, "spacing": "log"},
+    },
+    "scatter-residue-overflow": {
+        "system": {
+            **README_CONFIG["system"],
+            "nc": {"pole": "bound", "epsilon2_keV": 1e300, "beta_inv_fm": 1.0},
+        },
+        "grid": {"count": 16, "map_scale_inv_fm": 0.1},
+        "scatter": {**README_CONFIG["scatter"], "points": 3},
+    },
 }
 
 # the input each fit run reads: the side's scatter curve or a synthetic CSV
@@ -121,6 +152,10 @@ RUNS = [
     ("scatter-one-point",
      [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out", "--svg"], None),
     ("scatter-large-grid", [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None),
+    *(
+        (name, [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None)
+        for name in ("scatter-grid-node", "scatter-exchange-overflow", "scatter-residue-overflow")
+    ),
     # the demo scripts of this directory on the side's package: the presets
     ("unitary-ladder", [str(SCRIPTS_DIR / "unitary_ladder.py")], None),
     ("boron19-states", [str(SCRIPTS_DIR / "boron19_states.py")], None),

@@ -15,11 +15,13 @@ that column is proportional to the right-hand side, so one real solve
 and a Sherman-Morrison step give f exactly, and Im(1/f) = -k.
 
 A cross-section curve shares its work between energies: the engine's
-grid exchange blocks are built once, the q0 borders of a chunk of
-energies come from one exchange pair evaluated on (chunk, 2N+1)
-momenta, and the (N+1)-sized arrays of the Schur system are allocated
-once and overwritten at each energy.  The chunks are small enough that
-a curve's memory does not grow with its number of energies.
+grid exchange blocks and the dimer residue are computed once, the q0
+borders of a chunk of energies come from one exchange pair evaluated on
+(chunk, 2N+1) momenta, and the (N+1)-sized arrays of the Schur system
+are allocated once and overwritten at each energy.  The chunks are small
+enough that a curve's memory does not grow with its number of energies.
+Each energy runs in the curve's one loop: its checks, its border, then
+the solve; any failure there is a NumericalError naming the energy.
 """
 
 from __future__ import annotations
@@ -58,8 +60,7 @@ class CrossSectionCurve:
 
     def __post_init__(self):
         for pt in self.points:
-            bound = 4.0 * math.pi / pt.k_inv_fm**2
-            if not (0.0 <= pt.sigma_fm2 <= bound * (1.0 + 1e-9)):
+            if not (0.0 <= pt.sigma_fm2 * pt.k_inv_fm**2 <= 4.0 * math.pi * (1.0 + 1e-9)):
                 raise NumericalError(
                     f"sigma = {pt.sigma_fm2!r} fm^2 at E = {pt.E_cm_keV} keV is not "
                     "finite or violates the unitarity bound"
@@ -103,47 +104,39 @@ def _borders(eng: _Engine, Ecms, q0s):
     each of one exchange pair per chunk of energies.  A chunk has at most
     EXCHANGE_BLOCK_ENTRIES // 5 entries, so the five arrays an exchange
     block holds take no more than one of its row blocks.  A chunk whose
-    build warns or overflows yields None for each of its energies, and each
-    then builds its own border: errors and warnings come from the first
-    energy that fails, after that energy's own checks, as they would
-    without chunks."""
+    build warns or overflows is built again one energy at a time, each when
+    the caller asks for it and under the caller's floating-point settings:
+    errors and warnings come from the first energy that fails, after that
+    energy's own checks, as they would without chunks."""
+
+    def rows(chunk):
+        return zip(*[
+            z((eng.threshold() + Ecms[chunk])[:, None])
+            for z in _exchanges(eng, *_border_momenta(eng.p, q0s[chunk, None]))
+        ])
+
     size = max(1, EXCHANGE_BLOCK_ENTRIES // (5 * (2 * eng.grid.count + 1)))
     for start in range(0, len(q0s), size):
-        chunk = slice(start, start + size)
+        stop = min(start + size, len(q0s))
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                rows = [
-                    z((eng.threshold() + Ecms[chunk])[:, None])
-                    for z in _exchanges(eng, *_border_momenta(eng.p, q0s[chunk, None]))
-                ]
+                built = list(rows(slice(start, stop)))
         except (FloatingPointError, NumericalError):
-            yield from [None] * len(q0s[chunk])
-        else:
-            yield from zip(*rows)
+            built = (next(rows(slice(i, i + 1))) for i in range(start, stop))
+        yield from built
 
 
-def _amplitude(eng: _Engine, Ecm: float, q0: float, border, work) -> float:
+def _amplitude(eng: _Engine, Ecm: float, q0: float, R: float, border, work) -> float:
     """gamma = -1/(k cot delta) in MeV^-1 at Ecm (MeV above the n+dimer
-    threshold) and its on-shell momentum q0 = sqrt(2 M_n Ecm) (MeV).
-
-    border is (Z_nn, Z_nc) on _border_momenta(p, q0) at this energy, or
-    None to build it here.  work holds the curve's arrays B_nn, B_nc,
+    threshold) and its on-shell momentum q0 = sqrt(2 M_n Ecm) (MeV), from
+    the n-core dimer residue R and this energy's border (Z_nn, Z_nc) on
+    _border_momenta(p, q0).  work holds the curve's arrays B_nn, B_nc,
     B_nc T_c and H, which this call overwrites; H ends as 1 - H D."""
     config = eng.config
     E = eng.threshold() + Ecm
     Mn = eng.M_n
     p, w = eng.p, eng.w
-    if np.min(np.abs(p - q0)) < 1e-12 * q0:
-        raise NumericalError(
-            "on-shell momentum coincides with a grid node; "
-            "perturb the grid count or map scale"
-        )
-    R = propagator_residue(config.nc_channel, eng.mu_nc)
-    if not math.isfinite(R):
-        raise NumericalError("residue of the n-core dimer pole leaves the float range")
     n = eng.grid.count
-    if border is None:
-        border = [z(E) for z in _exchanges(eng, *_border_momenta(p, q0))]
     Znn_b, Znc_b = border
     # Born blocks on p + {q0}: the grid block from the engine's exchange
     # blocks, then the q0 border, scaled by 2 pi in place
@@ -220,13 +213,20 @@ def cross_section_curve(
         np.empty((n + 1, n + 1)), np.empty((n + 1, n)), np.empty((n + 1, n)),
         np.empty((n + 1, n + 1)),
     )
+    R = propagator_residue(eng.config.nc_channel, eng.mu_nc)
     borders = _borders(eng, Ecms, q0s)
-    energies = zip(map(float, E_values), map(float, Ecms), map(float, q0s), borders)
     points = []
-    for E, Ecm, q0, border in energies:
+    for E, Ecm, q0 in zip(map(float, E_values), map(float, Ecms), map(float, q0s)):
         try:
-            gamma = _amplitude(eng, Ecm, q0, border, work)
-        except NumericalError as exc:
+            if np.min(np.abs(eng.p - q0)) < 1e-12 * q0:
+                raise NumericalError(
+                    "on-shell momentum coincides with a grid node; "
+                    "perturb the grid count or map scale"
+                )
+            if not math.isfinite(R):
+                raise NumericalError("residue of the n-core dimer pole leaves the float range")
+            gamma = _amplitude(eng, Ecm, q0, R, next(borders), work)
+        except (NumericalError, np.linalg.LinAlgError) as exc:
             raise NumericalError(f"at E_cm = {E} keV: {exc}") from exc
         # elastic unitarity: f = 1/(k cot delta - ik) = -gamma/(1 + i k gamma)
         f = complex(-gamma / (1.0 + 1j * q0 * gamma) * HBAR_C)

@@ -272,7 +272,7 @@ class _Exchange:
                         out=out[rows],
                     )
                 A, B, LA, A2B2 = self.conf
-                E_d = np.broadcast_to(E, self.shape)[self.degenerate] if np.ndim(E) else E
+                E_d = np.broadcast_to(E, self.shape)[self.degenerate]
                 q, qp = self.conf_q, self.conf_qp
                 A3 = E_d - q**2 * self.inv2mu_ag - qp**2 * self.inv2mu_bg
                 B3 = -q * qp * self.inv_mg
@@ -282,7 +282,7 @@ class _Exchange:
                 a = -c * B / B3
                 out[self.degenerate] = a * LA / B + 2.0 * b / A2B2 + c * L3 / B3
         except FloatingPointError as exc:
-            at = f"{E:.6g}" if np.ndim(E) == 0 else f"{np.min(E):.6g} to {np.max(E):.6g}"
+            at = " to ".join(dict.fromkeys(f"{e:.6g}" for e in (np.min(E), np.max(E))))
             raise NumericalError(f"exchange kernel at E = {at} MeV: {exc}") from exc
         return out
 

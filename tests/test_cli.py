@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -356,6 +357,48 @@ def test_scatter_extreme_dimer_energy_ends_in_result_line(tmp_path, capsys, eps2
     assert last_line(capsys).startswith("RESULT numerical_error")
 
 
+NAN_SIGMA = "sigma = nan fm^2 at E = {} keV is not finite or violates the unitarity bound"
+
+
+@pytest.mark.parametrize(
+    "eps2, beta_nc, map_scale, start, stop, points, message",
+    [
+        # k^2 underflows to 0 at the first energy: the unitarity bound
+        # 4 pi / k^2 was a ZeroDivisionError
+        pytest.param(250.0, 1.0, 0.1, start, 245.0, 8, NAN_SIGMA.format(start), id=f"start-{start}")
+        for start in (5e-324, 1e-323, 1e-320)
+    ] + [
+        # the Schur solve's LinAlgError escaped the curve
+        pytest.param(
+            1e140, 1e10, 0.1, 0.05, 9.8e139, 5, "at E_cm = 0.05 keV: Singular matrix",
+            id="eps2-1e140-beta-1e10",
+        ),
+        pytest.param(
+            250.0, 1e-275, 1e-71, 0.05, 245.0, 8, "at E_cm = 0.05 keV: Singular matrix",
+            id="beta-1e-275-map-scale-1e-71",
+        ),
+    ],
+)
+def test_scatter_inputs_that_ended_in_a_traceback_are_numerical_errors(
+    tmp_path, capsys, eps2, beta_nc, map_scale, start, stop, points, message
+):
+    body = {
+        "system": {**SYSTEM, "nc": {"pole": "bound", "epsilon2_keV": eps2, "beta_inv_fm": beta_nc}},
+        "grid": {"count": 16, "map_scale_inv_fm": map_scale},
+        "scatter": {"start_keV": start, "stop_keV": stop, "points": points, "spacing": "log"},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(body))
+    assert main(["scatter", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert last_line(capsys) == f"RESULT numerical_error {message}"
+    with pytest.raises(trihalo.NumericalError) as exc:
+        trihalo.cross_section_curve(
+            trihalo.default_c20_config(eps2, beta_nc), build_grid(16, map_scale),
+            np.geomspace(start, stop, points),
+        )
+    assert str(exc.value) == message
+
+
 def test_spectrum_empty_window_header_only(tmp_path, capsys):
     cfg = write_config(
         tmp_path, spectrum={"window_keV": [1e8, 1e9], "max_states": 4}
@@ -598,21 +641,23 @@ FUZZ_TARGETS = st.sampled_from([(path, key) for path, key, _ in _ENTRIES]) | st.
 )
 
 
-def run_fuzzed(tmp_path_factory, command, target, value):
-    """Run command on FUZZ_BASE with one entry replaced or added."""
-    path, key = target
+def run_fuzzed(tmp_path_factory, command, *edits):
+    """Run command on FUZZ_BASE with each (target, value) of edits replacing
+    or adding one entry."""
     # a valid large grid, a long scan or a long curve only costs time
     caps = {(("grid",), "count"): 2048}
     if command in ("scan", "scatter"):
         caps[(command,), "points"] = 10**5
-    assume(not (
-        target in caps and isinstance(value, (int, float)) and 64 < value <= caps[target]
-    ))
     body = copy.deepcopy(FUZZ_BASE)
-    frag = body
-    for name in path:
-        frag = frag[name]
-    frag[key] = value
+    for target, value in edits:
+        assume(not (
+            target in caps and isinstance(value, (int, float)) and 64 < value <= caps[target]
+        ))
+        path, key = target
+        frag = body
+        for name in path:
+            frag = frag[name]
+        frag[key] = value
     base = tmp_path_factory.getbasetemp()
     cfg = base / "fuzz.json"
     cfg.write_text(json.dumps(body))
@@ -629,7 +674,7 @@ def run_fuzzed(tmp_path_factory, command, target, value):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(target=FUZZ_TARGETS, value=MAGNITUDES | JSON_VALUES)
 def test_fuzzed_config_ends_in_result_line(tmp_path_factory, target, value):
-    run_fuzzed(tmp_path_factory, "twobody", target, value)
+    run_fuzzed(tmp_path_factory, "twobody", (target, value))
 
 
 @pytest.mark.parametrize("command", ["spectrum", "scan", "scatter"])
@@ -641,4 +686,50 @@ def test_fuzzed_config_ends_in_result_line_through_kernel(
     # the 16-node grid takes every fuzzed system through the kernel
     # assembly, the root search, the scan's inertia counts and the
     # scattering solve
-    run_fuzzed(tmp_path_factory, command, target, value)
+    run_fuzzed(tmp_path_factory, command, (target, value))
+
+
+# two numeric entries at once: the inputs that only fail together
+NUMERIC_PAIRS = list(itertools.combinations(
+    [(path, key) for path, key, value in _ENTRIES if type(value) in (int, float)], 2
+))
+NUMBERS = MAGNITUDES | st.sampled_from([0, 1, 2, 5e-324, 1e300, -1e300, 1e-300, -1e-300])
+
+
+@pytest.mark.parametrize("command", ["spectrum", "scan", "scatter"])
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(targets=st.sampled_from(NUMERIC_PAIRS), values=st.tuples(NUMBERS, NUMBERS))
+def test_fuzzed_pair_of_numbers_ends_in_result_line(tmp_path_factory, command, targets, values):
+    run_fuzzed(tmp_path_factory, command, *zip(targets, values))
+
+
+FIT_E = np.linspace(0.5, 3.5, 40)
+FIT_SIGMA = fano_profile(FIT_E, FanoParameters(1.0, 4.0, 1.63, 0.25))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    scaled=st.sampled_from(["E", "sigma"]),
+    decade=st.integers(-330, 330),
+    spike=st.none() | st.tuples(
+        st.integers(0, len(FIT_E) - 1),
+        st.sampled_from([0.0, 5e-324, 1e300, -1e300, 1e-300, -1e-300]),
+    ),
+    model=st.sampled_from(["fano", "bw"]),
+)
+def test_fuzzed_fit_csv_ends_in_result_line(tmp_path_factory, scaled, decade, spike, model):
+    # a Fano curve with its E or sigma column scaled by a decade, which
+    # may over- or underflow, and possibly one sigma replaced
+    scale = float(f"1e{decade}")
+    with np.errstate(over="ignore"):
+        E, sigma = (FIT_E * scale, FIT_SIGMA) if scaled == "E" else (FIT_E, FIT_SIGMA * scale)
+    if spike is not None:
+        sigma = sigma.copy()
+        sigma[spike[0]] = spike[1]
+    base = tmp_path_factory.getbasetemp()
+    write_curve_csv(base / "fuzz.csv", E, sigma)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["fit", str(base / "fuzz.csv"), "--model", model, "--out", str(base / "fit_out")])
+    assert code in (0, 2, 3)
+    assert out.getvalue().strip().splitlines()[-1].startswith("RESULT")
