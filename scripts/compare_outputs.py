@@ -15,11 +15,13 @@ past 500 iterations into the amplitude continuation), `reproduce fig1-fig2
 --svg`, `scatter --svg` of a one-point curve (start_keV 10, points 1),
 `scatter` of 8 log points on a 192-node grid (its exchange blocks are
 evaluated in three row blocks; at the 96 nodes of the other CLI runs
-they fit in one), and five runs that end in a configuration error: `reproduce` with an unknown
-preset and with `--out` naming an existing file, `scan` with
-start_keV > stop_keV, and `scatter` with a virtual n-core channel
-(a = -179 fm) and with a bound one at eps2 = 0, neither of which has an
-elastic n+dimer window.  Three `scatter` runs end in a numerical error,
+they fit in one), `scan` of 8 points on a 160-node grid (two row blocks,
+through the inertia counts and one crossing's bisection), and five runs
+that end in a configuration error: `reproduce` with an unknown preset
+and with `--out` naming an existing file, `scan` with start_keV >
+stop_keV, and `scatter` with a virtual n-core channel (a = -179 fm) and
+with a bound one at eps2 = 0, neither of which has an elastic n+dimer
+window.  Three `scatter` runs end in a numerical error,
 each at its own energy's check: an on-shell momentum on a node of a
 32-node grid, exchange blocks that overflow at the fourth of 5 log points
 up to 0.98e100 keV at eps2 = 1e100 keV (their chunk of q0 borders fails,
@@ -77,6 +79,10 @@ CONFIG_EDITS = {
             **README_CONFIG["system"],
             "nc": {"pole": "bound", "epsilon2_keV": 0.0, "beta_inv_fm": 1.0},
         },
+    },
+    "scan-large-grid": {
+        "grid": {"count": 160, "map_scale_inv_fm": 0.1},
+        "scan": {**README_CONFIG["scan"], "points": 8},
     },
     "scatter-one-point": {"scatter": {"start_keV": 10.0, "points": 1}},
     "scatter-large-grid": {
@@ -144,7 +150,10 @@ RUNS = [
      [*TRIHALO, "reproduce", "nope", "--config", "cfg.json", "--out", "out"], None),
     ("reproduce-out-file",
      [*TRIHALO, "reproduce", "fig1-fig2", "--config", "cfg.json", "--out", "cfg.json"], None),
-    ("scan-descending", [*TRIHALO, "scan", "--config", "cfg.json", "--out", "out"], None),
+    *(
+        (name, [*TRIHALO, "scan", "--config", "cfg.json", "--out", "out"], None)
+        for name in ("scan-descending", "scan-large-grid")
+    ),
     ("scatter-virtual-nc",
      [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None),
     ("scatter-unitary-nc",

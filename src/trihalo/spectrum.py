@@ -176,10 +176,10 @@ class _Engine:
         return int(np.count_nonzero(pivots > 0.0) + np.count_nonzero(ipiv < 0) // 2)
 
 
-# Most entries in one row block of an exchange evaluation: 128 KiB per
-# temporary.  Half that lowered the peak allocation of an 80-point curve at
-# N = 96 (2.1 to 1.6 MiB) but not the peak RSS of a `reproduce` run, and
-# ran the scan and `reproduce` slower.
+# Most entries in one row block of an exchange block, which holds its own
+# terms: 128 KiB per array.  Half that lowered the peak allocation of an
+# 80-point curve at N = 96 (2.1 to 1.6 MiB) but not the peak RSS of a
+# `reproduce` run, and ran the scan and `reproduce` slower.
 EXCHANGE_BLOCK_ENTRIES = 16384
 
 
@@ -195,12 +195,11 @@ class _Exchange:
     """
 
     def __init__(self, q, qp, ca, cb, inv2mu_ag, inv2mu_bg, inv_mg, beta_a, beta_b):
-        # The five held arrays have the block's full shape.  They are built,
-        # and __call__ evaluates the block, in row blocks of at most
-        # EXCHANGE_BLOCK_ENTRIES entries: every temporary stays small, and an
-        # evaluation's only full-size array is its output (none, given out=).
-        # Each entry sees the same operations in the same order as in a
-        # whole-array evaluation, so the result is bit-identical to one.
+        # Row blocks of at most EXCHANGE_BLOCK_ENTRIES entries, each built and
+        # evaluated in one pass over its own terms: every temporary stays
+        # small, and an evaluation's only full-size array is its output (none,
+        # given out=).  Each entry sees the same operations in the same order
+        # as in a whole-array evaluation, so the result is bit-identical to one.
         self.inv_mg = inv_mg
         self.ca2, self.cb2 = 2.0 * ca, 2.0 * cb
         self.inv2mu_ag, self.inv2mu_bg = inv2mu_ag, inv2mu_bg
@@ -209,42 +208,31 @@ class _Exchange:
         n_rows = self.shape[0]
         count = -(-n_rows // max(1, EXCHANGE_BLOCK_ENTRIES // math.prod(self.shape[1:])))
         ends = [i * n_rows // count for i in range(count + 1)]
-        self.blocks = [  # (rows, q, qp): q and qp sliced where they vary by row
-            (rows, self._rows(q, rows), self._rows(qp, rows))
-            for rows in map(slice, ends[:-1], ends[1:])
-        ]
-
-        def form_factors(q, qp):  # (A1, B1, A2, B2) of the factors A + B x
-            return (
-                qp**2 + cb**2 * q**2 + beta_a**2, self.cb2 * q * qp,
-                q**2 + ca**2 * qp**2 + beta_b**2, self.ca2 * q * qp,
-            )
-
-        dtype = np.result_type(q, qp, float)
-        self.A1B3, self.A2B3, self.B1L1, self.B2L2, self.D12 = (
-            np.empty(self.shape, dtype) for _ in range(5)
-        )
-        degenerate = np.empty(self.shape, dtype=bool)
-        for rows, q_rows, qp_rows in self.blocks:
-            A1, B1, A2, B2 = form_factors(q_rows, qp_rows)
+        # Each row block's five terms (A1 B3, A2 B3, B1 L1, B2 L2, D12) share one
+        # array, all allocated before any temporary, so no freed temporary leaves
+        # a resident hole between them (1 MiB of a curve's peak RSS at N = 384).
+        self.dtype = np.result_type(q, qp, float)
+        held = [np.empty((5, b - a) + self.shape[1:], self.dtype) for a, b in zip(ends, ends[1:])]
+        self.blocks = []  # (rows, q, qp, terms, confluent), q and qp sliced by row
+        for rows, terms in zip(map(slice, ends, ends[1:]), held):
+            q_rows, qp_rows = self._rows(q, rows), self._rows(qp, rows)
+            # the form-factor denominators A1 + B1 x and A2 + B2 x
+            A1 = qp_rows**2 + cb**2 * q_rows**2 + beta_a**2
+            B1 = self.cb2 * q_rows * qp_rows
+            A2 = q_rows**2 + ca**2 * qp_rows**2 + beta_b**2
+            B2 = self.ca2 * q_rows * qp_rows
             B3 = -q_rows * qp_rows * inv_mg
-            np.multiply(A1, B3, out=self.A1B3[rows])
-            np.multiply(A2, B3, out=self.A2B3[rows])
-            np.multiply(B1, np.log((A1 + B1) / (A1 - B1)), out=self.B1L1[rows])
-            np.multiply(B2, np.log((A2 + B2) / (A2 - B2)), out=self.B2L2[rows])
-            D12 = np.subtract(A1 * B2, A2 * B1, out=self.D12[rows])
+            D12 = np.subtract(A1 * B2, A2 * B1, out=terms[4])
             # coincident form-factor denominators: confluent partial fractions
-            bound = 1e-10 * (np.abs(A1 * B2) + np.abs(A2 * B1))
-            np.less_equal(np.abs(D12), bound, out=degenerate[rows])
-        self.degenerate = np.nonzero(degenerate)
-        # the confluent branch's inputs, gathered once at its entries
-        self.conf_q, self.conf_qp = (
-            np.broadcast_to(x, self.shape)[self.degenerate] for x in (q, qp)
-        )
-        A1, B1, A2, B2 = form_factors(self.conf_q, self.conf_qp)
-        A = 0.5 * (A1 + A2)
-        B = 0.5 * (B1 + B2)
-        self.conf = (A, B, np.log((A + B) / (A - B)), A**2 - B**2)
+            d = np.nonzero(np.abs(D12) <= 1e-10 * (np.abs(A1 * B2) + np.abs(A2 * B1)))
+            A = 0.5 * (A1[d] + A2[d])
+            B = 0.5 * (B1[d] + B2[d])
+            np.multiply(A1, B3, out=terms[0])
+            np.multiply(A2, B3, out=terms[1])
+            np.multiply(B1, np.log((A1 + B1) / (A1 - B1)), out=terms[2])
+            np.multiply(B2, np.log((A2 + B2) / (A2 - B2)), out=terms[3])
+            confluent = (d, A, B, np.log((A + B) / (A - B)), A**2 - B**2)
+            self.blocks.append((rows, q_rows, qp_rows, terms, confluent))
 
     def _rows(self, x, rows):
         """Rows of a factor that varies along the first axis; others as they are."""
@@ -254,33 +242,27 @@ class _Exchange:
         """The block at E (a scalar, or a column of one E per row), written
         into out if given; float for real E, complex for complex E."""
         if out is None:
-            out = np.empty(self.shape, dtype=np.result_type(E, self.D12))
+            out = np.empty(self.shape, dtype=np.result_type(E, self.dtype))
         # an overflow anywhere in the closed form is a numerical failure,
         # not a finite block; the divide/invalid entries are replaced below
         try:
             with np.errstate(over="raise", divide="ignore", invalid="ignore"):
-                for rows, q, qp in self.blocks:
+                for rows, q, qp, (A1B3, A2B3, B1L1, B2L2, D12), confluent in self.blocks:
                     A3 = self._rows(E, rows) - q**2 * self.inv2mu_ag - qp**2 * self.inv2mu_bg
                     B3 = -q * qp * self.inv_mg
                     L3 = np.log((A3 + B3) / (A3 - B3))
-                    D12 = self.D12[rows]
-                    D13 = self.A1B3[rows] - A3 * (self.cb2 * q * qp)
-                    D23 = self.A2B3[rows] - A3 * (self.ca2 * q * qp)
-                    np.add(
-                        self.B1L1[rows] / (D12 * D13) - self.B2L2[rows] / (D12 * D23),
-                        B3 * L3 / (D13 * D23),
-                        out=out[rows],
-                    )
-                A, B, LA, A2B2 = self.conf
-                E_d = np.broadcast_to(E, self.shape)[self.degenerate]
-                q, qp = self.conf_q, self.conf_qp
-                A3 = E_d - q**2 * self.inv2mu_ag - qp**2 * self.inv2mu_bg
-                B3 = -q * qp * self.inv_mg
-                L3 = np.log((A3 + B3) / (A3 - B3))
-                c = B3**2 / (A * B3 - B * A3) ** 2
-                b = B / (B * A3 - A * B3)
-                a = -c * B / B3
-                out[self.degenerate] = a * LA / B + 2.0 * b / A2B2 + c * L3 / B3
+                    D13 = A1B3 - A3 * (self.cb2 * q * qp)
+                    D23 = A2B3 - A3 * (self.ca2 * q * qp)
+                    block = out[rows]
+                    np.add(B1L1 / (D12 * D13) - B2L2 / (D12 * D23), B3 * L3 / (D13 * D23),
+                           out=block)
+                    d, A, B, LA, A2B2 = confluent
+                    if A.size:  # the confluent entries, from the same A3, B3, L3
+                        A3, B3, L3 = A3[d], B3[d], L3[d]
+                        c = B3**2 / (A * B3 - B * A3) ** 2
+                        b = B / (B * A3 - A * B3)
+                        a = -c * B / B3
+                        block[d] = a * LA / B + 2.0 * b / A2B2 + c * L3 / B3
         except FloatingPointError as exc:
             at = " to ".join(dict.fromkeys(f"{e:.6g}" for e in (np.min(E), np.max(E))))
             raise NumericalError(f"exchange kernel at E = {at} MeV: {exc}") from exc
@@ -321,10 +303,13 @@ def build_kernel(config: SystemConfig, grid: MomentumGrid, E) -> KernelMatrix:
     E in MeV relative to three-body breakup.  Real E must lie below the
     lowest scattering threshold; on-cut energies belong to the
     scattering module.  Complex E is evaluated directly (Schwarz:
-    K(conj E) = conj K(E)).
+    K(conj E) = conj K(E)).  A non-finite E, real or complex, is a
+    DomainError.
     """
-    eng = _Engine(config, grid)
     E = complex(E)
+    if not np.isfinite(E):
+        raise DomainError(f"E = {E:.6g} MeV is not finite")
+    eng = _Engine(config, grid)
     if E.imag == 0.0:
         E = E.real
         eng.check_below_threshold(E)

@@ -2,6 +2,9 @@
 the oracle, and bit identity of the row-blocked evaluation with a
 whole-array evaluation of the same closed form."""
 
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,12 +12,22 @@ from trihalo import spectrum
 from trihalo.model import default_c20_config
 from trihalo.quadrature import build_grid
 from trihalo.scattering import _border_momenta
-from trihalo.spectrum import _Engine, _exchanges
+from trihalo.spectrum import EXCHANGE_BLOCK_ENTRIES, _Engine, _exchanges
+
+
+@functools.cache
+def grid_engine(n):
+    return _Engine(default_c20_config(250.0, 1.0), build_grid(n, 0.1))
 
 
 @pytest.fixture(scope="module")
 def engine():
-    return _Engine(default_c20_config(250.0, 1.0), build_grid(200, 0.1))
+    return grid_engine(200)
+
+
+def confluent_indices(Z):
+    """Each row block's confluent indices, in row-block order."""
+    return [d for *_, (d, *_) in Z.blocks]
 
 
 def exchange_args(eng, monkeypatch):
@@ -88,8 +101,8 @@ def test_exchange_blocks_match_angular_quadrature(engine, monkeypatch, E):
         keep = q * qp >= 1e-2 * max(args[-2:]) ** 2
         Z = spectrum._Exchange(q[keep], qp[keep], *args)
         assert np.any(q[keep] == qp[keep])
-        if block == "nn":
-            assert Z.degenerate[0].size > 0  # the confluent branch is checked
+        if block == "nn":  # the confluent branch is checked
+            assert sum(d[0].size for d in confluent_indices(Z)) > 0
         factors = linear_factors(q[keep], qp[keep], E, *args)
         integrand = np.prod([A + B * x[:, None] for A, B in factors], axis=0)
         reference = w @ (1.0 / integrand)
@@ -97,13 +110,27 @@ def test_exchange_blocks_match_angular_quadrature(engine, monkeypatch, E):
 
 
 @pytest.mark.parametrize("E", [-0.25, -5.0, complex(-1.0, 0.5)])
-def test_row_blocked_grid_blocks_equal_whole_array(engine, monkeypatch, E):
-    # N = 200: three row blocks of 66, 67 and 67 rows
-    p = engine.p
-    for Z, args in zip(engine.exchange(), exchange_args(engine, monkeypatch)):
-        assert [rows.stop - rows.start for rows, _, _ in Z.blocks] == [66, 67, 67]
+@pytest.mark.parametrize("n, count", [(96, 1), (160, 2), (200, 3), (384, 10)])
+def test_row_blocked_grid_blocks_equal_whole_array(monkeypatch, n, count, E):
+    # 1, 2, 3 and 10 row blocks: the 96-node grid of `reproduce`, the 160
+    # nodes of the ladder and the scan, 200 nodes, and the 384 of `scatter`
+    eng = grid_engine(n)
+    p = eng.p
+    for Z, args in zip(eng.exchange(), exchange_args(eng, monkeypatch)):
+        sizes = [rows.stop - rows.start for rows, *_ in Z.blocks]
+        assert len(sizes) == count and max(sizes) - min(sizes) <= 1
+        if n == 200:
+            assert sizes == [66, 67, 67]
         assert same_bits(Z(E), whole_array(p[:, None], p[None, :], E, *args))
-    assert engine.exchange()[0].degenerate[0].size == len(p)  # Z_nn's diagonal
+    # Z_nn's whole diagonal takes the confluent branch (at N = 384 so do a
+    # few entries next to it, where the smallest nodes lie close), so every
+    # row block evaluates confluent entries
+    Znn = eng.exchange()[0]
+    assert all(d[0].size > 0 for d in confluent_indices(Znn))
+    confluent = {(rows.start + i, j) for rows, *_, (d, *_) in Znn.blocks for i, j in zip(*d)}
+    assert {(i, i) for i in range(n)} <= confluent
+    if n == 200:
+        assert len(confluent) == n
 
 
 def test_curve_borders_equal_per_energy_whole_array(engine, monkeypatch):
@@ -130,3 +157,27 @@ def test_exchange_writes_into_a_strided_out(engine, monkeypatch):
     args = exchange_args(engine, monkeypatch)[0]
     assert same_bits(B[:n, :n], whole_array(engine.p[:, None], engine.p[None, :], E, *args))
     assert np.all(B[n] == 7.0) and np.all(B[:, n] == 7.0)
+
+
+def test_exchange_pair_memory():
+    # the grid pair at N = 384 (10 row blocks) holds its five terms per
+    # entry and little else; building it and evaluating it with out= keep
+    # only a few row blocks of temporaries alive at a time
+    eng = _Engine(default_c20_config(250.0, 1.0), build_grid(384, 0.1))
+    n, block = eng.grid.count, 8 * EXCHANGE_BLOCK_ENTRIES
+    out = [np.empty((n, n)) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        pair = eng.exchange()
+        held, build_peak = (m - start for m in tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        for Z, o in zip(pair, out):
+            Z(-0.25, out=o)
+        eval_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 10.2 * 8 * n * n
+    assert build_peak - held <= 12 * block
+    assert eval_peak <= 9 * block

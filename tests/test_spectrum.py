@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -55,6 +56,17 @@ def test_kernel_on_cut_error(grid):
     cfg = default_c20_config()
     with pytest.raises(DomainError, match="scattering"):
         build_kernel(cfg, grid, -0.1)  # above the dimer threshold at -0.25 MeV
+
+
+@pytest.mark.parametrize(
+    "E", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0), complex(-1.0, math.inf)]
+)
+def test_kernel_at_a_non_finite_energy_is_a_domain_error(grid, E):
+    # raised before any assembly: no all-NaN K and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite"):
+            build_kernel(default_c20_config(), grid, E)
 
 
 def test_kernel_schwarz_reflection(grid):
@@ -115,7 +127,8 @@ def test_engine_cached_blocks_equal_fresh_blocks(system, grid_args, energies):
             assert np.array_equal(cached, fresh)
     if system == "boson":
         # identical pairs: the whole diagonal takes the confluent branch
-        assert all(z.degenerate[0].size >= eng.grid.count for z in eng._exchange)
+        for z in eng._exchange:
+            assert sum(d[0].size for *_, (d, *_) in z.blocks) >= eng.grid.count
 
 
 @pytest.mark.parametrize("system", ["c20_scan", "boson"])
