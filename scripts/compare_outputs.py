@@ -37,6 +37,10 @@ started in its own directory with relative paths, so stdout is comparable.
 Each run's output files and its stdout plus exit code (`stdout.txt`) are
 compared byte for byte.  Every file that differs or exists on one side only
 is printed, one relative path a line; the exit code is 1 if any does, else 0.
+Next to each path stands the size of its difference: the largest relative
+difference |a - b| / max(|a|, |b|) over the numbers of the two files when
+the text outside the numbers matches, else `text differs` (or `only in
+old`, `only in new`).
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -228,6 +233,26 @@ def differing(old: Path, new: Path) -> list[str]:
     )
 
 
+# a decimal number as the outputs print it: 12, -0.5, 1.23e-07, .5
+NUMBER = re.compile(rb"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def size_of_difference(old: Path, new: Path) -> str:
+    """How far two versions of one file differ: the largest relative difference
+    over their numbers if only numbers differ, else `text differs`."""
+    if not (old.is_file() and new.is_file()):
+        return "only in old" if old.is_file() else "only in new"
+    # re.split with one group: text at even positions, numbers at odd ones
+    a, b = NUMBER.split(old.read_bytes()), NUMBER.split(new.read_bytes())
+    if len(a) != len(b) or a[::2] != b[::2]:
+        return "text differs"
+    largest = 0.0
+    for x, y in zip(map(float, a[1::2]), map(float, b[1::2])):
+        if x != y:
+            largest = max(largest, abs(x - y) / max(abs(x), abs(y)))
+    return f"max relative difference {largest:.2g}"
+
+
 def compare(
     old_src: Path, new_src: Path, work: Path, grid_count=README_CONFIG["grid"]["count"]
 ) -> list[str]:
@@ -252,8 +277,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
         diff = compare(args.old_src, args.new_src, Path(work))
-    for path in diff:
-        print(path)
+        for path in diff:
+            size = size_of_difference(Path(work, "old", path), Path(work, "new", path))
+            print(f"{path}  {size}")
     return 1 if diff else 0
 
 

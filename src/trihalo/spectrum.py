@@ -9,9 +9,9 @@ homogeneous system
 with kernels built from one-particle-exchange Born terms (angular
 integrals in closed form) times the two-body propagators of module
 model.  Discretized on a MomentumGrid the trimer condition is
-det(1 - K(E)) = 0; we track the ordered eigenvalues lambda_k(E) of a
-symmetrized (real, symmetric) version of K, which cross 1 exactly at the
-trimer energies.
+det(1 - K(E)) = 0; we track the ordered eigenvalues lambda_k(E) of the
+real symmetric N x N reduced kernel M(E) (F_c eliminated), which cross 1
+exactly where those of K do: at the trimer energies.
 """
 
 from __future__ import annotations
@@ -125,53 +125,55 @@ class _Engine:
         eng._exchange = self.exchange()
         return eng
 
-    def symmetric_kernel(self, E: float) -> np.ndarray:
-        """S(E): K(E) under an exactly symmetric similarity, same spectrum.
+    def reduced_kernel(self, E: float) -> np.ndarray:
+        """M(E) = diag(s_n) (2 G G^T - Z_nn) diag(s_n), G = Z_nc diag(s_c).
 
-        Below threshold all tau are real negative, so scaling by
-        sqrt(-tau * u) per column/row turns K into a real symmetric matrix
-        with the same spectrum.
+        Below threshold all tau are real negative, and s = sqrt(-tau * u)
+        turns K into S = [[S_nn, S_nc], [S_nc^T, 0]], real symmetric.  M - 1
+        = S_nn + S_nc S_nc^T - 1 is the Schur complement of S - 1 on its core
+        block: det(1 - K) = det(1 - M), and by Haynsworth inertia additivity
+        M and S have as many eigenvalues above 1 at every E.
         """
         self.check_below_threshold(E)
-        Znn, Znc = self.born_blocks(E)
+        Znn, G = self.born_blocks(E)
         tau_n = self.tau_n(E).real
         tau_c = self.tau_c(E).real
         if np.any(tau_n >= 0) or np.any(tau_c >= 0):
             raise NumericalError("propagator changed sign below threshold")
         s_n = np.sqrt(-tau_n * self.u)
-        s_c = np.sqrt(-tau_c * self.u)
-        n = self.grid.count
-        S = np.zeros((2 * n, 2 * n))
-        S[:n, :n] = -Znn.real * s_n[:, None] * s_n[None, :]
-        S[:n, n:] = -math.sqrt(2.0) * Znc.real * s_n[:, None] * s_c[None, :]
-        S[n:, :n] = S[:n, n:].T
-        if not np.isfinite(S).all():
+        G *= np.sqrt(-tau_c * self.u)  # born_blocks' own array
+        M = G @ G.T  # exactly symmetric: numpy takes syrk for G @ G.T
+        M *= 2.0
+        M -= Znn
+        M *= s_n[:, None]  # rows first, as in S: rounding moves beta within its noise
+        M *= s_n
+        if not np.isfinite(M).all():
             raise NumericalError(f"kernel at E = {E:.6g} MeV is not finite")
-        return S
+        return M
 
     def eigenvalues(self, E: float) -> np.ndarray:
-        """Eigenvalues of K(E), descending: eigh's ascending order reversed."""
-        S = self.symmetric_kernel(E)
+        """Eigenvalues of M(E), descending; the k-th crosses 1 where K(E)'s does."""
+        M = self.reduced_kernel(E)
         try:
-            return eigh(S, eigvals_only=True, check_finite=False)[::-1]
+            return eigh(M, eigvals_only=True, check_finite=False)[::-1]
         except ValueError as exc:  # LinAlgError: no convergence
             raise NumericalError(f"kernel at E = {E:.6g} MeV: {exc}") from exc
 
     def count_above_one(self, E: float) -> int:
         """Number of eigenvalues of K(E) above 1, without an eigen-solve.
 
-        By Sylvester's law of inertia it is the number of positive
-        eigenvalues of D in the Bunch-Kaufman factorization S - 1 = L D L^T
-        (dsytrf).  A 1x1 pivot counts when positive; a 2x2 block always
-        counts one, as Bunch-Kaufman picks it only with a negative
-        determinant.
+        It equals the number above 1 of M(E), and by Sylvester's law of
+        inertia that is the number of positive eigenvalues of D in the
+        Bunch-Kaufman factorization M - 1 = L D L^T (dsytrf).  A 1x1 pivot
+        counts when positive; a 2x2 block always counts one, as
+        Bunch-Kaufman picks it only with a negative determinant.
         """
-        S = self.symmetric_kernel(E)
-        S[np.diag_indices_from(S)] -= 1.0
-        lwork, _ = dsytrf_lwork(len(S))
-        # S is symmetric: its transpose is the Fortran-ordered array dsytrf
+        M = self.reduced_kernel(E)
+        M[np.diag_indices_from(M)] -= 1.0
+        lwork, _ = dsytrf_lwork(len(M))
+        # M is symmetric: its transpose is the Fortran-ordered array dsytrf
         # factors in place
-        ldu, ipiv, _ = dsytrf(S.T, lwork=int(lwork), overwrite_a=True)
+        ldu, ipiv, _ = dsytrf(M.T, lwork=int(lwork), overwrite_a=True)
         pivots = np.diagonal(ldu)[ipiv > 0]
         return int(np.count_nonzero(pivots > 0.0) + np.count_nonzero(ipiv < 0) // 2)
 
@@ -363,8 +365,8 @@ def find_trimers(
     already made.
     """
     lo, hi = search_window
-    if not (0 < lo < hi):
-        raise ConfigurationError("search_window must satisfy 0 < lo < hi (keV)")
+    if not (0 < lo < hi < math.inf):
+        raise ConfigurationError("search_window must satisfy 0 < lo < hi < inf (keV)")
     eng = _Engine(config, grid)
     config = eng.config
     # bound levels live strictly below the lowest scattering threshold
@@ -522,7 +524,7 @@ def threshold_scan(
 
     The count at a point is the number of kernel eigenvalues above 1 at
     the n+dimer threshold, less the ground state.  It comes from the
-    inertia of S - 1 (`_Engine.count_above_one`), not from an
+    inertia of M - 1 (`_Engine.count_above_one`), not from an
     eigen-solve, and equals the eigen count unless an eigenvalue lies
     within rounding of 1.  The bisection uses the eigenvalues.  A template
     whose n-core channel is virtual has no n+dimer threshold: a
@@ -583,5 +585,6 @@ def calibrate_range_parameter(
         eng = engine(beta).with_epsilon2(target_epsilon2_star_keV)
         return float(eng.eigenvalues(eng.threshold())[CALIBRATED_STATE] - 1.0)
 
-    beta = _brentq(misfit, *CALIBRATION_BETA_INV_FM, rtol=1e-10, xtol=1e-300)
+    # rtol 1e-7, the noise floor: the misfit's sign is random over ~4e-7 in beta
+    beta = _brentq(misfit, *CALIBRATION_BETA_INV_FM, rtol=1e-7, xtol=1e-300)
     return engine(beta).config

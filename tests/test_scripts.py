@@ -4,6 +4,7 @@ collect_bench.py gathers perfbench records into one BENCH file."""
 import ast
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -140,3 +141,13 @@ def test_compare_outputs_same_tree_is_identical_and_a_changed_byte_is_reported(t
     assert compare.differing(old, new) == [
         "reproduce/out/curve_eps250.svg", "twobody/stdout.txt"
     ]
+    # the size of a difference: over the numbers when only they differ
+    stdout = "twobody/stdout.txt"
+    assert compare.size_of_difference(old / stdout, new / stdout) == "only in old"
+    crossings = "scan/out/crossings.json"
+    text = (old / crossings).read_text()
+    star = re.search(r"\d+\.\d+", text).group()  # the first crossing's eps2*
+    for edit, size in ((repr(float(star) * (1.0 + 3e-7)), "max relative difference 3e-07"),
+                       (f"x{star}", "text differs")):
+        (new / crossings).write_text(text.replace(star, edit, 1))
+        assert compare.size_of_difference(old / crossings, new / crossings) == size

@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 from conftest import unitary_boson_config
@@ -90,6 +89,19 @@ def test_kernel_identical_boson_reduction():
     assert lam_full == pytest.approx(lam_single, rel=1e-9)
 
 
+def assert_same_determinant(K, reduced):
+    """det(1 - K) by LU of the 2N x 2N K equals det(1 - M) from M's eigenvalues."""
+    sign, logdet = np.linalg.slogdet(np.eye(len(K)) - K)
+    d = 1.0 - reduced
+    assert np.prod(np.sign(d)) == sign
+    assert abs(np.sum(np.log(np.abs(d))) - logdet) <= 1e-12
+
+
+def count_above_one(K):
+    """Eigenvalues of the 2N x 2N kernel matrix K above 1, from LAPACK's geev."""
+    return int(np.sum(np.linalg.eigvals(K).real > 1.0))
+
+
 @pytest.mark.parametrize(
     "system, grid_args, E",
     [
@@ -101,13 +113,16 @@ def test_kernel_identical_boson_reduction():
     ],
 )
 def test_kernel_matrix_and_symmetric_solve_agree(system, grid_args, E):
-    # build_kernel's non-symmetric K and the engine's symmetrized form are
-    # two assemblies of one operator: their leading spectra must coincide
+    # build_kernel's non-symmetric 2N x 2N K and the engine's reduced N x N M
+    # are two assemblies of one determinant, det(1 - K) = det(1 - M), with as
+    # many eigenvalues above 1 (M's other eigenvalues are its own)
     cfg = default_c20_config() if system == "c20" else unitary_boson_config()
     g = build_grid(*grid_args)
-    general = np.sort(np.linalg.eigvals(build_kernel(cfg, g, E).matrix).real)[::-1]
-    symmetric = _Engine(cfg, g).eigenvalues(E)
-    assert np.max(np.abs(general[:6] - symmetric[:6])) <= 1e-12
+    K = build_kernel(cfg, g, E).matrix
+    eng = _Engine(cfg, g)
+    reduced = eng.eigenvalues(E)
+    assert_same_determinant(K, reduced)
+    assert int(np.sum(reduced > 1.0)) == eng.count_above_one(E) == count_above_one(K)
 
 
 @pytest.mark.parametrize(
@@ -133,8 +148,8 @@ def test_engine_cached_blocks_equal_fresh_blocks(system, grid_args, energies):
 
 @pytest.mark.parametrize("system", ["c20_scan", "boson"])
 def test_inertia_count_equals_eigen_count(calibrated_c20, system):
-    # Sylvester: the positive eigenvalues of D in S - 1 = L D L^T are as
-    # many as the eigenvalues of S above 1
+    # Sylvester and Haynsworth: the positive eigenvalues of D in
+    # M - 1 = L D L^T are as many as the eigenvalues of K above 1
     eps2 = np.geomspace(1e-3, 400.0, 16)
     if system == "c20_scan":
         base = _Engine(calibrated_c20, build_grid(64, 0.1))
@@ -143,7 +158,7 @@ def test_inertia_count_equals_eigen_count(calibrated_c20, system):
         eng = _Engine(unitary_boson_config(), build_grid(160, 0.03))
         cases = [(eng, E) for E in -np.geomspace(1e-9, 1e3, 5)]
     counts = [eng.count_above_one(E) for eng, E in cases]
-    eigen = [int(np.sum(eigh(eng.symmetric_kernel(E), eigvals_only=True) > 1.0)) for eng, E in cases]
+    eigen = [count_above_one(build_kernel(eng.config, eng.grid, E).matrix) for eng, E in cases]
     assert counts == eigen
     assert len(set(counts)) >= 3  # the points span several counts
     if system == "c20_scan":  # the scan's excited counts leave out the ground state
@@ -198,9 +213,15 @@ def test_determinant_bracket_and_bisection(grid, calibrated_c20):
 
 
 def test_determinant_continuity(grid, calibrated_c20):
+    # on K's leading eigenvalue, equal to S's; M's own is steeper near the
+    # threshold, but its determinant is K's at every mesh point
     E = np.linspace(-8.0, -0.3, 25)
     eng = _Engine(calibrated_c20, grid)
-    vals = [1.0 - eng.eigenvalues(e)[0] for e in E]
+    vals = []
+    for e in E:
+        K = build_kernel(calibrated_c20, grid, e).matrix
+        vals.append(1.0 - np.max(np.linalg.eigvals(K).real))
+        assert_same_determinant(K, eng.eigenvalues(e))
     assert all(np.isfinite(vals))
     assert max(abs(np.diff(vals))) < 0.6  # no jumps on a modest mesh
 
@@ -255,6 +276,12 @@ def test_find_trimers_empty_spectrum_is_valid(grid):
     # a window wholly inside the n+dimer continuum (eps2 = 250 keV) holds no level
     spec = find_trimers(default_c20_config(), grid, search_window=(1.0, 100.0))
     assert spec.levels == ()
+
+
+def test_find_trimers_infinite_window_is_configuration_error():
+    # it reached the kernel at E = -inf MeV: a NumericalError
+    with pytest.raises(ConfigurationError, match="search_window"):
+        find_trimers(default_c20_config(), build_grid(32, 0.1), (1e-3, math.inf))
 
 
 def test_unitary_ladder_eigen_evaluations(monkeypatch):
