@@ -21,12 +21,15 @@ that end in a configuration error: `reproduce` with an unknown preset
 and with `--out` naming an existing file, `scan` with start_keV >
 stop_keV, and `scatter` with a virtual n-core channel (a = -179 fm) and
 with a bound one at eps2 = 0, neither of which has an elastic n+dimer
-window.  Three `scatter` runs end in a numerical error,
+window.  Four `scatter` runs end in a numerical error,
 each at its own energy's check: an on-shell momentum on a node of a
 32-node grid, exchange blocks that overflow at the fourth of 5 log points
 up to 0.98e100 keV at eps2 = 1e100 keV (their chunk of q0 borders fails,
-so each energy builds its own), and a dimer residue that leaves the float
-range at eps2 = 1e300 keV.  It also runs this directory's `unitary_ladder.py`
+so each energy builds its own), a dimer residue that leaves the float
+range at eps2 = 1e300 keV, and `scatter-hidden-nn-pole`, the README
+configuration with an nn scattering length of -0.1 fm, whose nn
+propagator has a bound pole on the physical sheet and is positive below
+threshold.  It also runs this directory's `unitary_ladder.py`
 (the A = 1 `unitary_boson_config` preset) and `boron19_states.py` (the
 A = 17 `boron19_config` preset) against each side's package; they read no
 configuration file and use their own grids.
@@ -40,7 +43,8 @@ is printed, one relative path a line; the exit code is 1 if any does, else 0.
 Next to each path stands the size of its difference: the largest relative
 difference |a - b| / max(|a|, |b|) over the numbers of the two files when
 the text outside the numbers matches, else `text differs` (or `only in
-old`, `only in new`).
+old`, `only in new`).  For a JSON object it is given per top-level key
+that differs, e.g. `Gamma_keV 1.1e-12; covariance 0.0084`.
 """
 
 from __future__ import annotations
@@ -120,6 +124,14 @@ CONFIG_EDITS = {
         "grid": {"count": 16, "map_scale_inv_fm": 0.1},
         "scatter": {**README_CONFIG["scatter"], "points": 3},
     },
+    # |kappa_B| > 2 beta: tau_nn has a bound pole on the physical sheet and
+    # is positive below threshold
+    "scatter-hidden-nn-pole": {
+        "system": {
+            **README_CONFIG["system"],
+            "nn": {"pole": "virtual", "scattering_length_fm": -0.1, "beta_inv_fm": 1.0},
+        },
+    },
 }
 
 # the input each fit run reads: the side's scatter curve or a synthetic CSV
@@ -168,7 +180,10 @@ RUNS = [
     ("scatter-large-grid", [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None),
     *(
         (name, [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None)
-        for name in ("scatter-grid-node", "scatter-exchange-overflow", "scatter-residue-overflow")
+        for name in (
+            "scatter-grid-node", "scatter-exchange-overflow", "scatter-residue-overflow",
+            "scatter-hidden-nn-pole",
+        )
     ),
     # the demo scripts of this directory on the side's package: the presets
     ("unitary-ladder", [str(SCRIPTS_DIR / "unitary_ladder.py")], None),
@@ -237,20 +252,52 @@ def differing(old: Path, new: Path) -> list[str]:
 NUMBER = re.compile(rb"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
-def size_of_difference(old: Path, new: Path) -> str:
-    """How far two versions of one file differ: the largest relative difference
-    over their numbers if only numbers differ, else `text differs`."""
-    if not (old.is_file() and new.is_file()):
-        return "only in old" if old.is_file() else "only in new"
+def largest_relative_difference(a: bytes, b: bytes) -> float | None:
+    """The largest |x - y| / max(|x|, |y|) over the numbers of two texts, or
+    None if the text outside the numbers differs."""
     # re.split with one group: text at even positions, numbers at odd ones
-    a, b = NUMBER.split(old.read_bytes()), NUMBER.split(new.read_bytes())
+    a, b = NUMBER.split(a), NUMBER.split(b)
     if len(a) != len(b) or a[::2] != b[::2]:
-        return "text differs"
+        return None
     largest = 0.0
     for x, y in zip(map(float, a[1::2]), map(float, b[1::2])):
         if x != y:
             largest = max(largest, abs(x - y) / max(abs(x), abs(y)))
-    return f"max relative difference {largest:.2g}"
+    return largest
+
+
+def json_key_differences(a: bytes, b: bytes) -> str | None:
+    """For two JSON objects with the same keys, each differing key with the
+    largest relative difference over its value, e.g. `Gamma_keV 1.1e-12;
+    covariance 0.0084`, so a drift in one key does not read as a drift in
+    all; else None."""
+    try:
+        a, b = json.loads(a), json.loads(b)
+    except ValueError:
+        return None
+    if not (isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys()):
+        return None
+    sizes = []
+    for key in a:
+        size = largest_relative_difference(*(json.dumps(v[key]).encode() for v in (a, b)))
+        if size is None:
+            sizes.append(f"{key} text differs")
+        elif size:
+            sizes.append(f"{key} {size:.2g}")
+    return "; ".join(sizes) or None
+
+
+def size_of_difference(old: Path, new: Path) -> str:
+    """How far two versions of one file differ: per top-level key of a JSON
+    object, else the largest relative difference over their numbers if only
+    numbers differ, else `text differs`."""
+    if not (old.is_file() and new.is_file()):
+        return "only in old" if old.is_file() else "only in new"
+    a, b = old.read_bytes(), new.read_bytes()
+    if old.suffix == ".json" and (per_key := json_key_differences(a, b)):
+        return per_key
+    largest = largest_relative_difference(a, b)
+    return "text differs" if largest is None else f"max relative difference {largest:.2g}"
 
 
 def compare(

@@ -9,15 +9,17 @@ principal-value integral of the subtracted numerator is discretized
 directly, and the exact counter-term plus the i*pi on-shell piece are
 attached to an extra grid point at q0.
 
-The core amplitude is eliminated (there is no core-core block), which
-leaves N+1 real neutron rows on p + {q0} but for the on-shell column;
-that column is proportional to the right-hand side, so one real solve
-and a Sherman-Morrison step give f exactly, and Im(1/f) = -k.
+The core amplitude is eliminated as for the trimer levels, by the
+engine's core_eliminated: P = 2 G G^T - Z_nn on the neutron rows p + {q0}
+(there is no core-core block).  (1 + P D) X = P[:, q0] is real but for
+the on-shell column, which is proportional to the right-hand side, so
+one real solve and a Sherman-Morrison step give f exactly, and
+Im(1/f) = -k.
 
 A cross-section curve shares its work between energies: the engine's
 grid exchange blocks and the dimer residue are computed once, the q0
 borders of a chunk of energies come from one exchange pair evaluated on
-(chunk, 2N+1) momenta, and the (N+1)-sized arrays of the Schur system
+(chunk, 2N+1) momenta, and the three (N+1)-sized arrays of the solve
 are allocated once and overwritten at each energy.  The chunks are small
 enough that a curve's memory does not grow with its number of energies.
 Each energy runs in the curve's one loop: its checks, its border, then
@@ -42,7 +44,7 @@ from .model import (
     two_body_propagator_subtracted,
 )
 from .quadrature import MomentumGrid
-from .spectrum import EXCHANGE_BLOCK_ENTRIES, _Engine, _exchanges
+from .spectrum import EXCHANGE_BLOCK_ENTRIES, _check_nn_dimer, _Engine, _exchanges
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,7 @@ class CrossSectionCurve:
 def elastic_window(config: SystemConfig) -> float:
     """Top of the elastic window 0 < E_cm < top (keV): n-core eps2 less a bound nn eps2."""
     config = resolve_config(config)
+    _check_nn_dimer(config)
     if config.nc_channel.pole_kind is not PoleKind.bound:
         raise ConfigurationError("elastic n+dimer scattering requires a bound n-core channel")
     eps2 = config.nc_channel.epsilon2_keV
@@ -85,7 +88,7 @@ def elastic_window(config: SystemConfig) -> float:
         raise ConfigurationError("elastic n+dimer window (0, 0) keV is empty at eps2 = 0")
     if config.nn_channel.pole_kind is PoleKind.bound:
         eps2 -= config.nn_channel.epsilon2_keV
-        if eps2 <= 0.0:
+        if eps2 <= 0.0:  # equal eps2: both dimers at one threshold
             raise ConfigurationError(f"elastic n+dimer window (0, {eps2:g}) keV is empty")
     return eps2
 
@@ -130,58 +133,42 @@ def _amplitude(eng: _Engine, Ecm: float, q0: float, R: float, border, work) -> f
     """gamma = -1/(k cot delta) in MeV^-1 at Ecm (MeV above the n+dimer
     threshold) and its on-shell momentum q0 = sqrt(2 M_n Ecm) (MeV), from
     the n-core dimer residue R and this energy's border (Z_nn, Z_nc) on
-    _border_momenta(p, q0).  work holds the curve's arrays B_nn, B_nc,
-    B_nc T_c and H, which this call overwrites; H ends as 1 - H D."""
-    config = eng.config
+    _border_momenta(p, q0).  work holds the curve's arrays Z_nn, Z_nc and P
+    on p + {q0}, which this call overwrites: Z_nc ends as G and P as 1 + P D."""
     E = eng.threshold() + Ecm
-    Mn = eng.M_n
-    p, w = eng.p, eng.w
-    n = eng.grid.count
-    Znn_b, Znc_b = border
-    # Born blocks on p + {q0}: the grid block from the engine's exchange
-    # blocks, then the q0 border, scaled by 2 pi in place
-    Bnn, Bnc, Bnc_t, H = work
-    Znn, Znc = eng.exchange()
-    Znn(E, out=Bnn[:n, :n])
-    Bnn[:n, n] = Znn_b[:n]
-    Bnn[n, :n] = Znn_b[n + 1 :]
-    Bnn[n, n] = Znn_b[n]
-    Bnn *= 2.0 * math.pi
-    Znc(E, out=Bnc[:n])
-    Bnc[n] = Znc_b[n + 1 :]
-    Bnc *= 2.0 * math.pi
+    Mn, p, n = eng.M_n, eng.p, eng.grid.count
+    # exchange blocks on p + {q0}: the grid's from the engine, then the border
+    Znn, G, P = work
+    Znn_grid, Znc_grid = eng.exchange()
+    Znn_grid(E, out=Znn[:n, :n])
+    Znn[:, n] = border[0][: n + 1]
+    Znn[n, :n] = border[0][n + 1 :]
+    Znc_grid(E, out=G[:n])
+    G[n] = border[1][n + 1 :]
+    eng.core_eliminated(Znn, G, eng.tau_c(E).real, out=P)  # G over Z_nc
 
+    # tau with its dimer pole removed analytically (regular at p = q0), then
+    # the pole added back: the full tau at the quadrature nodes
     z_n = E - p**2 / (2.0 * Mn)
-    # tau with its dimer pole removed analytically: regular at p = q0
-    tau_reg = two_body_propagator_subtracted(config.nc_channel, eng.mu_nc, z_n).real
-    pole = 2.0 * Mn * R / (q0**2 - p**2)
-    tau_full = tau_reg + pole  # full tau at the quadrature nodes
-    tau_c = eng.tau_c(E).real
-
-    wq2 = w * p**2
+    tau_reg = two_body_propagator_subtracted(eng.config.nc_channel, eng.mu_nc, z_n).real
+    tau_full = tau_reg + 2.0 * Mn * R / (q0**2 - p**2)
     # P.V. int_0^inf dq/(q0^2-q^2) = 0, so the counter-term is just the
     # discretization defect of the subtracted pole
-    counter = -2.0 * Mn * R * q0**2 * float(np.sum(w / (q0**2 - p**2)))
-    # F_c = c_c + C F_n (no core-core block): eliminating it leaves the
-    # neutron rows p + {q0} with H = B_nn + 2 B_nc T_c B_cn, T_c = diag(wq2 tau_c)
-    np.multiply(Bnc, (wq2 * tau_c)[None, :], out=Bnc_t)
-    np.matmul(2.0 * Bnc_t, Bnc.T, out=H)
-    H += Bnn
-    # (1 - H D) X = H[:, q0] with D = diag(wq2 tau_full, counter - i pi Mn R q0).
-    # Only D's on-shell entry is complex, so X = Y / (1 + i pi Mn R q0 Y[q0])
-    # (Sherman-Morrison) with Y the real solution at D = diag(wq2 tau_full, counter)
-    D = np.append(wq2 * tau_full, counter)
-    rhs = H[:, n].copy()
-    np.multiply(H, D[None, :], out=H)  # H is overwritten by 1 - H D
-    np.subtract(0.0, H, out=H)
-    H[np.diag_indices_from(H)] += 1.0
-    Y = np.linalg.solve(H, rhs)
-    # One refinement step of Y[q0] against the unreduced blocks, whose
-    # accuracy forming H loses when q0 sits near a node (large D there).
-    # H is symmetric, so row q0 of (1 - H D)^-1 is e_q0 + D Y: no second solve.
+    counter = -2.0 * Mn * R * q0**2 * float(np.sum(eng.w / (q0**2 - p**2)))
+    # (1 + P D) X = P[:, q0] with D = diag(u tau_full, 2 pi (counter - i pi Mn R q0)).
+    # Only D's on-shell entry is complex, so X = Y / (1 - 2 pi^2 i Mn R q0 Y[q0])
+    # (Sherman-Morrison) with Y the real solution at D = diag(u tau_full, 2 pi counter)
+    D = np.append(eng.u * tau_full, 2.0 * math.pi * counter)
+    rhs = P[:, n].copy()
+    np.multiply(P, D[None, :], out=P)  # P is overwritten by 1 + P D
+    P[np.diag_indices_from(P)] += 1.0
+    Y = np.linalg.solve(P, rhs)
+    # One refinement step of Y[q0] against P in factored form, whose
+    # accuracy forming P loses when q0 sits near a node (large D there).
+    # P is symmetric, so row q0 of (1 + P D)^-1 is e_q0 - D Y: no second solve.
     DY = D * Y
-    residual = Bnn[:, n] - Y + Bnn @ DY + Bnc_t @ (2.0 * Bnc[n] + 2.0 * (Bnc.T @ DY))
-    return math.pi * Mn * R * (Y[n] + residual[n] + DY @ residual)
+    residual = 2.0 * (G @ (G[n] - G.T @ DY)) - Znn[:, n] + Znn @ DY - Y
+    return -2.0 * math.pi**2 * Mn * R * (Y[n] + residual[n] - DY @ residual)
 
 
 def cross_section_curve(
@@ -209,10 +196,7 @@ def cross_section_curve(
     Ecms = E_values / KEV_PER_MEV
     q0s = np.sqrt(2.0 * eng.M_n * Ecms)
     n = grid.count
-    work = (
-        np.empty((n + 1, n + 1)), np.empty((n + 1, n)), np.empty((n + 1, n)),
-        np.empty((n + 1, n + 1)),
-    )
+    work = (np.empty((n + 1, n + 1)), np.empty((n + 1, n)), np.empty((n + 1, n + 1)))
     R = propagator_residue(eng.config.nc_channel, eng.mu_nc)
     borders = _borders(eng, Ecms, q0s)
     points = []

@@ -42,6 +42,18 @@ from .quadrature import MomentumGrid
 # internal engine: natural units (MeV, hbar*c = 1)
 
 
+def _check_nn_dimer(config: SystemConfig) -> None:
+    """ConfigurationError for a bound n-n dimer below the n+(n-core) threshold
+    (breakup for a virtual n-core pair), which the kernel takes as the lowest."""
+    nc, nn = config.nc_channel, config.nn_channel
+    eps2_nc = nc.epsilon2_keV if nc.pole_kind is PoleKind.bound else 0.0
+    if nn.pole_kind is PoleKind.bound and nn.epsilon2_keV > eps2_nc:
+        raise ConfigurationError(
+            f"n-n dimer (eps2 = {nn.epsilon2_keV:g} keV) below the n+(n-core) threshold "
+            f"(eps2 = {eps2_nc:g} keV): not supported"
+        )
+
+
 class _Engine:
     """The kernel's setting for one (config, grid) pair, in MeV.
 
@@ -70,12 +82,7 @@ class _Engine:
         self.w = grid.weights * HBAR_C
         self.u = 2.0 * np.pi * self.p**2 * self.w
         self._exchange = None
-        nn = config.nn_channel
-        if nn.pole_kind is PoleKind.bound and -nn.epsilon2_keV / KEV_PER_MEV < self.threshold():
-            raise ConfigurationError(
-                f"n-n dimer (eps2 = {nn.epsilon2_keV:g} keV) below the n+(n-core) threshold "
-                f"(eps2 = {abs(self.threshold()) * KEV_PER_MEV:g} keV): not supported"
-            )
+        _check_nn_dimer(config)
 
     def tau_n(self, E):
         """n-core propagator with a neutron spectator at each grid node."""
@@ -125,8 +132,20 @@ class _Engine:
         eng._exchange = self.exchange()
         return eng
 
+    def core_eliminated(self, Znn, Znc, tau_c, out=None) -> np.ndarray:
+        """P = 2 G G^T - Z_nn, G = Z_nc diag(sqrt(-tau_c u)) written over Z_nc
+        (rows: neutron momenta, columns: the grid), into out if given: the
+        core amplitude eliminated, for trimer levels and scattering alike."""
+        if np.any(tau_c >= 0):
+            raise NumericalError("propagator changed sign below threshold")
+        Znc *= np.sqrt(-tau_c * self.u)  # G
+        P = np.matmul(Znc, Znc.T, out=out)  # exactly symmetric: numpy takes syrk for G G^T
+        P *= 2.0
+        P -= Znn
+        return P
+
     def reduced_kernel(self, E: float) -> np.ndarray:
-        """M(E) = diag(s_n) (2 G G^T - Z_nn) diag(s_n), G = Z_nc diag(s_c).
+        """M(E) = diag(s_n) P diag(s_n), P = 2 G G^T - Z_nn (core_eliminated).
 
         Below threshold all tau are real negative, and s = sqrt(-tau * u)
         turns K into S = [[S_nn, S_nc], [S_nc^T, 0]], real symmetric.  M - 1
@@ -135,16 +154,13 @@ class _Engine:
         M and S have as many eigenvalues above 1 at every E.
         """
         self.check_below_threshold(E)
-        Znn, G = self.born_blocks(E)
+        Znn, Znc = self.born_blocks(E)
         tau_n = self.tau_n(E).real
         tau_c = self.tau_c(E).real
-        if np.any(tau_n >= 0) or np.any(tau_c >= 0):
+        if np.any(tau_n >= 0):
             raise NumericalError("propagator changed sign below threshold")
+        M = self.core_eliminated(Znn, Znc, tau_c)
         s_n = np.sqrt(-tau_n * self.u)
-        G *= np.sqrt(-tau_c * self.u)  # born_blocks' own array
-        M = G @ G.T  # exactly symmetric: numpy takes syrk for G @ G.T
-        M *= 2.0
-        M -= Znn
         M *= s_n[:, None]  # rows first, as in S: rounding moves beta within its noise
         M *= s_n
         if not np.isfinite(M).all():

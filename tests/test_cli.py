@@ -18,6 +18,7 @@ from trihalo.cli import main
 from trihalo.errors import ConfigurationError
 from trihalo.fanofit import FanoParameters, fano_profile, fit
 from trihalo.io import read_curve_csv, write_curve_csv
+from trihalo.model import parse_system_config
 from trihalo.pipeline import run_fig1_fig2
 from trihalo.quadrature import build_grid
 
@@ -291,7 +292,8 @@ def bound_nn_system(eps2_nn):
          "(eps2 = 250 keV): not supported"),
         ("scan", "n-n dimer (eps2 = 1000 keV) below the n+(n-core) threshold "
          "(eps2 = 250 keV): not supported"),
-        ("scatter", "elastic n+dimer window (0, -750) keV is empty"),
+        ("scatter", "n-n dimer (eps2 = 1000 keV) below the n+(n-core) threshold "
+         "(eps2 = 250 keV): not supported"),
     ],
     ids=["spectrum", "scan", "scatter"],
 )
@@ -303,6 +305,44 @@ def test_bound_nn_dimer_below_nc_threshold_is_config_error(tmp_path, capsys, com
     path.write_text(json.dumps({"system": bound_nn_system(1000.0), "grid": {"count": 16}}))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert last_line(capsys) == f"RESULT config_error {expected}"
+
+
+@pytest.mark.parametrize(
+    "eps2_nn, expected",
+    [
+        (300.0, "n-n dimer (eps2 = 300 keV) below the n+(n-core) threshold "
+         "(eps2 = 250 keV): not supported"),
+        (250.0, "elastic n+dimer window (0, 0) keV is empty"),
+    ],
+    ids=["below", "equal"],
+)
+def test_scatter_and_curve_refuse_a_bound_nn_dimer_with_one_message(
+    tmp_path, capsys, eps2_nn, expected
+):
+    # trihalo scatter asks for the elastic window first, cross_section_curve
+    # builds its engine first: one check decides for both
+    system = bound_nn_system(eps2_nn)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"system": system, "grid": {"count": 16}}))
+    assert main(["scatter", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert last_line(capsys) == f"RESULT config_error {expected}"
+    with pytest.raises(ConfigurationError) as exc:
+        trihalo.cross_section_curve(parse_system_config(system), build_grid(16, 0.1), [1.0])
+    assert str(exc.value) == expected
+
+
+def test_scatter_with_a_hidden_nn_pole_is_numerical_error(tmp_path, capsys):
+    # a virtual nn pair with a = -0.1 fm (|kappa_B| > 2 beta) hides a bound
+    # pole of tau_nn on the physical sheet, near -2.65 GeV, so tau_nn is
+    # positive below threshold; spectrum and scan refused this config, and
+    # scatter, which eliminates the core by the same check, must too
+    system = {**SYSTEM, "nn": {**SYSTEM["nn"], "scattering_length_fm": -0.1}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"system": system, "grid": {"count": 96}}))
+    reason = "propagator changed sign below threshold"
+    for command, prefix in (("spectrum", ""), ("scan", ""), ("scatter", "at E_cm = 0.05 keV: ")):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert last_line(capsys) == f"RESULT numerical_error {prefix}{reason}", command
 
 
 def test_scatter_default_stop_below_the_core_nn_dimer_threshold(tmp_path, capsys):

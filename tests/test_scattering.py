@@ -21,6 +21,7 @@ from trihalo.model import (
     propagator_residue,
     reduced_mass,
     resolve_config,
+    two_body_propagator,
     two_body_propagator_subtracted,
 )
 from trihalo.pipeline import curve_mesh
@@ -314,6 +315,56 @@ def test_curve_builds_one_grid_exchange_pair(monkeypatch, calibrated_c20):
     # Z_nn and Z_nc once over the grid, and once over the q0 borders of the
     # 12 energies, one chunk at N = 48
     assert sum(built) == 2 and len(built) == 4
+
+
+def test_curve_and_spectrum_share_one_core_elimination(monkeypatch, calibrated_c20):
+    # the scattering's P and the spectrum's M both come from
+    # _Engine.core_eliminated: once per energy of a curve, and once per
+    # eigen-evaluation (eigen-solve or inertia count) of a level search or scan
+    calls = dict.fromkeys(("core_eliminated", "eigenvalues", "count_above_one"), 0)
+
+    def counting(name, method):
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(_Engine, name, counting(name, getattr(_Engine, name)))
+    g = build_grid(48, 0.1)
+    cross_section_curve(c20(calibrated_c20, 250.0), g, curve_mesh(250.0, 12))
+    assert calls == {"core_eliminated": 12, "eigenvalues": 0, "count_above_one": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    spec = spectrum.find_trimers(c20(calibrated_c20, 150.0), g, (1e-3, 1e5))
+    assert spec.levels and calls["count_above_one"] == 0
+    assert calls["core_eliminated"] == calls["eigenvalues"] > 0
+    calls.update(dict.fromkeys(calls, 0))
+    scan = spectrum.threshold_scan(calibrated_c20, np.geomspace(1.0, 400.0, 12), g)
+    assert scan.crossings and calls["count_above_one"] == 12
+    assert calls["core_eliminated"] == calls["eigenvalues"] + calls["count_above_one"]
+
+
+def test_hidden_nn_pole_is_numerical_error_in_both_layers():
+    # a virtual nn pair with a = -0.1 fm and beta = 1 fm^-1 has |kappa_B| >
+    # 2 beta: tau_nn has a bound pole on the physical sheet near -2.65 GeV
+    # and is positive below threshold.  The level search refused it; the
+    # curve, which eliminates the core by the same check, refuses it too
+    cfg = SystemConfig(
+        18,
+        PairChannel(ChannelLabel.neutron_core, PoleKind.bound, 1.0, epsilon2_keV=250.0),
+        PairChannel(ChannelLabel.neutron_neutron, PoleKind.virtual, 1.0,
+                    scattering_length_fm=-0.1),
+    )
+    g = build_grid(32, 0.1)
+    eng = _Engine(cfg, g)
+    z = -np.geomspace(1e-3, 1e3, 13)  # MeV
+    assert np.all(two_body_propagator(eng.config.nn_channel, eng.mu_nn, z).real > 0)
+    reason = "propagator changed sign below threshold"
+    with pytest.raises(NumericalError, match=f"^{reason}$"):
+        eng.eigenvalues(-1.0)
+    with pytest.raises(NumericalError, match=f"^at E_cm = 0.05 keV: {reason}$"):
+        cross_section_curve(cfg, g, [0.05, 1.0])
 
 
 def test_threshold_scan_builds_one_grid_exchange_pair(monkeypatch, calibrated_c20):

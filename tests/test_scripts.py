@@ -127,6 +127,7 @@ def test_compare_outputs_same_tree_is_identical_and_a_changed_byte_is_reported(t
     }
     numerical_errors = {
         "scatter-grid-node", "scatter-exchange-overflow", "scatter-residue-overflow",
+        "scatter-hidden-nn-pole",
     }
     for name in runs:
         code = 2 if name in config_errors else 3 if name in numerical_errors else 0
@@ -151,3 +152,23 @@ def test_compare_outputs_same_tree_is_identical_and_a_changed_byte_is_reported(t
                        (f"x{star}", "text differs")):
         (new / crossings).write_text(text.replace(star, edit, 1))
         assert compare.size_of_difference(old / crossings, new / crossings) == size
+
+
+def test_compare_outputs_sizes_a_json_object_per_key(tmp_path):
+    # a drift in a fit's covariance must not read as a drift in its parameters
+    compare = load_compare_outputs()
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    fit = {"model": "fano", "q": 3.5, "Gamma_keV": 0.25, "covariance": [[1.0, -2.0], [-2.0, 8.0]]}
+    old.write_text(json.dumps(fit, indent=2))
+    fit.update(model="breit_wigner", Gamma_keV=0.25 * (1.0 + 1.1e-12))
+    fit["covariance"][0][1] = -2.0 * (1.0 + 3e-3)
+    new.write_text(json.dumps(fit))
+    assert compare.size_of_difference(old, new) == (
+        "model text differs; Gamma_keV 1.1e-12; covariance 0.003"
+    )
+    # a JSON list, or objects whose keys differ, are sized as any other text
+    old.write_text(json.dumps([{"q": 3.5}]))
+    new.write_text(json.dumps([{"q": 3.5 * (1.0 + 2e-7)}]))
+    assert compare.size_of_difference(old, new) == "max relative difference 2e-07"
+    new.write_text(json.dumps({"q": 3.5}))
+    assert compare.size_of_difference(old, new) == "text differs"
