@@ -16,7 +16,12 @@ past 500 iterations into the amplitude continuation), `reproduce fig1-fig2
 `scatter` of 8 log points on a 192-node grid (its exchange blocks are
 evaluated in three row blocks; at the 96 nodes of the other CLI runs
 they fit in one), `scan` of 8 points on a 160-node grid (two row blocks,
-through the inertia counts and one crossing's bisection), and five runs
+through the inertia counts and one crossing's bisection),
+`scatter-identical-bosons`, 8 log points of an A = 1 system with a bound
+n-core and a virtual n-n channel at equal beta (one exchange block
+serves as Z_nn and Z_nc, in the grid blocks and the q0 borders alike),
+`spectrum-unequal-betas`, an A = 1 system whose n-n beta differs from
+its n-core beta (two exchange blocks), and five runs
 that end in a configuration error: `reproduce` with an unknown preset
 and with `--out` naming an existing file, `scan` with start_keV >
 stop_keV, and `scatter` with a virtual n-core channel (a = -179 fm) and
@@ -74,6 +79,14 @@ README_CONFIG = {
     "fit": {"model": "fano", "window": "auto"},
 }
 
+# A = 1 with the example's channels, at an n-n beta of 2.0 fm^-1 against
+# the n-core beta of 1.0 fm^-1 unless a run sets the two equal
+A1_SYSTEM = {
+    "core_mass_number": 1,
+    "nc": {"pole": "bound", "epsilon2_keV": 250.0, "beta_inv_fm": 1.0},
+    "nn": {"pole": "virtual", "scattering_length_fm": -18.5, "beta_inv_fm": 2.0},
+}
+
 # run name -> the sections of README_CONFIG that the run's cfg.json replaces
 CONFIG_EDITS = {
     "scan-descending": {"scan": {"start_keV": 400.0, "stop_keV": 0.001, "points": 40}},
@@ -94,6 +107,13 @@ CONFIG_EDITS = {
         "scan": {**README_CONFIG["scan"], "points": 8},
     },
     "scatter-one-point": {"scatter": {"start_keV": 10.0, "points": 1}},
+    # identical bosons: Z_nn and Z_nc share one closed form, so one block
+    "scatter-identical-bosons": {
+        "system": {**A1_SYSTEM, "nn": {**A1_SYSTEM["nn"], "beta_inv_fm": 1.0}},
+        "scatter": {**README_CONFIG["scatter"], "points": 8},
+    },
+    # A = 1 at unequal betas: two blocks
+    "spectrum-unequal-betas": {"system": A1_SYSTEM},
     "scatter-large-grid": {
         "grid": {"count": 192, "map_scale_inv_fm": 0.1},
         "scatter": {**README_CONFIG["scatter"], "points": 8},
@@ -178,6 +198,10 @@ RUNS = [
     ("scatter-one-point",
      [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out", "--svg"], None),
     ("scatter-large-grid", [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None),
+    ("scatter-identical-bosons",
+     [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None),
+    ("spectrum-unequal-betas",
+     [*TRIHALO, "spectrum", "--config", "cfg.json", "--out", "out"], None),
     *(
         (name, [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None)
         for name in (

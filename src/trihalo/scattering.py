@@ -44,7 +44,7 @@ from .model import (
     two_body_propagator_subtracted,
 )
 from .quadrature import MomentumGrid
-from .spectrum import EXCHANGE_BLOCK_ENTRIES, _check_nn_dimer, _Engine, _exchanges
+from .spectrum import EXCHANGE_BLOCK_ENTRIES, _check_nn_dimer, _Engine, _evaluate, _exchanges
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,8 @@ def _borders(eng: _Engine, Ecms, q0s):
     energy's own checks, as they would without chunks."""
 
     def rows(chunk):
-        return zip(*[
-            z((eng.threshold() + Ecms[chunk])[:, None])
-            for z in _exchanges(eng, *_border_momenta(eng.p, q0s[chunk, None]))
-        ])
+        pair = _exchanges(eng, *_border_momenta(eng.p, q0s[chunk, None]))
+        return zip(*_evaluate(pair, (eng.threshold() + Ecms[chunk])[:, None]))
 
     size = max(1, EXCHANGE_BLOCK_ENTRIES // (5 * (2 * eng.grid.count + 1)))
     for start in range(0, len(q0s), size):
@@ -139,11 +137,9 @@ def _amplitude(eng: _Engine, Ecm: float, q0: float, R: float, border, work) -> f
     Mn, p, n = eng.M_n, eng.p, eng.grid.count
     # exchange blocks on p + {q0}: the grid's from the engine, then the border
     Znn, G, P = work
-    Znn_grid, Znc_grid = eng.exchange()
-    Znn_grid(E, out=Znn[:n, :n])
+    eng.born_blocks(E, out=(Znn[:n, :n], G[:n]))
     Znn[:, n] = border[0][: n + 1]
     Znn[n, :n] = border[0][n + 1 :]
-    Znc_grid(E, out=G[:n])
     G[n] = border[1][n + 1 :]
     eng.core_eliminated(Znn, G, eng.tau_c(E).real, out=P)  # G over Z_nc
 

@@ -57,10 +57,10 @@ def _check_nn_dimer(config: SystemConfig) -> None:
 class _Engine:
     """The kernel's setting for one (config, grid) pair, in MeV.
 
-    Holds masses, channel parameters, grid momenta, the spectator
-    propagators at the nodes and the symmetric eigen-solve.  The config
-    is resolved once here; every kernel evaluation on this pair, a whole
-    root search or cross-section curve included, reuses the engine.
+    Holds masses, channel parameters, grid momenta and measure, and the
+    grid's exchange pair once built.  The config is resolved once here;
+    every kernel evaluation on this pair, a whole root search or
+    cross-section curve included, reuses the engine.
     """
 
     def __init__(self, config: SystemConfig, grid: MomentumGrid):
@@ -117,9 +117,10 @@ class _Engine:
             self._exchange = _exchanges(self, self.p[:, None], self.p[None, :])
         return self._exchange
 
-    def born_blocks(self, E):
-        """Z_nn and Z_nc on the grid at E, from exchange blocks built once."""
-        return tuple(z(E) for z in self.exchange())
+    def born_blocks(self, E, out=(None, None)):
+        """Z_nn and Z_nc on the grid at E, from exchange blocks built once,
+        written into out's arrays if given."""
+        return _evaluate(self.exchange(), E, out)
 
     def with_epsilon2(self, eps2_keV: float) -> _Engine:
         """This engine at another n-core eps2 (the scattering length follows),
@@ -288,20 +289,32 @@ class _Exchange:
 
 
 def _exchanges(eng: _Engine, q, qp) -> tuple[_Exchange, _Exchange]:
-    """The Z_nn and Z_nc exchange blocks at the momenta q, qp (MeV), broadcast."""
+    """The Z_nn and Z_nc exchange blocks at the momenta q, qp (MeV), broadcast.
+
+    Identical bosons (A = 1, beta_nn = beta_nc) give both blocks the same
+    closed-form parameters: then one block serves as both."""
     m_n = NUCLEON_MASS
     c_n = m_n / (m_n + eng.m_c)
-    Znn = _Exchange(
-        q, qp, c_n, c_n,
-        1.0 / (2.0 * eng.mu_nc), 1.0 / (2.0 * eng.mu_nc), 1.0 / eng.m_c,
-        eng.beta_nc, eng.beta_nc,
-    )
-    Znc = _Exchange(
-        q, qp, 0.5, eng.m_c / (eng.m_c + m_n),
-        1.0 / (2.0 * eng.mu_nn), 1.0 / (2.0 * eng.mu_nc), 1.0 / m_n,
-        eng.beta_nc, eng.beta_nn,
-    )
-    return Znn, Znc
+    nn = (c_n, c_n, 1.0 / (2.0 * eng.mu_nc), 1.0 / (2.0 * eng.mu_nc), 1.0 / eng.m_c,
+          eng.beta_nc, eng.beta_nc)
+    nc = (0.5, eng.m_c / (eng.m_c + m_n), 1.0 / (2.0 * eng.mu_nn), 1.0 / (2.0 * eng.mu_nc),
+          1.0 / m_n, eng.beta_nc, eng.beta_nn)
+    Znn = _Exchange(q, qp, *nn)
+    return Znn, Znn if nc == nn else _Exchange(q, qp, *nc)
+
+
+def _evaluate(pair: tuple[_Exchange, _Exchange], E, out=(None, None)):
+    """Z_nn and Z_nc of an exchange pair at E, written into out's arrays if
+    given.  A block shared by both is evaluated once and copied, so Z_nc
+    owns its memory (core_eliminated writes G over it)."""
+    Znn, Znc = pair
+    nn = Znn(E, out=out[0])
+    if Znc is not Znn:
+        return nn, Znc(E, out=out[1])
+    if out[1] is None:
+        return nn, nn.copy()
+    out[1][...] = nn
+    return nn, out[1]
 
 
 # ---------------------------------------------------------------------------

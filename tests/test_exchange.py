@@ -1,6 +1,7 @@
 """The closed-form exchange (Born) blocks: brute-force angular quadrature as
-the oracle, and bit identity of the row-blocked evaluation with a
-whole-array evaluation of the same closed form."""
+the oracle, bit identity of the row-blocked evaluation with a whole-array
+evaluation of the same closed form, and one block for both when the
+bosons are identical."""
 
 import functools
 import tracemalloc
@@ -9,7 +10,12 @@ import numpy as np
 import pytest
 
 from trihalo import spectrum
-from trihalo.model import default_c20_config
+from trihalo.model import (
+    NUCLEON_MASS,
+    default_c20_config,
+    parse_system_config,
+    unitary_boson_config,
+)
 from trihalo.quadrature import build_grid
 from trihalo.scattering import _border_momenta
 from trihalo.spectrum import EXCHANGE_BLOCK_ENTRIES, _Engine, _exchanges
@@ -92,7 +98,7 @@ def test_exchange_blocks_match_angular_quadrature(engine, monkeypatch, E):
     # Z(q, q') = int_-1^1 dx / prod_i (A_i + B_i x), by 400-point
     # Gauss-Legendre.  Pairs with q q' << beta^2 are left out: there the
     # log-ratio terms of the partial fractions cancel, and the closed form
-    # was measured up to 30% off (ROADMAP item 5 (a)).  The diagonal stays
+    # was measured up to 30% off (ROADMAP item 8 (a)).  The diagonal stays
     # in: on it Z_nn takes the confluent branch.
     x, w = np.polynomial.legendre.leggauss(400)
     k = np.geomspace(1e-2, 2e3, 15)  # MeV
@@ -162,22 +168,77 @@ def test_exchange_writes_into_a_strided_out(engine, monkeypatch):
 def test_exchange_pair_memory():
     # the grid pair at N = 384 (10 row blocks) holds its five terms per
     # entry and little else; building it and evaluating it with out= keep
-    # only a few row blocks of temporaries alive at a time
-    eng = _Engine(default_c20_config(250.0, 1.0), build_grid(384, 0.1))
-    n, block = eng.grid.count, 8 * EXCHANGE_BLOCK_ENTRIES
-    out = [np.empty((n, n)) for _ in range(2)]
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        pair = eng.exchange()
-        held, build_peak = (m - start for m in tracemalloc.get_traced_memory())
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        for Z, o in zip(pair, out):
-            Z(-0.25, out=o)
-        eval_peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert held <= 10.2 * 8 * n * n
-    assert build_peak - held <= 12 * block
-    assert eval_peak <= 9 * block
+    # only a few row blocks of temporaries alive at a time.  The A = 1 pair
+    # of identical bosons at N = 160 (2 row blocks) holds one block's five
+    # terms: one block serves as Z_nn and Z_nc.
+    block = 8 * EXCHANGE_BLOCK_ENTRIES
+    for config, n, terms in ((default_c20_config(250.0, 1.0), 384, 10),
+                             (unitary_boson_config(), 160, 5)):
+        eng = _Engine(config, build_grid(n, 0.1))
+        out = tuple(np.empty((n, n)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            eng.exchange()
+            held, build_peak = (m - start for m in tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            eng.born_blocks(-0.25, out=out)
+            eval_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.02 * terms * 8 * n * n, n
+        assert build_peak - held <= 12 * block, n
+        assert eval_peak <= 9 * block, n
+
+
+def own_nc_block(eng):
+    """Z_nc on the grid, built on its own from its closed-form parameters."""
+    m_n, p = NUCLEON_MASS, eng.p
+    return spectrum._Exchange(
+        p[:, None], p[None, :], 0.5, eng.m_c / (eng.m_c + m_n),
+        1.0 / (2.0 * eng.mu_nn), 1.0 / (2.0 * eng.mu_nc), 1.0 / m_n,
+        eng.beta_nc, eng.beta_nn,
+    )
+
+
+def unequal_betas():
+    """unitary_boson_config() (A = 1, a = -1e4 fm, beta 16 fm^-1) but for an
+    n-n beta of 15 fm^-1."""
+    pair = {"pole": "virtual", "scattering_length_fm": -1.0e4, "beta_inv_fm": 16.0}
+    return parse_system_config(
+        {"core_mass_number": 1, "nc": pair, "nn": {**pair, "beta_inv_fm": 15.0}}
+    )
+
+
+@pytest.mark.parametrize(
+    "config, shared",
+    [(unitary_boson_config(), True), (unequal_betas(), False), (default_c20_config(), False)],
+    ids=["unitary-bosons", "unequal-betas", "c20"],
+)
+def test_identical_bosons_share_one_exchange_block(monkeypatch, config, shared):
+    # identical bosons give Z_nn and Z_nc one closed form: one block serves
+    # both, it is evaluated once per kernel, and Z_nc still gets its own
+    # array, equal bit for bit to a Z_nc block built on its own
+    eng = _Engine(config, build_grid(160, 0.03))
+    Znn, Znc = _exchanges(eng, eng.p[:, None], eng.p[None, :])
+    assert (Znn is Znc) is shared
+    assert (eng.exchange()[0] is eng.exchange()[1]) is shared
+    E = -1.0
+    reference = own_nc_block(eng)(E)
+    nn, nc = eng.born_blocks(E)
+    assert same_bits(nc, reference) and not np.shares_memory(nn, nc)
+    out = tuple(np.full((eng.grid.count,) * 2, 7.0) for _ in range(2))
+    assert all(a is b for a, b in zip(eng.born_blocks(E, out=out), out))
+    assert same_bits(out[1], reference) and same_bits(out[0], nn)
+    calls = []
+    evaluate = spectrum._Exchange.__call__
+
+    def counted(self, E, out=None):
+        calls.append(self)
+        return evaluate(self, E, out=out)
+
+    monkeypatch.setattr(spectrum._Exchange, "__call__", counted)
+    for E in (-1.0, -2.0, -3.0):
+        eng.eigenvalues(E)
+    assert len(calls) == 3 * (1 if shared else 2)
