@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Break the program in known ways and check that the tests notice.
+
+Usage:
+    python3 scripts/mutants.py
+
+Each entry of MUTANTS replaces one piece of text in one source file (old
+text, new text) and names the tests that must fail with that change.  The
+entries run one at a time, each on a fresh copy of this repository (its
+.git left out) in a temporary directory, with pytest at one BLAS thread and
+PYTHONPATH pointing at the copy's src/.  A mutant is killed when every test
+it names fails; otherwise it survived.
+
+First the named tests run once on an unchanged copy: they must pass there,
+or a failure under a mutant would prove nothing.  An entry whose old text
+does not occur exactly once in its file means the list has fallen behind
+the code.  Either is reported and the script exits 2.  It prints one line
+per mutant, `killed` or `SURVIVED` with the tests that still passed, and
+exits 1 if any mutant survived, else 0.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids; a parametrized test fails if any case does
+
+
+SPECTRUM, SCATTERING, MODEL = (f"src/trihalo/{m}.py" for m in ("spectrum", "scattering", "model"))
+AGREE = "tests/test_spectrum.py::test_kernel_matrix_and_symmetric_solve_agree"
+NEAR_NODE = "tests/test_scattering.py::test_amplitude_near_a_node_matches_the_refined_dense_system"
+REFINEMENT = "    return -2.0 * math.pi**2 * Mn * R * (Y[n] + residual[n] - DY @ residual)\n"
+
+MUTANTS = (
+    Mutant("G G^T factor 2 scaled by 1 + 1e-6", SPECTRUM,
+           "        P *= 2.0\n", "        P *= 2.0 * (1.0 + 1e-6)\n",
+           (AGREE, "tests/test_spectrum.py::test_determinant_continuity")),
+    Mutant("G G^T factor 2 dropped", SPECTRUM, "        P *= 2.0\n", "", (AGREE,)),
+    Mutant("tau_c sign check dropped", SPECTRUM,
+           "        if np.any(tau_c >= 0):\n"
+           '            raise NumericalError("propagator changed sign below threshold")\n',
+           "",
+           ("tests/test_scattering.py::test_hidden_nn_pole_is_numerical_error_in_both_layers",
+            "tests/test_cli.py::test_scatter_with_a_hidden_nn_pole_is_numerical_error")),
+    Mutant("elastic_window's n-n dimer check dropped", SCATTERING,
+           "    _check_nn_dimer(config)\n", "",
+           ("tests/test_cli.py::test_bound_nn_dimer_below_nc_threshold_is_config_error[scatter]",
+            "tests/test_cli.py::test_scatter_and_curve_refuse_a_bound_nn_dimer_with_one_message"
+            "[below]")),
+    Mutant("refinement step dropped", SCATTERING,
+           REFINEMENT, "    return -2.0 * math.pi**2 * Mn * R * Y[n]\n", (NEAR_NODE,)),
+    Mutant("refinement's (D Y).r sign flipped", SCATTERING,
+           REFINEMENT, REFINEMENT.replace("- DY @", "+ DY @"), (NEAR_NODE,)),
+    Mutant("border rows swapped", SCATTERING,
+           "    Znn[:, n], Znn[n, :n], G[n] = border\n",
+           "    Znn[:, n], G[n], Znn[n, :n] = border\n",
+           ("tests/test_scattering.py::test_amplitude_matches_dense_complex_system",)),
+    Mutant("channel label check dropped", MODEL,
+           "        if not isinstance(self.label, ChannelLabel):\n", "        if False:\n",
+           ("tests/test_model.py::test_pair_channel_rejects_a_string_label",)),
+    Mutant("pole kind check dropped", MODEL,
+           "        if not isinstance(self.pole_kind, PoleKind):\n", "        if False:\n",
+           ("tests/test_model.py::test_pair_channel_rejects_a_string_pole_kind",)),
+    Mutant("resonant pairs check dropped", SPECTRUM,
+           "    if not isinstance(resonant_pairs, ResonantPairs):\n", "    if False:\n",
+           ("tests/test_spectrum.py::test_scale_factor_rejects_a_string_mode",)),
+)
+
+
+def stale_entries() -> list[str]:
+    """Entries whose old text does not occur exactly once in their file."""
+    return [m.name for m in MUTANTS if (ROOT / m.file).read_text().count(m.old) != 1]
+
+
+def failing_tests(copy: Path, tests) -> set[str]:
+    """The pytest ids among tests that fail (or error) in copy."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1",
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
+        cwd=copy, env=env, capture_output=True, text=True,
+    )
+    if run.returncode not in (0, 1):  # not a test failure: usage, collection or internal error
+        raise SystemExit(f"pytest exited {run.returncode}:\n{run.stdout}{run.stderr}")
+    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", run.stdout, re.M)
+    return {t for t in tests if any(f == t or f.startswith(t + "[") for f in failed)}
+
+
+def fresh_copy(work: Path, name: str) -> Path:
+    copy = work / name
+    ignore = shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_runs"
+    )
+    shutil.copytree(ROOT, copy, ignore=ignore)
+    return copy
+
+
+def main() -> int:
+    stale = stale_entries()
+    if stale:
+        print(f"old text not found exactly once: {stale}")
+        return 2
+    survived = False
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        failing = failing_tests(fresh_copy(work, "unchanged"), tests)
+        if failing:
+            print(f"failing without any mutant: {sorted(failing)}")
+            return 2
+        for i, m in enumerate(MUTANTS):
+            copy = fresh_copy(work, f"mutant{i}")
+            path = copy / m.file
+            path.write_text(path.read_text().replace(m.old, m.new))
+            passed = [t for t in m.tests if t not in failing_tests(copy, m.tests)]
+            survived |= bool(passed)
+            print(f"SURVIVED: {m.name}, passing {passed}" if passed else f"killed: {m.name}")
+            shutil.rmtree(copy)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -58,6 +58,13 @@ class PairChannel:
     scattering_length_fm: float | None = None
 
     def __post_init__(self):
+        # enum members only: a string would compare unequal to every member
+        if not isinstance(self.label, ChannelLabel):
+            raise ConfigurationError(f"label must be a ChannelLabel, got {self.label!r}")
+        if not isinstance(self.pole_kind, PoleKind):
+            raise ConfigurationError(
+                f"{self.label.value}: pole_kind must be a PoleKind, got {self.pole_kind!r}"
+            )
         # written so that NaN fails every check
         if not (0 < self.beta_inv_fm <= BETA_MAX_INV_FM):
             raise ConfigurationError(

@@ -17,10 +17,10 @@ one real solve and a Sherman-Morrison step give f exactly, and
 Im(1/f) = -k.
 
 A cross-section curve shares its work between energies: the engine's
-grid exchange blocks and the dimer residue are computed once, the q0
-borders of a chunk of energies come from one exchange pair evaluated on
-(chunk, 2N+1) momenta, and the three (N+1)-sized arrays of the solve
-are allocated once and overwritten at each energy.  The chunks are small
+grid exchange blocks and the dimer residue are computed once, the
+engine builds the q0 borders a chunk of energies at a time, and the
+three (N+1)-sized arrays of the solve are allocated once and overwritten
+at each energy.  The chunks are small
 enough that a curve's memory does not grow with its number of energies.
 Each energy runs in the curve's one loop: its checks, its border, then
 the solve; any failure there is a NumericalError naming the energy.
@@ -44,7 +44,7 @@ from .model import (
     two_body_propagator_subtracted,
 )
 from .quadrature import MomentumGrid
-from .spectrum import EXCHANGE_BLOCK_ENTRIES, _check_nn_dimer, _Engine, _evaluate, _exchanges
+from .spectrum import _check_nn_dimer, _Engine
 
 
 @dataclass(frozen=True)
@@ -93,54 +93,18 @@ def elastic_window(config: SystemConfig) -> float:
     return eps2
 
 
-def _border_momenta(p, q0):
-    """Momentum pairs (q, qp) of the q0 border along the last axis: the
-    column (p + {q0}, q0), then the row (q0, p).  q0 is a scalar, or an
-    (M, 1) column of M on-shell momenta giving one border a row."""
-    p = np.broadcast_to(p, np.broadcast_shapes(np.shape(q0), p.shape))
-    q0 = np.broadcast_to(q0, p.shape[:-1] + (p.shape[-1] + 1,))
-    return np.concatenate([p, q0], axis=-1), np.concatenate([q0, p], axis=-1)
-
-
-def _borders(eng: _Engine, Ecms, q0s):
-    """Each energy's q0 border (Z_nn, Z_nc) on _border_momenta(p, q0), a row
-    each of one exchange pair per chunk of energies.  A chunk has at most
-    EXCHANGE_BLOCK_ENTRIES // 5 entries, so the five arrays an exchange
-    block holds take no more than one of its row blocks.  A chunk whose
-    build warns or overflows is built again one energy at a time, each when
-    the caller asks for it and under the caller's floating-point settings:
-    errors and warnings come from the first energy that fails, after that
-    energy's own checks, as they would without chunks."""
-
-    def rows(chunk):
-        pair = _exchanges(eng, *_border_momenta(eng.p, q0s[chunk, None]))
-        return zip(*_evaluate(pair, (eng.threshold() + Ecms[chunk])[:, None]))
-
-    size = max(1, EXCHANGE_BLOCK_ENTRIES // (5 * (2 * eng.grid.count + 1)))
-    for start in range(0, len(q0s), size):
-        stop = min(start + size, len(q0s))
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                built = list(rows(slice(start, stop)))
-        except (FloatingPointError, NumericalError):
-            built = (next(rows(slice(i, i + 1))) for i in range(start, stop))
-        yield from built
-
-
 def _amplitude(eng: _Engine, Ecm: float, q0: float, R: float, border, work) -> float:
     """gamma = -1/(k cot delta) in MeV^-1 at Ecm (MeV above the n+dimer
     threshold) and its on-shell momentum q0 = sqrt(2 M_n Ecm) (MeV), from
-    the n-core dimer residue R and this energy's border (Z_nn, Z_nc) on
-    _border_momenta(p, q0).  work holds the curve's arrays Z_nn, Z_nc and P
-    on p + {q0}, which this call overwrites: Z_nc ends as G and P as 1 + P D."""
+    the n-core dimer residue R and this energy's border from _Engine.borders.
+    work holds the curve's arrays Z_nn, Z_nc and P on p + {q0}, which this
+    call overwrites: Z_nc ends as G and P as 1 + P D."""
     E = eng.threshold() + Ecm
     Mn, p, n = eng.M_n, eng.p, eng.grid.count
     # exchange blocks on p + {q0}: the grid's from the engine, then the border
     Znn, G, P = work
     eng.born_blocks(E, out=(Znn[:n, :n], G[:n]))
-    Znn[:, n] = border[0][: n + 1]
-    Znn[n, :n] = border[0][n + 1 :]
-    G[n] = border[1][n + 1 :]
+    Znn[:, n], Znn[n, :n], G[n] = border
     eng.core_eliminated(Znn, G, eng.tau_c(E).real, out=P)  # G over Z_nc
 
     # tau with its dimer pole removed analytically (regular at p = q0), then
@@ -172,8 +136,8 @@ def cross_section_curve(
 ) -> CrossSectionCurve:
     """Pointwise sigma(E) = 4 pi |f|^2 over a sorted energy mesh (keV), on one
     engine: the grid's exchange blocks are built once, the q0 borders come
-    from one exchange pair per chunk of energies, and the Schur system's
-    arrays are allocated once and refilled per energy."""
+    a chunk of energies at a time from _Engine.borders, and the Schur
+    system's arrays are allocated once and refilled per energy."""
     E_values = np.asarray(E_values_keV, dtype=float)
     if E_values.size == 0:
         raise ConfigurationError("energy mesh must be non-empty")
@@ -194,7 +158,7 @@ def cross_section_curve(
     n = grid.count
     work = (np.empty((n + 1, n + 1)), np.empty((n + 1, n)), np.empty((n + 1, n + 1)))
     R = propagator_residue(eng.config.nc_channel, eng.mu_nc)
-    borders = _borders(eng, Ecms, q0s)
+    borders = eng.borders(Ecms, q0s)
     points = []
     for E, Ecm, q0 in zip(map(float, E_values), map(float, Ecms), map(float, q0s)):
         try:

@@ -122,6 +122,34 @@ class _Engine:
         written into out's arrays if given."""
         return _evaluate(self.exchange(), E, out)
 
+    def borders(self, Ecms, q0s):
+        """Each energy's q0 border, the three parts the on-shell solve reads:
+        Z_nn on the column (p + {q0}, q0), Z_nn and Z_nc on the row (q0, p).
+
+        They come a chunk of energies at a time, a row per energy; a chunk
+        has at most EXCHANGE_BLOCK_ENTRIES // 5 entries over its 2N+1 border
+        momenta, so the five arrays a block holds fit one row block.  A chunk
+        whose build warns or overflows is built again one energy at a time,
+        when the caller asks for it and under the caller's settings: errors
+        and warnings come from the first failing energy, after its own checks."""
+
+        def parts(chunk):
+            q0 = q0s[chunk, None]
+            E = (self.threshold() + Ecms[chunk])[:, None]
+            p = np.broadcast_to(self.p, (len(q0), self.grid.count))
+            column = _Exchange(np.hstack([p, q0]), q0, *_exchange_parameters(self)[0])
+            return zip(column(E), *_evaluate(_exchanges(self, q0, self.p), E))
+
+        size = max(1, EXCHANGE_BLOCK_ENTRIES // (5 * (2 * self.grid.count + 1)))
+        for start in range(0, len(q0s), size):
+            stop = min(start + size, len(q0s))
+            try:
+                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                    built = list(parts(slice(start, stop)))
+            except (FloatingPointError, NumericalError):
+                built = (next(parts(slice(i, i + 1))) for i in range(start, stop))
+            yield from built
+
     def with_epsilon2(self, eps2_keV: float) -> _Engine:
         """This engine at another n-core eps2 (the scattering length follows),
         sharing its exchange blocks: they depend on the masses and betas only."""
@@ -288,17 +316,24 @@ class _Exchange:
         return out
 
 
-def _exchanges(eng: _Engine, q, qp) -> tuple[_Exchange, _Exchange]:
-    """The Z_nn and Z_nc exchange blocks at the momenta q, qp (MeV), broadcast.
-
-    Identical bosons (A = 1, beta_nn = beta_nc) give both blocks the same
-    closed-form parameters: then one block serves as both."""
+def _exchange_parameters(eng: _Engine):
+    """The closed-form parameters (ca, cb, 1/2mu_ag, 1/2mu_bg, 1/m_g, beta_a,
+    beta_b) of Z_nn and of Z_nc."""
     m_n = NUCLEON_MASS
     c_n = m_n / (m_n + eng.m_c)
     nn = (c_n, c_n, 1.0 / (2.0 * eng.mu_nc), 1.0 / (2.0 * eng.mu_nc), 1.0 / eng.m_c,
           eng.beta_nc, eng.beta_nc)
     nc = (0.5, eng.m_c / (eng.m_c + m_n), 1.0 / (2.0 * eng.mu_nn), 1.0 / (2.0 * eng.mu_nc),
           1.0 / m_n, eng.beta_nc, eng.beta_nn)
+    return nn, nc
+
+
+def _exchanges(eng: _Engine, q, qp) -> tuple[_Exchange, _Exchange]:
+    """The Z_nn and Z_nc exchange blocks at the momenta q, qp (MeV), broadcast.
+
+    Identical bosons (A = 1, beta_nn = beta_nc) give both blocks the same
+    closed-form parameters: then one block serves as both."""
+    nn, nc = _exchange_parameters(eng)
     Znn = _Exchange(q, qp, *nn)
     return Znn, Znn if nc == nn else _Exchange(q, qp, *nc)
 
@@ -504,6 +539,8 @@ def efimov_scale_factor(
     """
     if not 0 < mass_ratio < math.inf:  # NaN fails it too
         raise ConfigurationError(f"mass_ratio must be finite and > 0, got {mass_ratio!r}")
+    if not isinstance(resonant_pairs, ResonantPairs):
+        raise ConfigurationError(f"resonant_pairs must be a ResonantPairs, got {resonant_pairs!r}")
     g = _scale_equation(mass_ratio, resonant_pairs)
     # g(0+) < 0 in the Efimov regime (kernel strength exceeds 1), g(inf) -> 1
     s_lo, s_hi = 1e-8, 1.0

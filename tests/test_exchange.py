@@ -17,8 +17,7 @@ from trihalo.model import (
     unitary_boson_config,
 )
 from trihalo.quadrature import build_grid
-from trihalo.scattering import _border_momenta
-from trihalo.spectrum import EXCHANGE_BLOCK_ENTRIES, _Engine, _exchanges
+from trihalo.spectrum import EXCHANGE_BLOCK_ENTRIES, _Engine, _exchange_parameters, _exchanges
 
 
 @functools.cache
@@ -34,21 +33,6 @@ def engine():
 def confluent_indices(Z):
     """Each row block's confluent indices, in row-block order."""
     return [d for *_, (d, *_) in Z.blocks]
-
-
-def exchange_args(eng, monkeypatch):
-    """The arguments _exchanges passes to _Exchange after (q, qp), for Z_nn
-    and Z_nc: (ca, cb, inv2mu_ag, inv2mu_bg, inv_mg, beta_a, beta_b)."""
-    args = []
-
-    class Capture:
-        def __init__(self, q, qp, *rest):
-            args.append(rest)
-
-    with monkeypatch.context() as m:
-        m.setattr(spectrum, "_Exchange", Capture)
-        tuple(_exchanges(eng, 0.0, 0.0))
-    return args
 
 
 def linear_factors(q, qp, E, ca, cb, inv2mu_ag, inv2mu_bg, inv_mg, beta_a, beta_b):
@@ -94,7 +78,7 @@ def same_bits(a, b):
 
 
 @pytest.mark.parametrize("E", [-0.25, -5.0])
-def test_exchange_blocks_match_angular_quadrature(engine, monkeypatch, E):
+def test_exchange_blocks_match_angular_quadrature(engine, E):
     # Z(q, q') = int_-1^1 dx / prod_i (A_i + B_i x), by 400-point
     # Gauss-Legendre.  Pairs with q q' << beta^2 are left out: there the
     # log-ratio terms of the partial fractions cancel, and the closed form
@@ -103,7 +87,7 @@ def test_exchange_blocks_match_angular_quadrature(engine, monkeypatch, E):
     x, w = np.polynomial.legendre.leggauss(400)
     k = np.geomspace(1e-2, 2e3, 15)  # MeV
     q, qp = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
-    for args, block in zip(exchange_args(engine, monkeypatch), ("nn", "nc")):
+    for args, block in zip(_exchange_parameters(engine), ("nn", "nc")):
         keep = q * qp >= 1e-2 * max(args[-2:]) ** 2
         Z = spectrum._Exchange(q[keep], qp[keep], *args)
         assert np.any(q[keep] == qp[keep])
@@ -117,12 +101,12 @@ def test_exchange_blocks_match_angular_quadrature(engine, monkeypatch, E):
 
 @pytest.mark.parametrize("E", [-0.25, -5.0, complex(-1.0, 0.5)])
 @pytest.mark.parametrize("n, count", [(96, 1), (160, 2), (200, 3), (384, 10)])
-def test_row_blocked_grid_blocks_equal_whole_array(monkeypatch, n, count, E):
+def test_row_blocked_grid_blocks_equal_whole_array(n, count, E):
     # 1, 2, 3 and 10 row blocks: the 96-node grid of `reproduce`, the 160
     # nodes of the ladder and the scan, 200 nodes, and the 384 of `scatter`
     eng = grid_engine(n)
     p = eng.p
-    for Z, args in zip(eng.exchange(), exchange_args(eng, monkeypatch)):
+    for Z, args in zip(eng.exchange(), _exchange_parameters(eng)):
         sizes = [rows.stop - rows.start for rows, *_ in Z.blocks]
         assert len(sizes) == count and max(sizes) - min(sizes) <= 1
         if n == 200:
@@ -139,28 +123,37 @@ def test_row_blocked_grid_blocks_equal_whole_array(monkeypatch, n, count, E):
         assert len(confluent) == n
 
 
-def test_curve_borders_equal_per_energy_whole_array(engine, monkeypatch):
-    # one exchange pair on (M, 2N+1) border momenta at an (M, 1) column of
-    # energies, as a curve builds for each chunk of its energies: three row
-    # blocks here, each row the border of one energy
+def test_curve_borders_equal_per_energy_whole_array(engine):
+    # each energy's border from the engine, built a chunk of energies at a
+    # time (8 at N = 200), equals the closed form on that energy's momenta
+    # alone: Z_nn on the column (p + {q0}, q0), Z_nn and Z_nc on the row (q0, p)
     q0 = np.geomspace(1e-2, 20.0, 90)  # MeV
-    E = engine.threshold() + q0**2 / (2.0 * engine.M_n)
-    pairs = _exchanges(engine, *_border_momenta(engine.p, q0[:, None]))
-    for Z, args in zip(pairs, exchange_args(engine, monkeypatch)):
-        assert len(Z.blocks) == 3
+    Ecm = q0**2 / (2.0 * engine.M_n)
+    E = engine.threshold() + Ecm
+    p = engine.p
+    nn, nc = _exchange_parameters(engine)
+    borders = list(engine.borders(Ecm, q0))
+    assert len(borders) == len(q0)
+    for i, border in enumerate(borders):
+        ref = (whole_array(np.append(p, q0[i]), q0[i], E[i], *nn),
+               whole_array(q0[i], p, E[i], *nn), whole_array(q0[i], p, E[i], *nc))
+        assert all(same_bits(a, b) for a, b in zip(border, ref)), i
+    # the same blocks over all 90 energies at once take two row blocks, and
+    # their rows keep the bits
+    column = np.hstack([np.broadcast_to(p, (len(q0), len(p))), q0[:, None]])
+    for Z, part in ((spectrum._Exchange(column, q0[:, None], *nn), 0),
+                    (spectrum._Exchange(q0[:, None], p, *nc), 2)):
+        assert len(Z.blocks) == 2
         rows = Z(E[:, None])
-        assert rows.shape == (len(q0), 2 * len(engine.p) + 1)
-        for i in range(len(q0)):
-            ref = whole_array(*_border_momenta(engine.p, q0[i]), E[i], *args)
-            assert same_bits(rows[i], ref), i
+        assert all(same_bits(rows[i], border[part]) for i, border in enumerate(borders))
 
 
-def test_exchange_writes_into_a_strided_out(engine, monkeypatch):
+def test_exchange_writes_into_a_strided_out(engine):
     n, E = len(engine.p), -0.25
     B = np.full((n + 1, n + 1), 7.0)
     Znn = engine.exchange()[0]
     assert Znn(E, out=B[:n, :n]).base is B
-    args = exchange_args(engine, monkeypatch)[0]
+    args = _exchange_parameters(engine)[0]
     assert same_bits(B[:n, :n], whole_array(engine.p[:, None], engine.p[None, :], E, *args))
     assert np.all(B[n] == 7.0) and np.all(B[:, n] == 7.0)
 

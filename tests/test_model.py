@@ -95,6 +95,19 @@ def test_resolve_channel_consistency():
         resolve_channel(nc(None), mu)
 
 
+def test_pair_channel_rejects_a_string_pole_kind():
+    # a string compares unequal to every PoleKind: "bound" was taken as a
+    # virtual pole (a = -9.3536 fm, threshold 0) without an error
+    with pytest.raises(ConfigurationError, match="neutron_core: pole_kind .*'bound'"):
+        PairChannel(ChannelLabel.neutron_core, "bound", 1.0, epsilon2_keV=250.0)
+
+
+def test_pair_channel_rejects_a_string_label():
+    # the label check comes first: the range check's message reads label.value
+    with pytest.raises(ConfigurationError, match="label .*'neutron_core'"):
+        PairChannel("neutron_core", PoleKind.bound, -1.0)
+
+
 def test_pair_channel_sign_validation():
     with pytest.raises(ConfigurationError):
         nc(a=-5.0, kind=PoleKind.bound)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trihalo import scattering, spectrum
+from trihalo import spectrum
 from trihalo.errors import ConfigurationError, DomainError, NumericalError
 from trihalo.fanofit import FanoParameters, fano_profile, resonance_window
 from trihalo.model import (
@@ -18,6 +18,7 @@ from trihalo.model import (
     PoleKind,
     SystemConfig,
     default_c20_config,
+    parse_system_config,
     propagator_residue,
     reduced_mass,
     resolve_config,
@@ -148,17 +149,19 @@ def test_curve_fails_with_its_first_failing_energys_own_error():
 def test_a_warning_border_chunk_leaves_each_energy_its_own_border(monkeypatch):
     # a chunk whose border build warns is dropped, and each of its energies
     # builds its own border: every energy warns as it would alone, and the
-    # curve keeps its bits
+    # curve keeps its bits.  Only the border rows' exchange pair warns here,
+    # not the grid's
     cfg, g = default_c20_config(), build_grid(16, 0.1)
     mesh = np.geomspace(0.05, 240.0, 5)
     plain = cross_section_curve(cfg, g, mesh)
-    exchanges = scattering._exchanges
+    exchanges = spectrum._exchanges
 
-    def warning_exchanges(*args):
-        np.log(np.zeros(1))  # a divide-by-zero RuntimeWarning
-        return exchanges(*args)
+    def warning_exchanges(eng, q, qp):
+        if np.broadcast(q, qp).shape != (g.count, g.count):
+            np.log(np.zeros(1))  # a divide-by-zero RuntimeWarning
+        return exchanges(eng, q, qp)
 
-    monkeypatch.setattr(scattering, "_exchanges", warning_exchanges)
+    monkeypatch.setattr(spectrum, "_exchanges", warning_exchanges)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         warned = cross_section_curve(cfg, g, mesh)
@@ -238,14 +241,16 @@ def test_computed_curves_are_monotone_threshold_shapes(curve250):
     assert np.all(np.diff(curve250.sigmas_fm2) < 0)
 
 
-def dense_amplitude(cfg, grid, E_cm_keV):
+def dense_amplitude(cfg, grid, E_cm_keV, rounds=0):
     """Reference f (fm) from the full complex (2N+1) system on p + {q0}.
 
     Unknowns F_n on the N nodes plus q0 and F_c on the N nodes; the on-shell
     column carries the principal-value counter-term and -i pi Mn R q0.  Every
     Born block is built afresh on p + {q0}: nothing is shared with the
     library's elimination of F_c.  E and q0 are rounded as the library
-    rounds them: near a node, one ulp of q0 can move f by 1e-8.
+    rounds them: near a node, one ulp of q0 can move f by 1e-8.  rounds
+    steps of iterative refinement, with residuals in long double, take the
+    solve of this double system close to exact.
     """
     eng = _Engine(cfg, grid)
     Mn, n = eng.M_n, grid.count
@@ -274,8 +279,12 @@ def dense_amplitude(cfg, grid, E_cm_keV):
     rhs[n + 1 :] = 2.0 * Bnc[n, :n]
     M[n + 1 :, :n] = 2.0 * Bnc[:n, :n].T * (wq2 * tau_full)[None, :]
     M[n + 1 :, n] = 2.0 * Bnc[n, :n] * onshell
-    X = np.linalg.solve(np.eye(2 * n + 1) - M, rhs)
-    return complex(-math.pi * Mn * R * X[n] * HBAR_C)
+    A = np.eye(2 * n + 1) - M
+    X = np.linalg.solve(A, rhs).astype(np.clongdouble)
+    for _ in range(rounds):
+        residual = rhs.astype(np.clongdouble) - A.astype(np.clongdouble) @ X
+        X += np.linalg.solve(A, residual.astype(complex))
+    return complex(-math.pi * Mn * R * complex(X[n]) * HBAR_C)
 
 
 @pytest.mark.parametrize("count", [32, 96])
@@ -287,6 +296,22 @@ def test_amplitude_matches_dense_complex_system(calibrated_c20, count, eps2):
     for pt in cross_section_curve(cfg, g, curve_mesh(eps2, 20)).points:
         ref = dense_amplitude(cfg, g, pt.E_cm_keV)
         assert abs(pt.amplitude_fm / ref - 1.0) <= 1e-11, pt.E_cm_keV
+
+
+@pytest.mark.parametrize(
+    "node, rel, bound", [(8, 1e-5, 5e-11), (8, -1e-5, 5e-11), (14, 1e-5, 4e-8)]
+)
+def test_amplitude_near_a_node_matches_the_refined_dense_system(node, rel, bound):
+    # with q0 near a node D's entry there is large, and forming 1 + P D
+    # loses accuracy that the refinement step of Y[q0] wins back.  Distance
+    # from the refined dense oracle: 2.3e-11, 2.2e-11 and 9.9e-9 with the
+    # step, 1.3e-10, 1.0e-10 and 1.6e-7 without it, 2.9e-10, 1.9e-10 and
+    # 3.0e-7 with its (D Y).r term's sign flipped; each bound is 2x from both
+    cfg, g = default_c20_config(150.0, 1.0), build_grid(32, 0.1)
+    eng = _Engine(cfg, g)
+    E = eng.p[node] ** 2 / (2.0 * eng.M_n) * KEV_PER_MEV * (1.0 + rel)
+    f = cross_section_curve(cfg, g, [E]).points[0].amplitude_fm
+    assert abs(f / dense_amplitude(cfg, g, E, rounds=4) - 1.0) <= bound
 
 
 def test_elastic_unitarity_to_rounding(grid, calibrated_c20):
@@ -312,9 +337,41 @@ def test_curve_builds_one_grid_exchange_pair(monkeypatch, calibrated_c20):
     g = build_grid(48, 0.1)
     built = count_grid_exchanges(monkeypatch, g.count)
     cross_section_curve(c20(calibrated_c20, 250.0), g, curve_mesh(250.0, 12))
-    # Z_nn and Z_nc once over the grid, and once over the q0 borders of the
-    # 12 energies, one chunk at N = 48
-    assert sum(built) == 2 and len(built) == 4
+    # Z_nn and Z_nc once over the grid, and over the q0 borders of the 12
+    # energies, one chunk at N = 48, Z_nn's column and the Z_nn and Z_nc rows
+    assert sum(built) == 2 and len(built) == 5
+
+
+def identical_bosons():
+    """A = 1 with a bound n-core pair (250 keV) and a virtual n-n pair
+    (a = -18.5 fm), both at beta 1 fm^-1: Z_nn and Z_nc are one block."""
+    return parse_system_config({
+        "core_mass_number": 1,
+        "nc": {"pole": "bound", "beta_inv_fm": 1.0, "epsilon2_keV": 250.0},
+        "nn": {"pole": "virtual", "beta_inv_fm": 1.0, "scattering_length_fm": -18.5},
+    })
+
+
+@pytest.mark.parametrize("count", [32, 96])
+def test_a_border_evaluates_only_the_entries_the_solve_reads(monkeypatch, count):
+    # per energy, Z_nn on the column (p + {q0}, q0) and Z_nn and Z_nc on the
+    # row (q0, p): 3N+1 entries, and 2N+1 for identical bosons, whose two
+    # rows are one evaluation.  Z_nc's column is never read by the solve
+    evaluated = []
+    evaluate = spectrum._Exchange.__call__
+
+    def counted(self, E, out=None):
+        if self.shape != (count, count):
+            evaluated.append(math.prod(self.shape))
+        return evaluate(self, E, out=out)
+
+    monkeypatch.setattr(spectrum._Exchange, "__call__", counted)
+    mesh = np.geomspace(0.05, 200.0, 7)
+    for config, entries in ((default_c20_config(), 3 * count + 1),
+                            (identical_bosons(), 2 * count + 1)):
+        evaluated.clear()
+        cross_section_curve(config, build_grid(count, 0.1), mesh)
+        assert sum(evaluated) == entries * len(mesh), config.core_mass_number
 
 
 def test_curve_and_spectrum_share_one_core_elimination(monkeypatch, calibrated_c20):

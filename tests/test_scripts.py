@@ -172,3 +172,17 @@ def test_compare_outputs_sizes_a_json_object_per_key(tmp_path):
     assert compare.size_of_difference(old, new) == "max relative difference 2e-07"
     new.write_text(json.dumps({"q": 3.5}))
     assert compare.size_of_difference(old, new) == "text differs"
+
+
+def test_mutants_list_matches_the_code():
+    # every mutant's old text occurs once in its file and every test it
+    # names exists, so the list in scripts/mutants.py (run as a CI job,
+    # outside tier-1) does not fall behind the code unnoticed
+    spec = importlib.util.spec_from_file_location("mutants", SCRIPTS_DIR / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.stale_entries() == []
+    for m in mutants.MUTANTS:
+        for test in m.tests:
+            path, name = re.fullmatch(r"(.+)::(\w+)(\[.+\])?", test).group(1, 2)
+            assert f"\ndef {name}(" in (SCRIPTS_DIR.parent / path).read_text(), test

@@ -493,7 +493,35 @@ def test_scale_factor_validation():
             efimov_scale_factor(bad)
 
 
+@pytest.mark.parametrize("mode", ["nc_only", "all_three", "bogus"])
+def test_scale_factor_rejects_a_string_mode(mode):
+    # a string compares unequal to ResonantPairs.nc_only: "nc_only" gave the
+    # all_three s0 (1.11511 at A = 18, not 0.0387340) without an error
+    with pytest.raises(ConfigurationError, match=f"resonant_pairs .*'{mode}'"):
+        efimov_scale_factor(18.0, mode)
+
+
 # --- threshold scan and calibration ---------------------------------------
+
+
+@pytest.mark.parametrize("target", [200.0, 300.0])
+def test_calibrated_scan_meets_the_scan_workload_checks(target):
+    # the `scan` benchmark workload at the ends of its target range, with
+    # its checks: eps2*(1) within 0.1 keV of the target, bound-excited
+    # counts that never increase with eps2, and K(E) with an eigenvalue
+    # within 1e-9 of 1 at each crossing
+    g = build_grid(160, 0.1)
+    calibrated = calibrate_range_parameter(default_c20_config(), g, target)
+    scan = threshold_scan(calibrated, np.geomspace(1e-3, 400.0, 40), g)
+    (first,) = [c.epsilon2_star_keV for c in scan.crossings if c.state_index == 1]
+    assert abs(first - target) <= 0.1
+    counts = [p.bound_excited_count for p in scan.points]
+    assert counts == sorted(counts, reverse=True)
+    for c in scan.crossings:
+        nc = replace(calibrated.nc_channel, epsilon2_keV=c.epsilon2_star_keV,
+                     scattering_length_fm=None)
+        K = build_kernel(replace(calibrated, nc_channel=nc), g, -c.epsilon2_star_keV / 1000.0)
+        assert np.min(np.abs(np.linalg.eigvals(K.matrix) - 1.0)) <= 1e-9, c
 
 
 def test_threshold_scan_counts_and_first_crossing(grid, calibrated_c20):
