@@ -26,15 +26,17 @@ that end in a configuration error: `reproduce` with an unknown preset
 and with `--out` naming an existing file, `scan` with start_keV >
 stop_keV, and `scatter` with a virtual n-core channel (a = -179 fm) and
 with a bound one at eps2 = 0, neither of which has an elastic n+dimer
-window.  Four `scatter` runs end in a numerical error,
+window.  Five `scatter` runs end in a numerical error,
 each at its own energy's check: an on-shell momentum on a node of a
 32-node grid, exchange blocks that overflow at the fourth of 5 log points
 up to 0.98e100 keV at eps2 = 1e100 keV (their chunk of q0 borders fails,
 so each energy builds its own), a dimer residue that leaves the float
-range at eps2 = 1e300 keV, and `scatter-hidden-nn-pole`, the README
+range at eps2 = 1e300 keV, `scatter-hidden-nn-pole`, the README
 configuration with an nn scattering length of -0.1 fm, whose nn
 propagator has a bound pole on the physical sheet and is positive below
-threshold.  It also runs this directory's `unitary_ladder.py`
+threshold, and `scatter-k-underflow`, the README configuration from
+start_keV 5e-324, where the on-shell momentum underflows to 0 and the
+amplitude is NaN.  It also runs this directory's `unitary_ladder.py`
 (the A = 1 `unitary_boson_config` preset) and `boron19_states.py` (the
 A = 17 `boron19_config` preset) against each side's package; they read no
 configuration file and use their own grids.
@@ -152,6 +154,8 @@ CONFIG_EDITS = {
             "nn": {"pole": "virtual", "scattering_length_fm": -0.1, "beta_inv_fm": 1.0},
         },
     },
+    # q0 = sqrt(2 M_n E_cm) underflows to 0 at the first energy: a NaN amplitude
+    "scatter-k-underflow": {"scatter": {**README_CONFIG["scatter"], "start_keV": 5e-324}},
 }
 
 # the input each fit run reads: the side's scatter curve or a synthetic CSV
@@ -206,7 +210,7 @@ RUNS = [
         (name, [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None)
         for name in (
             "scatter-grid-node", "scatter-exchange-overflow", "scatter-residue-overflow",
-            "scatter-hidden-nn-pole",
+            "scatter-hidden-nn-pole", "scatter-k-underflow",
         )
     ),
     # the demo scripts of this directory on the side's package: the presets

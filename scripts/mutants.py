@@ -41,9 +41,12 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest ids; a parametrized test fails if any case does
 
 
-SPECTRUM, SCATTERING, MODEL = (f"src/trihalo/{m}.py" for m in ("spectrum", "scattering", "model"))
+SPECTRUM, SCATTERING, MODEL, FANOFIT = (
+    f"src/trihalo/{m}.py" for m in ("spectrum", "scattering", "model", "fanofit")
+)
 AGREE = "tests/test_spectrum.py::test_kernel_matrix_and_symmetric_solve_agree"
 NEAR_NODE = "tests/test_scattering.py::test_amplitude_near_a_node_matches_the_refined_dense_system"
+BOUND_NN = "tests/test_cli.py::test_bound_nn_dimer_below_nc_threshold_is_config_error"
 REFINEMENT = "    return -2.0 * math.pi**2 * Mn * R * (Y[n] + residual[n] - DY @ residual)\n"
 
 MUTANTS = (
@@ -57,19 +60,34 @@ MUTANTS = (
            "",
            ("tests/test_scattering.py::test_hidden_nn_pole_is_numerical_error_in_both_layers",
             "tests/test_cli.py::test_scatter_with_a_hidden_nn_pole_is_numerical_error")),
-    Mutant("elastic_window's n-n dimer check dropped", SCATTERING,
-           "    _check_nn_dimer(config)\n", "",
-           ("tests/test_cli.py::test_bound_nn_dimer_below_nc_threshold_is_config_error[scatter]",
+    Mutant("n-n dimer threshold check dropped", SPECTRUM,
+           "    if eps2_nn > eps2_nc:\n", "    if False:\n",
+           (f"{BOUND_NN}[spectrum]", f"{BOUND_NN}[scan]", f"{BOUND_NN}[scatter]",
             "tests/test_cli.py::test_scatter_and_curve_refuse_a_bound_nn_dimer_with_one_message"
             "[below]")),
     Mutant("refinement step dropped", SCATTERING,
            REFINEMENT, "    return -2.0 * math.pi**2 * Mn * R * Y[n]\n", (NEAR_NODE,)),
     Mutant("refinement's (D Y).r sign flipped", SCATTERING,
            REFINEMENT, REFINEMENT.replace("- DY @", "+ DY @"), (NEAR_NODE,)),
-    Mutant("border rows swapped", SCATTERING,
-           "    Znn[:, n], Znn[n, :n], G[n] = border\n",
-           "    Znn[:, n], G[n], Znn[n, :n] = border\n",
-           ("tests/test_scattering.py::test_amplitude_matches_dense_complex_system",)),
+    Mutant("border rows swapped", SPECTRUM,
+           "                Znn[:, n], Znn[n, :n], G[n] = border\n",
+           "                Znn[:, n], G[n], Znn[n, :n] = border\n",
+           ("tests/test_scattering.py::test_amplitude_matches_dense_complex_system",
+            "tests/test_exchange.py::test_curve_borders_equal_per_energy_whole_array")),
+    Mutant("non-finite amplitude check dropped", SCATTERING,
+           "            if not math.isfinite(gamma):\n", "            if False:\n",
+           ("tests/test_scattering.py::test_a_non_finite_amplitude_fails_at_its_own_energy",
+            "tests/test_cli.py::test_scatter_inputs_that_ended_in_a_traceback_are_numerical_errors"
+            "[start-5e-324]")),
+    Mutant("energy mesh shape check dropped", SCATTERING,
+           "    if E_values.ndim != 1:\n", "    if False:\n",
+           ("tests/test_scattering.py::test_curve_rejects_a_mesh_that_is_not_1d",)),
+    Mutant("fit shape check dropped", FANOFIT,
+           "    if E.ndim != 1 or E.shape != sig.shape:\n", "    if False:\n",
+           ("tests/test_fanofit.py::test_fit_rejects_arrays_that_are_not_one_1d_shape",)),
+    Mutant("scan shape check dropped", SPECTRUM,
+           "    if eps2.ndim != 1:\n", "    if False:\n",
+           ("tests/test_spectrum.py::test_threshold_scan_rejects_values_that_are_not_1d",)),
     Mutant("channel label check dropped", MODEL,
            "        if not isinstance(self.label, ChannelLabel):\n", "        if False:\n",
            ("tests/test_model.py::test_pair_channel_rejects_a_string_label",)),

@@ -335,15 +335,20 @@ def fit(E, sigma, model: str = "fano", window: str = "full") -> FitResult:
     within reach keeps the result of its first 500 iterations.  The
     result is reported in (sigma0, q, E_r, Gamma) either way.
 
-    Non-finite energies or cross sections are a ConfigurationError; a
-    result whose scaled residuals or Jacobian are not finite (data near
-    the float range limits) is a NumericalError.
+    Energies and cross sections that are not two 1-D arrays of one shape,
+    or not finite, are a ConfigurationError; a result whose scaled
+    residuals or Jacobian are not finite (data near the float range
+    limits) is a NumericalError.
     """
     E, sig = np.asarray(E, dtype=float), np.asarray(sigma, dtype=float)
     if model not in _MODELS:
         raise ConfigurationError(f"unknown model {model!r}")
     if window not in ("auto", "full"):
         raise ConfigurationError(f"window must be 'auto' or 'full', got {window!r}")
+    if E.ndim != 1 or E.shape != sig.shape:
+        raise ConfigurationError(
+            f"fit needs 1-D energies and cross sections of one shape, got {E.shape} and {sig.shape}"
+        )
     for name, x in (("energies", E), ("cross sections", sig)):
         if not np.isfinite(x).all():
             i = int(np.argmin(np.isfinite(x)))

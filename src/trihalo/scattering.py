@@ -16,14 +16,14 @@ the on-shell column, which is proportional to the right-hand side, so
 one real solve and a Sherman-Morrison step give f exactly, and
 Im(1/f) = -k.
 
-A cross-section curve shares its work between energies: the engine's
-grid exchange blocks and the dimer residue are computed once, the
-engine builds the q0 borders a chunk of energies at a time, and the
-three (N+1)-sized arrays of the solve are allocated once and overwritten
-at each energy.  The chunks are small
-enough that a curve's memory does not grow with its number of energies.
-Each energy runs in the curve's one loop: its checks, its border, then
-the solve; any failure there is a NumericalError naming the energy.
+The engine builds each energy's on-shell system (its
+on_shell_systems): the grid's exchange blocks once per curve, the q0
+borders a chunk of energies at a time, and the core elimination, in
+three (N+1)-sized arrays allocated once per curve.  This module keeps
+the principal-value weights and the solve.  Each energy runs in the
+curve's one loop: its checks, its system, then the solve; any failure
+there, a non-finite amplitude included, is a NumericalError naming the
+energy.
 """
 
 from __future__ import annotations
@@ -37,14 +37,13 @@ from .errors import ConfigurationError, DomainError, NumericalError
 from .model import (
     HBAR_C,
     KEV_PER_MEV,
-    PoleKind,
     SystemConfig,
     propagator_residue,
     resolve_config,
     two_body_propagator_subtracted,
 )
 from .quadrature import MomentumGrid
-from .spectrum import _check_nn_dimer, _Engine
+from .spectrum import _Engine, _thresholds
 
 
 @dataclass(frozen=True)
@@ -80,33 +79,22 @@ class CrossSectionCurve:
 def elastic_window(config: SystemConfig) -> float:
     """Top of the elastic window 0 < E_cm < top (keV): n-core eps2 less a bound nn eps2."""
     config = resolve_config(config)
-    _check_nn_dimer(config)
-    if config.nc_channel.pole_kind is not PoleKind.bound:
+    top = _thresholds(config)[1]
+    if top is None:
         raise ConfigurationError("elastic n+dimer scattering requires a bound n-core channel")
-    eps2 = config.nc_channel.epsilon2_keV
-    if eps2 == 0.0:  # the unitary limit: dimer and breakup thresholds coincide
+    if config.nc_channel.epsilon2_keV == 0.0:  # the unitary limit: dimer and breakup coincide
         raise ConfigurationError("elastic n+dimer window (0, 0) keV is empty at eps2 = 0")
-    if config.nn_channel.pole_kind is PoleKind.bound:
-        eps2 -= config.nn_channel.epsilon2_keV
-        if eps2 <= 0.0:  # equal eps2: both dimers at one threshold
-            raise ConfigurationError(f"elastic n+dimer window (0, {eps2:g}) keV is empty")
-    return eps2
+    if top <= 0.0:  # equal eps2: both dimers at one threshold
+        raise ConfigurationError(f"elastic n+dimer window (0, {top:g}) keV is empty")
+    return top
 
 
-def _amplitude(eng: _Engine, Ecm: float, q0: float, R: float, border, work) -> float:
-    """gamma = -1/(k cot delta) in MeV^-1 at Ecm (MeV above the n+dimer
-    threshold) and its on-shell momentum q0 = sqrt(2 M_n Ecm) (MeV), from
-    the n-core dimer residue R and this energy's border from _Engine.borders.
-    work holds the curve's arrays Z_nn, Z_nc and P on p + {q0}, which this
-    call overwrites: Z_nc ends as G and P as 1 + P D."""
-    E = eng.threshold() + Ecm
+def _amplitude(eng: _Engine, q0: float, R: float, E: float, Znn, G, P) -> float:
+    """gamma = -1/(k cot delta) in MeV^-1 at the on-shell momentum q0 =
+    sqrt(2 M_n Ecm) (MeV), from the n-core dimer residue R and the engine's
+    on-shell system at E (MeV): Z_nn, G and P on p + {q0}, from
+    _Engine.on_shell_systems.  P is overwritten by 1 + P D."""
     Mn, p, n = eng.M_n, eng.p, eng.grid.count
-    # exchange blocks on p + {q0}: the grid's from the engine, then the border
-    Znn, G, P = work
-    eng.born_blocks(E, out=(Znn[:n, :n], G[:n]))
-    Znn[:, n], Znn[n, :n], G[n] = border
-    eng.core_eliminated(Znn, G, eng.tau_c(E).real, out=P)  # G over Z_nc
-
     # tau with its dimer pole removed analytically (regular at p = q0), then
     # the pole added back: the full tau at the quadrature nodes
     z_n = E - p**2 / (2.0 * Mn)
@@ -134,11 +122,12 @@ def _amplitude(eng: _Engine, Ecm: float, q0: float, R: float, border, work) -> f
 def cross_section_curve(
     config: SystemConfig, grid: MomentumGrid, E_values_keV
 ) -> CrossSectionCurve:
-    """Pointwise sigma(E) = 4 pi |f|^2 over a sorted energy mesh (keV), on one
-    engine: the grid's exchange blocks are built once, the q0 borders come
-    a chunk of energies at a time from _Engine.borders, and the Schur
-    system's arrays are allocated once and refilled per energy."""
+    """Pointwise sigma(E) = 4 pi |f|^2 over a sorted 1-D energy mesh (keV),
+    on one engine, whose on-shell systems share the grid's exchange blocks
+    and one set of arrays."""
     E_values = np.asarray(E_values_keV, dtype=float)
+    if E_values.ndim != 1:
+        raise ConfigurationError(f"energy mesh must be 1-D, got shape {E_values.shape}")
     if E_values.size == 0:
         raise ConfigurationError("energy mesh must be non-empty")
     if np.any(np.diff(E_values) <= 0):
@@ -147,20 +136,16 @@ def cross_section_curve(
     top = elastic_window(eng.config)
     outside = E_values[~((0.0 < E_values) & (E_values < top))]
     if outside.size:  # the whole mesh is checked before any solve
-        bound_nn = eng.config.nn_channel.pole_kind is PoleKind.bound
-        opens = "core+(nn dimer)" if bound_nn else "three-body breakup"
         raise DomainError(
             f"E_cm = {outside[0]} keV outside the elastic window (0, {top} keV); "
-            f"{opens} opens at {top} keV above the dimer threshold"
+            f"{eng.window_opens} opens at {top} keV above the dimer threshold"
         )
     Ecms = E_values / KEV_PER_MEV
     q0s = np.sqrt(2.0 * eng.M_n * Ecms)
-    n = grid.count
-    work = (np.empty((n + 1, n + 1)), np.empty((n + 1, n)), np.empty((n + 1, n + 1)))
     R = propagator_residue(eng.config.nc_channel, eng.mu_nc)
-    borders = eng.borders(Ecms, q0s)
+    systems = eng.on_shell_systems(Ecms, q0s)
     points = []
-    for E, Ecm, q0 in zip(map(float, E_values), map(float, Ecms), map(float, q0s)):
+    for E, q0 in zip(E_values.tolist(), q0s.tolist()):
         try:
             if np.min(np.abs(eng.p - q0)) < 1e-12 * q0:
                 raise NumericalError(
@@ -169,7 +154,9 @@ def cross_section_curve(
                 )
             if not math.isfinite(R):
                 raise NumericalError("residue of the n-core dimer pole leaves the float range")
-            gamma = _amplitude(eng, Ecm, q0, R, next(borders), work)
+            gamma = _amplitude(eng, q0, R, *next(systems))
+            if not math.isfinite(gamma):
+                raise NumericalError(f"elastic amplitude is not finite (gamma = {gamma:g} MeV^-1)")
         except (NumericalError, np.linalg.LinAlgError) as exc:
             raise NumericalError(f"at E_cm = {E} keV: {exc}") from exc
         # elastic unitarity: f = 1/(k cot delta - ik) = -gamma/(1 + i k gamma)

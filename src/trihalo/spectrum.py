@@ -42,25 +42,35 @@ from .quadrature import MomentumGrid
 # internal engine: natural units (MeV, hbar*c = 1)
 
 
-def _check_nn_dimer(config: SystemConfig) -> None:
-    """ConfigurationError for a bound n-n dimer below the n+(n-core) threshold
-    (breakup for a virtual n-core pair), which the kernel takes as the lowest."""
-    nc, nn = config.nc_channel, config.nn_channel
-    eps2_nc = nc.epsilon2_keV if nc.pole_kind is PoleKind.bound else 0.0
-    if nn.pole_kind is PoleKind.bound and nn.epsilon2_keV > eps2_nc:
+def _thresholds(config: SystemConfig) -> tuple[float, float | None, str]:
+    """The kernel's lowest threshold in MeV (-eps2 of a bound n-core pair,
+    else breakup at 0), the top of the elastic n+dimer window in keV (None
+    without a bound n-core pair) and what opens there.  A bound n-n dimer
+    below the n+(n-core) threshold (breakup for a virtual n-core pair), which
+    the kernel takes as the lowest, is a ConfigurationError."""
+    nc_bound = config.nc_channel.pole_kind is PoleKind.bound
+    nn_bound = config.nn_channel.pole_kind is PoleKind.bound
+    eps2_nc = config.nc_channel.epsilon2_keV if nc_bound else 0.0
+    eps2_nn = config.nn_channel.epsilon2_keV if nn_bound else 0.0
+    if eps2_nn > eps2_nc:
         raise ConfigurationError(
-            f"n-n dimer (eps2 = {nn.epsilon2_keV:g} keV) below the n+(n-core) threshold "
+            f"n-n dimer (eps2 = {eps2_nn:g} keV) below the n+(n-core) threshold "
             f"(eps2 = {eps2_nc:g} keV): not supported"
         )
+    opens = "core+(nn dimer)" if nn_bound else "three-body breakup"
+    if not nc_bound:  # 0.0, not -0.0: messages print it
+        return 0.0, None, opens
+    return -eps2_nc / KEV_PER_MEV, eps2_nc - eps2_nn, opens
 
 
 class _Engine:
     """The kernel's setting for one (config, grid) pair, in MeV.
 
-    Holds masses, channel parameters, grid momenta and measure, and the
-    grid's exchange pair once built.  The config is resolved once here;
-    every kernel evaluation on this pair, a whole root search or
-    cross-section curve included, reuses the engine.
+    Holds masses, channel parameters, thresholds, grid momenta and measure,
+    the exchange blocks' closed-form parameters, and the grid's exchange
+    pair once built.  The config is resolved once here; every kernel
+    evaluation on this pair, a whole root search or cross-section curve
+    included, reuses the engine.
     """
 
     def __init__(self, config: SystemConfig, grid: MomentumGrid):
@@ -77,12 +87,19 @@ class _Engine:
         self.M_c = self.m_c * 2.0 * m_n / m_tot
         self.beta_nc = config.nc_channel.beta_inv_fm * HBAR_C
         self.beta_nn = config.nn_channel.beta_inv_fm * HBAR_C
+        self.threshold, self.window_top, self.window_opens = _thresholds(config)
+        # the closed-form parameters (ca, cb, 1/2mu_ag, 1/2mu_bg, 1/m_g,
+        # beta_a, beta_b) of Z_nn and of Z_nc
+        c_n, h_nc, h_nn = m_n / (m_n + self.m_c), 0.5 / self.mu_nc, 0.5 / self.mu_nn
+        self.exchange_parameters = (
+            (c_n, c_n, h_nc, h_nc, 1.0 / self.m_c, self.beta_nc, self.beta_nc),
+            (0.5, self.m_c / (self.m_c + m_n), h_nn, h_nc, 1.0 / m_n, self.beta_nc, self.beta_nn),
+        )
         # grid momenta, weights and the measure 2 pi p^2 w, all in MeV
         self.p = grid.nodes * HBAR_C
         self.w = grid.weights * HBAR_C
         self.u = 2.0 * np.pi * self.p**2 * self.w
         self._exchange = None
-        _check_nn_dimer(config)
 
     def tau_n(self, E):
         """n-core propagator with a neutron spectator at each grid node."""
@@ -96,18 +113,12 @@ class _Engine:
             self.config.nn_channel, self.mu_nn, E - self.p**2 / (2.0 * self.M_c)
         )
 
-    def threshold(self) -> float:
-        """Lowest scattering threshold in MeV (0 or the dimer energy -eps2)."""
-        if self.config.nc_channel.pole_kind is PoleKind.bound:
-            return -self.config.nc_channel.epsilon2_keV / KEV_PER_MEV
-        return 0.0
-
     def check_below_threshold(self, E: float) -> None:
         """DomainError for a real E (MeV) above the lowest threshold: on a cut."""
-        if E > self.threshold():
+        if E > self.threshold:
             raise DomainError(
                 f"E = {E:.6g} MeV lies on a scattering cut (threshold at "
-                f"{self.threshold():.6g} MeV); use the scattering module for "
+                f"{self.threshold:.6g} MeV); use the scattering module for "
                 "on-shell energies"
             )
 
@@ -122,41 +133,47 @@ class _Engine:
         written into out's arrays if given."""
         return _evaluate(self.exchange(), E, out)
 
-    def borders(self, Ecms, q0s):
-        """Each energy's q0 border, the three parts the on-shell solve reads:
-        Z_nn on the column (p + {q0}, q0), Z_nn and Z_nc on the row (q0, p).
+    def on_shell_systems(self, Ecms, q0s):
+        """Each energy's system on p + {q0} (q0 the on-shell momentum at Ecm
+        MeV above the lowest threshold): (E, Z_nn, G, P), P = 2 G G^T - Z_nn
+        (core_eliminated), in three arrays overwritten at each energy.
 
-        They come a chunk of energies at a time, a row per energy; a chunk
-        has at most EXCHANGE_BLOCK_ENTRIES // 5 entries over its 2N+1 border
-        momenta, so the five arrays a block holds fit one row block.  A chunk
-        whose build warns or overflows is built again one energy at a time,
-        when the caller asks for it and under the caller's settings: errors
-        and warnings come from the first failing energy, after its own checks."""
+        The q0 border holds the parts P reads: Z_nn on the column (p + {q0},
+        q0), Z_nn and Z_nc on the row (q0, p).  Borders come a chunk of
+        energies at a time, a row per energy, at most EXCHANGE_BLOCK_ENTRIES
+        // 5 entries over its 2N+1 momenta: the five arrays a block holds fit
+        one row block.  A chunk whose build warns or overflows is built again
+        one energy at a time, as the caller reaches each and under its
+        settings, so errors and warnings come after that energy's own checks."""
+        n = self.grid.count
+        Znn, G, P = np.empty((n + 1, n + 1)), np.empty((n + 1, n)), np.empty((n + 1, n + 1))
+        Es = self.threshold + Ecms
 
-        def parts(chunk):
-            q0 = q0s[chunk, None]
-            E = (self.threshold() + Ecms[chunk])[:, None]
-            p = np.broadcast_to(self.p, (len(q0), self.grid.count))
-            column = _Exchange(np.hstack([p, q0]), q0, *_exchange_parameters(self)[0])
+        def borders(chunk):
+            q0, E = q0s[chunk, None], Es[chunk, None]
+            p = np.broadcast_to(self.p, (len(q0), n))
+            column = _Exchange(np.hstack([p, q0]), q0, *self.exchange_parameters[0])
             return zip(column(E), *_evaluate(_exchanges(self, q0, self.p), E))
 
-        size = max(1, EXCHANGE_BLOCK_ENTRIES // (5 * (2 * self.grid.count + 1)))
+        size = max(1, EXCHANGE_BLOCK_ENTRIES // (5 * (2 * n + 1)))
         for start in range(0, len(q0s), size):
             stop = min(start + size, len(q0s))
             try:
                 with np.errstate(divide="raise", over="raise", invalid="raise"):
-                    built = list(parts(slice(start, stop)))
+                    chunk = list(borders(slice(start, stop)))
             except (FloatingPointError, NumericalError):
-                built = (next(parts(slice(i, i + 1))) for i in range(start, stop))
-            yield from built
+                chunk = (next(borders(slice(i, i + 1))) for i in range(start, stop))
+            for E, border in zip(Es[start:stop].tolist(), chunk):
+                self.born_blocks(E, out=(Znn[:n, :n], G[:n]))
+                Znn[:, n], Znn[n, :n], G[n] = border
+                yield E, Znn, G, self.core_eliminated(Znn, G, self.tau_c(E).real, out=P)
 
     def with_epsilon2(self, eps2_keV: float) -> _Engine:
         """This engine at another n-core eps2 (the scattering length follows),
         sharing its exchange blocks: they depend on the masses and betas only."""
-        nc = self.config.nc_channel
-        if nc.pole_kind is not PoleKind.bound:  # no n+dimer threshold to move
+        if self.window_top is None:  # no n+dimer threshold to move
             raise ConfigurationError("an n+dimer threshold requires a bound n-core channel")
-        nc = replace(nc, epsilon2_keV=eps2_keV, scattering_length_fm=None)
+        nc = replace(self.config.nc_channel, epsilon2_keV=eps2_keV, scattering_length_fm=None)
         eng = _Engine(replace(self.config, nc_channel=nc), self.grid)
         eng._exchange = self.exchange()
         return eng
@@ -316,24 +333,12 @@ class _Exchange:
         return out
 
 
-def _exchange_parameters(eng: _Engine):
-    """The closed-form parameters (ca, cb, 1/2mu_ag, 1/2mu_bg, 1/m_g, beta_a,
-    beta_b) of Z_nn and of Z_nc."""
-    m_n = NUCLEON_MASS
-    c_n = m_n / (m_n + eng.m_c)
-    nn = (c_n, c_n, 1.0 / (2.0 * eng.mu_nc), 1.0 / (2.0 * eng.mu_nc), 1.0 / eng.m_c,
-          eng.beta_nc, eng.beta_nc)
-    nc = (0.5, eng.m_c / (eng.m_c + m_n), 1.0 / (2.0 * eng.mu_nn), 1.0 / (2.0 * eng.mu_nc),
-          1.0 / m_n, eng.beta_nc, eng.beta_nn)
-    return nn, nc
-
-
 def _exchanges(eng: _Engine, q, qp) -> tuple[_Exchange, _Exchange]:
     """The Z_nn and Z_nc exchange blocks at the momenta q, qp (MeV), broadcast.
 
     Identical bosons (A = 1, beta_nn = beta_nc) give both blocks the same
     closed-form parameters: then one block serves as both."""
-    nn, nc = _exchange_parameters(eng)
+    nn, nc = eng.exchange_parameters
     Znn = _Exchange(q, qp, *nn)
     return Znn, Znn if nc == nn else _Exchange(q, qp, *nc)
 
@@ -434,7 +439,7 @@ def find_trimers(
     eng = _Engine(config, grid)
     config = eng.config
     # bound levels live strictly below the lowest scattering threshold
-    b_min = max(lo, -eng.threshold() * KEV_PER_MEV * (1.0 + 1e-12), 1e-300)
+    b_min = max(lo, -eng.threshold * KEV_PER_MEV * (1.0 + 1e-12), 1e-300)
     if b_min >= hi:
         return ThreeBodySpectrum(levels=(), config_snapshot=config)
     samples = {}  # x -> eigenvalues at E = -exp(x) MeV; they only pick brackets
@@ -597,6 +602,8 @@ def threshold_scan(
     ConfigurationError.
     """
     eps2 = np.asarray(epsilon2_values, dtype=float)
+    if eps2.ndim != 1:
+        raise ConfigurationError(f"epsilon2 values must be 1-D, got shape {eps2.shape}")
     if eps2.size == 0 or np.any(eps2 <= 0):
         raise ConfigurationError("epsilon2 values must be positive")
     if np.any(np.diff(eps2) <= 0):
@@ -607,7 +614,7 @@ def threshold_scan(
     counts = []
     for e in eps2:
         eng = base.with_epsilon2(e)
-        counts.append(max(eng.count_above_one(eng.threshold()) - 1, 0))
+        counts.append(max(eng.count_above_one(eng.threshold) - 1, 0))
     points = tuple(
         ScanPoint(epsilon2_keV=float(e), bound_excited_count=c)
         for e, c in zip(eps2, counts)
@@ -619,7 +626,7 @@ def threshold_scan(
             # excited state n corresponds to eigenvalue index n (0-based)
             def misfit(e2, n=n):
                 eng = base.with_epsilon2(e2)
-                return float(eng.eigenvalues(eng.threshold())[n] - 1.0)
+                return float(eng.eigenvalues(eng.threshold)[n] - 1.0)
 
             star = _brentq(misfit, eps2[i], eps2[i + 1], rtol=1e-10, xtol=1e-300)
             crossings.append(Crossing(state_index=n, epsilon2_star_keV=float(star)))
@@ -649,7 +656,7 @@ def calibrate_range_parameter(
 
     def misfit(beta):
         eng = engine(beta).with_epsilon2(target_epsilon2_star_keV)
-        return float(eng.eigenvalues(eng.threshold())[CALIBRATED_STATE] - 1.0)
+        return float(eng.eigenvalues(eng.threshold)[CALIBRATED_STATE] - 1.0)
 
     # rtol 1e-7, the noise floor: the misfit's sign is random over ~4e-7 in beta
     beta = _brentq(misfit, *CALIBRATION_BETA_INV_FM, rtol=1e-7, xtol=1e-300)

@@ -17,7 +17,7 @@ from trihalo.model import (
     unitary_boson_config,
 )
 from trihalo.quadrature import build_grid
-from trihalo.spectrum import EXCHANGE_BLOCK_ENTRIES, _Engine, _exchange_parameters, _exchanges
+from trihalo.spectrum import EXCHANGE_BLOCK_ENTRIES, _Engine, _exchanges
 
 
 @functools.cache
@@ -87,7 +87,7 @@ def test_exchange_blocks_match_angular_quadrature(engine, E):
     x, w = np.polynomial.legendre.leggauss(400)
     k = np.geomspace(1e-2, 2e3, 15)  # MeV
     q, qp = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
-    for args, block in zip(_exchange_parameters(engine), ("nn", "nc")):
+    for args, block in zip(engine.exchange_parameters, ("nn", "nc")):
         keep = q * qp >= 1e-2 * max(args[-2:]) ** 2
         Z = spectrum._Exchange(q[keep], qp[keep], *args)
         assert np.any(q[keep] == qp[keep])
@@ -106,7 +106,7 @@ def test_row_blocked_grid_blocks_equal_whole_array(n, count, E):
     # nodes of the ladder and the scan, 200 nodes, and the 384 of `scatter`
     eng = grid_engine(n)
     p = eng.p
-    for Z, args in zip(eng.exchange(), _exchange_parameters(eng)):
+    for Z, args in zip(eng.exchange(), eng.exchange_parameters):
         sizes = [rows.stop - rows.start for rows, *_ in Z.blocks]
         assert len(sizes) == count and max(sizes) - min(sizes) <= 1
         if n == 200:
@@ -124,28 +124,34 @@ def test_row_blocked_grid_blocks_equal_whole_array(n, count, E):
 
 
 def test_curve_borders_equal_per_energy_whole_array(engine):
-    # each energy's border from the engine, built a chunk of energies at a
-    # time (8 at N = 200), equals the closed form on that energy's momenta
-    # alone: Z_nn on the column (p + {q0}, q0), Z_nn and Z_nc on the row (q0, p)
+    # each energy's on-shell system from the engine, its q0 border built a
+    # chunk of energies at a time (8 at N = 200), equals the closed form on
+    # that energy's momenta p + {q0} alone, core-eliminated: Z_nn on
+    # (p + {q0}) x (p + {q0}), Z_nc on (p + {q0}) x p, then G and P
     q0 = np.geomspace(1e-2, 20.0, 90)  # MeV
     Ecm = q0**2 / (2.0 * engine.M_n)
-    E = engine.threshold() + Ecm
-    p = engine.p
-    nn, nc = _exchange_parameters(engine)
-    borders = list(engine.borders(Ecm, q0))
-    assert len(borders) == len(q0)
-    for i, border in enumerate(borders):
-        ref = (whole_array(np.append(p, q0[i]), q0[i], E[i], *nn),
-               whole_array(q0[i], p, E[i], *nn), whole_array(q0[i], p, E[i], *nc))
-        assert all(same_bits(a, b) for a, b in zip(border, ref)), i
-    # the same blocks over all 90 energies at once take two row blocks, and
-    # their rows keep the bits
-    column = np.hstack([np.broadcast_to(p, (len(q0), len(p))), q0[:, None]])
+    E = engine.threshold + Ecm
+    p, n = engine.p, engine.grid.count
+    nn, nc = engine.exchange_parameters
+    systems = [(e, Znn.copy(), G.copy(), P.copy())
+               for e, Znn, G, P in engine.on_shell_systems(Ecm, q0)]
+    assert len(systems) == len(q0)
+    refs = []
+    for i, (e, *system) in enumerate(systems):
+        pe = np.append(p, q0[i])
+        Znn = whole_array(pe[:, None], pe[None, :], E[i], *nn)
+        G = whole_array(pe[:, None], p[None, :], E[i], *nc)
+        refs.append((Znn[:, n].copy(), Znn[n, :n].copy(), G[n].copy()))
+        P = engine.core_eliminated(Znn, G, engine.tau_c(E[i]).real)
+        assert e == E[i] and all(same_bits(a, b) for a, b in zip(system, (Znn, G, P))), i
+    # the border blocks over all 90 energies at once take two row blocks,
+    # and their rows keep the bits
+    column = np.hstack([np.broadcast_to(p, (len(q0), n)), q0[:, None]])
     for Z, part in ((spectrum._Exchange(column, q0[:, None], *nn), 0),
                     (spectrum._Exchange(q0[:, None], p, *nc), 2)):
         assert len(Z.blocks) == 2
         rows = Z(E[:, None])
-        assert all(same_bits(rows[i], border[part]) for i, border in enumerate(borders))
+        assert all(same_bits(rows[i], ref[part]) for i, ref in enumerate(refs))
 
 
 def test_exchange_writes_into_a_strided_out(engine):
@@ -153,7 +159,7 @@ def test_exchange_writes_into_a_strided_out(engine):
     B = np.full((n + 1, n + 1), 7.0)
     Znn = engine.exchange()[0]
     assert Znn(E, out=B[:n, :n]).base is B
-    args = _exchange_parameters(engine)[0]
+    args = engine.exchange_parameters[0]
     assert same_bits(B[:n, :n], whole_array(engine.p[:, None], engine.p[None, :], E, *args))
     assert np.all(B[n] == 7.0) and np.all(B[:, n] == 7.0)
 

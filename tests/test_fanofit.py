@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -307,6 +308,20 @@ def test_fit_validation_errors():
         fit(E, np.linspace(1, 2, 20), model="lorentz")
     with pytest.raises(ConfigurationError, match="window"):
         fit(E, np.linspace(1, 2, 20), model="fano", window="bogus")
+
+
+@pytest.mark.parametrize(
+    "E, sigma, shapes",
+    [
+        (np.linspace(1.0, 2.0, 10), np.ones(9), "(10,) and (9,)"),  # was an IndexError
+        (np.ones((2, 10)), np.ones((2, 10)), "(2, 10) and (2, 10)"),
+        (np.float64(1.0), np.float64(1.0), "() and ()"),
+    ],
+    ids=["lengths", "2-d", "scalars"],
+)
+def test_fit_rejects_arrays_that_are_not_one_1d_shape(E, sigma, shapes):
+    with pytest.raises(ConfigurationError, match=re.escape(f"of one shape, got {shapes}")):
+        fit(E, sigma)
 
 
 # q = 1 and Gamma = 0.1 keV: the window (10x the peak-dip gap of 0.1 keV)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -6,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trihalo import spectrum
+from trihalo import scattering, spectrum
 from trihalo.errors import ConfigurationError, DomainError, NumericalError
 from trihalo.fanofit import FanoParameters, fano_profile, resonance_window
 from trihalo.model import (
@@ -198,6 +199,36 @@ def test_curve_sorted_validation(grid, calibrated_c20):
         cross_section_curve(cfg, grid, [5.0, 1.0])
     with pytest.raises(DomainError, match="999"):
         cross_section_curve(cfg, grid, [1.0, 999.0])
+
+
+@pytest.mark.parametrize("mesh, shape", [(1.0, "()"), ([[1.0, 2.0], [3.0, 4.0]], "(2, 2)")])
+def test_curve_rejects_a_mesh_that_is_not_1d(mesh, shape):
+    # a scalar was np.diff's ValueError, a 2-D mesh a TypeError
+    with pytest.raises(ConfigurationError, match=re.escape(f"must be 1-D, got shape {shape}")):
+        cross_section_curve(default_c20_config(), build_grid(16, 0.1), mesh)
+
+
+def test_a_non_finite_amplitude_fails_at_its_own_energy():
+    # q0 underflows to 0 at 5e-324 keV and the q0 border is 0/0 there: the
+    # curve fails at that energy, before solving the next ones, and without
+    # a RuntimeWarning from forming f out of the NaN
+    solved = []
+    amplitude = scattering._amplitude
+
+    def recorded(eng, q0, *args):
+        solved.append(q0)
+        return amplitude(eng, q0, *args)
+
+    mesh = np.geomspace(5e-324, 245.0, 8)
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(scattering, "_amplitude", recorded)
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as exc:
+            cross_section_curve(default_c20_config(), build_grid(16, 0.1), mesh)
+    assert str(exc.value) == (
+        "at E_cm = 5e-324 keV: elastic amplitude is not finite (gamma = nan MeV^-1)"
+    )
+    assert solved == [0.0]
 
 
 def test_curve_grid_refinement(calibrated_c20):

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import warnings
 import weakref
 from dataclasses import replace
@@ -560,9 +561,16 @@ def test_threshold_scan_validation(grid, calibrated_c20):
         threshold_scan(calibrated_c20, np.array([-5.0, 100.0]), grid)
 
 
+@pytest.mark.parametrize("values, shape", [([[1.0, 2.0]], "(1, 2)"), (100.0, "()")])
+def test_threshold_scan_rejects_values_that_are_not_1d(calibrated_c20, values, shape):
+    # a row of values was numpy's ambiguous-truth ValueError, a scalar np.diff's
+    with pytest.raises(ConfigurationError, match=re.escape(f"must be 1-D, got shape {shape}")):
+        threshold_scan(calibrated_c20, np.array(values), build_grid(16, 0.1))
+
+
 @pytest.mark.parametrize("search", ["calibration", "scan"])
 def test_calibration_and_scan_reject_a_virtual_nc_channel(search):
-    # a virtual n-core channel has no n+dimer threshold (threshold() is 0 MeV)
+    # a virtual n-core channel has no n+dimer threshold (the engine's threshold is 0 MeV)
     g = build_grid(48, 0.1)
     with pytest.raises(ConfigurationError, match="requires a bound n-core channel"):
         if search == "scan":
