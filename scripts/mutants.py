@@ -41,8 +41,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest ids; a parametrized test fails if any case does
 
 
-SPECTRUM, SCATTERING, MODEL, FANOFIT = (
-    f"src/trihalo/{m}.py" for m in ("spectrum", "scattering", "model", "fanofit")
+ENGINE, SPECTRUM, SCATTERING, MODEL, FANOFIT, CLI, PACKAGE = (
+    f"src/trihalo/{m}.py"
+    for m in ("_engine", "spectrum", "scattering", "model", "fanofit", "cli", "__init__")
 )
 AGREE = "tests/test_spectrum.py::test_kernel_matrix_and_symmetric_solve_agree"
 NEAR_NODE = "tests/test_scattering.py::test_amplitude_near_a_node_matches_the_refined_dense_system"
@@ -50,17 +51,17 @@ BOUND_NN = "tests/test_cli.py::test_bound_nn_dimer_below_nc_threshold_is_config_
 REFINEMENT = "    return -2.0 * math.pi**2 * Mn * R * (Y[n] + residual[n] - DY @ residual)\n"
 
 MUTANTS = (
-    Mutant("G G^T factor 2 scaled by 1 + 1e-6", SPECTRUM,
+    Mutant("G G^T factor 2 scaled by 1 + 1e-6", ENGINE,
            "        P *= 2.0\n", "        P *= 2.0 * (1.0 + 1e-6)\n",
            (AGREE, "tests/test_spectrum.py::test_determinant_continuity")),
-    Mutant("G G^T factor 2 dropped", SPECTRUM, "        P *= 2.0\n", "", (AGREE,)),
-    Mutant("tau_c sign check dropped", SPECTRUM,
+    Mutant("G G^T factor 2 dropped", ENGINE, "        P *= 2.0\n", "", (AGREE,)),
+    Mutant("tau_c sign check dropped", ENGINE,
            "        if np.any(tau_c >= 0):\n"
            '            raise NumericalError("propagator changed sign below threshold")\n',
            "",
            ("tests/test_scattering.py::test_hidden_nn_pole_is_numerical_error_in_both_layers",
             "tests/test_cli.py::test_scatter_with_a_hidden_nn_pole_is_numerical_error")),
-    Mutant("n-n dimer threshold check dropped", SPECTRUM,
+    Mutant("n-n dimer threshold check dropped", ENGINE,
            "    if eps2_nn > eps2_nc:\n", "    if False:\n",
            (f"{BOUND_NN}[spectrum]", f"{BOUND_NN}[scan]", f"{BOUND_NN}[scatter]",
             "tests/test_cli.py::test_scatter_and_curve_refuse_a_bound_nn_dimer_with_one_message"
@@ -69,7 +70,7 @@ MUTANTS = (
            REFINEMENT, "    return -2.0 * math.pi**2 * Mn * R * Y[n]\n", (NEAR_NODE,)),
     Mutant("refinement's (D Y).r sign flipped", SCATTERING,
            REFINEMENT, REFINEMENT.replace("- DY @", "+ DY @"), (NEAR_NODE,)),
-    Mutant("border rows swapped", SPECTRUM,
+    Mutant("border rows swapped", ENGINE,
            "                Znn[:, n], Znn[n, :n], G[n] = border\n",
            "                Znn[:, n], G[n], Znn[n, :n] = border\n",
            ("tests/test_scattering.py::test_amplitude_matches_dense_complex_system",
@@ -82,9 +83,14 @@ MUTANTS = (
     Mutant("energy mesh shape check dropped", SCATTERING,
            "    if E_values.ndim != 1:\n", "    if False:\n",
            ("tests/test_scattering.py::test_curve_rejects_a_mesh_that_is_not_1d",)),
-    Mutant("fit shape check dropped", FANOFIT,
-           "    if E.ndim != 1 or E.shape != sig.shape:\n", "    if False:\n",
-           ("tests/test_fanofit.py::test_fit_rejects_arrays_that_are_not_one_1d_shape",)),
+    Mutant("fit-array shape check dropped", FANOFIT,
+           "    if E.ndim != 1 or E.shape != sigma.shape:\n", "    if False:\n",
+           ("tests/test_fanofit.py::test_fit_rejects_arrays_that_are_not_one_1d_shape",
+            "tests/test_fanofit.py::test_auto_seed_rejects_arrays_that_are_not_one_1d_shape")),
+    Mutant("resonance_window shape check dropped", FANOFIT,
+           '    E, s = _curve_arrays(E, sigma, "resonance_window")\n',
+           "    E, s = np.asarray(E, dtype=float), np.asarray(sigma, dtype=float)\n",
+           ("tests/test_fanofit.py::test_resonance_window_rejects_arrays_that_are_not_one_1d_shape",)),
     Mutant("scan shape check dropped", SPECTRUM,
            "    if eps2.ndim != 1:\n", "    if False:\n",
            ("tests/test_spectrum.py::test_threshold_scan_rejects_values_that_are_not_1d",)),
@@ -97,6 +103,15 @@ MUTANTS = (
     Mutant("resonant pairs check dropped", SPECTRUM,
            "    if not isinstance(resonant_pairs, ResonantPairs):\n", "    if False:\n",
            ("tests/test_spectrum.py::test_scale_factor_rejects_a_string_mode",)),
+    Mutant("cli imports the spectrum module at import", CLI,
+           "from .scattering import cross_section_curve, elastic_window\n",
+           "from .scattering import cross_section_curve, elastic_window\n"
+           "from .spectrum import find_trimers\n",
+           ("tests/test_imports.py::test_scipy_loads_only_at_the_first_spectrum_call",)),
+    Mutant("spectrum export cached in the package", PACKAGE,
+           "        return getattr(spectrum, name)\n",
+           "        globals()[name] = getattr(spectrum, name)\n        return globals()[name]\n",
+           ("tests/test_imports.py::test_a_spectrum_export_reads_the_module_binding_at_every_access",)),
 )
 
 

@@ -40,17 +40,34 @@ from .scattering import (
     ScatteringPoint,
     cross_section_curve,
 )
-from .spectrum import (
-    KernelMatrix,
-    ResonantPairs,
-    ScaleFactor,
-    ThreeBodySpectrum,
-    ThresholdScan,
-    build_kernel,
-    calibrate_range_parameter,
-    efimov_scale_factor,
-    find_trimers,
-    threshold_scan,
-)
+
+# The spectrum names load trihalo.spectrum, and with it scipy.linalg, at
+# their first use (PEP 562).  Each access reads the module's current binding,
+# so a name rebound on trihalo.spectrum is rebound here too.
+_SPECTRUM_NAMES = frozenset({
+    "KernelMatrix",
+    "ResonantPairs",
+    "ScaleFactor",
+    "ThreeBodySpectrum",
+    "ThresholdScan",
+    "build_kernel",
+    "calibrate_range_parameter",
+    "efimov_scale_factor",
+    "find_trimers",
+    "threshold_scan",
+})
+
+
+def __getattr__(name):
+    if name in _SPECTRUM_NAMES:
+        from . import spectrum
+
+        return getattr(spectrum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _SPECTRUM_NAMES)
+
 
 __version__ = "0.1.0"

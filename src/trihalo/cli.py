@@ -25,7 +25,6 @@ from .model import (
 )
 from .quadrature import build_grid
 from .scattering import cross_section_curve, elastic_window
-from .spectrum import find_trimers, threshold_scan
 
 
 def _window(value, name):
@@ -106,6 +105,8 @@ def cmd_twobody(args, rc) -> str:
 
 
 def cmd_spectrum(args, rc) -> str:
+    from .spectrum import find_trimers  # loads scipy.linalg, so at first use
+
     out = io.out_dir(args.out or rc["output_dir"])
     spec = find_trimers(
         rc["system"], rc["grid"], search_window=rc["spectrum"]["window_keV"],
@@ -117,6 +118,8 @@ def cmd_spectrum(args, rc) -> str:
 
 
 def cmd_scan(args, rc) -> str:
+    from .spectrum import threshold_scan  # loads scipy.linalg, so at first use
+
     out = io.out_dir(args.out or rc["output_dir"])
     scan = threshold_scan(rc["system"], pipeline.scan_values(**rc["scan"]), rc["grid"])
     io.write_scan(out, scan)

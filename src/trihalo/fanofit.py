@@ -202,13 +202,26 @@ class ResonanceWindow:
     dip_keV: float
 
 
+def _curve_arrays(E, sigma, caller: str):
+    """E and sigma as float arrays; a ConfigurationError naming caller and
+    both shapes unless they are 1-D arrays of one shape."""
+    E, sigma = np.asarray(E, dtype=float), np.asarray(sigma, dtype=float)
+    if E.ndim != 1 or E.shape != sigma.shape:
+        raise ConfigurationError(
+            f"{caller} needs 1-D energies and cross sections of one shape, "
+            f"got {E.shape} and {sigma.shape}"
+        )
+    return E, sigma
+
+
 def resonance_window(E, sigma) -> ResonanceWindow | None:
     """Window centered between the curve's extremal pair, width 10x their gap.
 
     Returns None for a monotone (no interior extrema) curve: the
-    no-resonance result.
+    no-resonance result.  E and sigma that are not 1-D arrays of one shape
+    are a ConfigurationError, as in fit.
     """
-    E, s = np.asarray(E, dtype=float), np.asarray(sigma, dtype=float)
+    E, s = _curve_arrays(E, sigma, "resonance_window")
     interior = np.arange(1, len(s) - 1)
     maxima = [i for i in interior if s[i] > s[i - 1] and s[i] > s[i + 1]]
     minima = [i for i in interior if s[i] < s[i - 1] and s[i] < s[i + 1]]
@@ -235,10 +248,10 @@ def auto_seed(model: str, E, sigma, window=None):
     Fano: sigma0 the median of the outer quartiles of sigma.  With a
     resonance window, E_r at the peak/dip midpoint, Gamma their
     separation and q = sign(peak - dip) * 2; without one (monotone
-    curve), the mesh midpoint, a quarter-range width and q = 2.
+    curve), the mesh midpoint, a quarter-range width and q = 2.  E and
+    sigma are checked as in fit.
     """
-    E = np.asarray(E, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
+    E, sigma = _curve_arrays(E, sigma, "auto_seed")
     if model == "breit_wigner":
         bg = float(np.min(sigma))
         amp = float(np.max(sigma)) - bg
@@ -340,15 +353,11 @@ def fit(E, sigma, model: str = "fano", window: str = "full") -> FitResult:
     residuals or Jacobian are not finite (data near the float range
     limits) is a NumericalError.
     """
-    E, sig = np.asarray(E, dtype=float), np.asarray(sigma, dtype=float)
     if model not in _MODELS:
         raise ConfigurationError(f"unknown model {model!r}")
     if window not in ("auto", "full"):
         raise ConfigurationError(f"window must be 'auto' or 'full', got {window!r}")
-    if E.ndim != 1 or E.shape != sig.shape:
-        raise ConfigurationError(
-            f"fit needs 1-D energies and cross sections of one shape, got {E.shape} and {sig.shape}"
-        )
+    E, sig = _curve_arrays(E, sigma, "fit")
     for name, x in (("energies", E), ("cross sections", sig)):
         if not np.isfinite(x).all():
             i = int(np.argmin(np.isfinite(x)))

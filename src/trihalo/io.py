@@ -10,13 +10,16 @@ import dataclasses
 import json
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .fanofit import FitResult
 from .scattering import CrossSectionCurve
-from .spectrum import ThreeBodySpectrum, ThresholdScan
+
+if TYPE_CHECKING:
+    from .spectrum import ThreeBodySpectrum, ThresholdScan
 
 CURVE_HEADER = "E_keV,sigma_fm2"
 

@@ -16,14 +16,14 @@ the on-shell column, which is proportional to the right-hand side, so
 one real solve and a Sherman-Morrison step give f exactly, and
 Im(1/f) = -k.
 
-The engine builds each energy's on-shell system (its
-on_shell_systems): the grid's exchange blocks once per curve, the q0
-borders a chunk of energies at a time, and the core elimination, in
-three (N+1)-sized arrays allocated once per curve.  This module keeps
-the principal-value weights and the solve.  Each energy runs in the
-curve's one loop: its checks, its system, then the solve; any failure
-there, a non-finite amplitude included, is a NumericalError naming the
-energy.
+The engine (module _engine, numpy only: a curve loads no scipy) builds
+each energy's on-shell system (its on_shell_systems): the grid's exchange
+blocks once per curve, the q0 borders a chunk of energies at a time, and
+the core elimination, in three (N+1)-sized arrays allocated once per
+curve.  This module keeps the principal-value weights and the solve.
+Each energy runs in the curve's one loop: its checks, its system, then
+the solve; any failure there, a non-finite amplitude included, is a
+NumericalError naming the energy.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._engine import _Engine, _thresholds
 from .errors import ConfigurationError, DomainError, NumericalError
 from .model import (
     HBAR_C,
@@ -43,7 +44,6 @@ from .model import (
     two_body_propagator_subtracted,
 )
 from .quadrature import MomentumGrid
-from .spectrum import _Engine, _thresholds
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trihalo import spectrum
+from trihalo import _engine
 from trihalo.model import (
     NUCLEON_MASS,
     default_c20_config,
@@ -17,7 +17,8 @@ from trihalo.model import (
     unitary_boson_config,
 )
 from trihalo.quadrature import build_grid
-from trihalo.spectrum import EXCHANGE_BLOCK_ENTRIES, _Engine, _exchanges
+from trihalo._engine import EXCHANGE_BLOCK_ENTRIES, _exchanges
+from trihalo.spectrum import _Engine
 
 
 @functools.cache
@@ -89,7 +90,7 @@ def test_exchange_blocks_match_angular_quadrature(engine, E):
     q, qp = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
     for args, block in zip(engine.exchange_parameters, ("nn", "nc")):
         keep = q * qp >= 1e-2 * max(args[-2:]) ** 2
-        Z = spectrum._Exchange(q[keep], qp[keep], *args)
+        Z = _engine._Exchange(q[keep], qp[keep], *args)
         assert np.any(q[keep] == qp[keep])
         if block == "nn":  # the confluent branch is checked
             assert sum(d[0].size for d in confluent_indices(Z)) > 0
@@ -147,8 +148,8 @@ def test_curve_borders_equal_per_energy_whole_array(engine):
     # the border blocks over all 90 energies at once take two row blocks,
     # and their rows keep the bits
     column = np.hstack([np.broadcast_to(p, (len(q0), n)), q0[:, None]])
-    for Z, part in ((spectrum._Exchange(column, q0[:, None], *nn), 0),
-                    (spectrum._Exchange(q0[:, None], p, *nc), 2)):
+    for Z, part in ((_engine._Exchange(column, q0[:, None], *nn), 0),
+                    (_engine._Exchange(q0[:, None], p, *nc), 2)):
         assert len(Z.blocks) == 2
         rows = Z(E[:, None])
         assert all(same_bits(rows[i], ref[part]) for i, ref in enumerate(refs))
@@ -194,7 +195,7 @@ def test_exchange_pair_memory():
 def own_nc_block(eng):
     """Z_nc on the grid, built on its own from its closed-form parameters."""
     m_n, p = NUCLEON_MASS, eng.p
-    return spectrum._Exchange(
+    return _engine._Exchange(
         p[:, None], p[None, :], 0.5, eng.m_c / (eng.m_c + m_n),
         1.0 / (2.0 * eng.mu_nn), 1.0 / (2.0 * eng.mu_nc), 1.0 / m_n,
         eng.beta_nc, eng.beta_nn,
@@ -231,13 +232,13 @@ def test_identical_bosons_share_one_exchange_block(monkeypatch, config, shared):
     assert all(a is b for a, b in zip(eng.born_blocks(E, out=out), out))
     assert same_bits(out[1], reference) and same_bits(out[0], nn)
     calls = []
-    evaluate = spectrum._Exchange.__call__
+    evaluate = _engine._Exchange.__call__
 
     def counted(self, E, out=None):
         calls.append(self)
         return evaluate(self, E, out=out)
 
-    monkeypatch.setattr(spectrum._Exchange, "__call__", counted)
+    monkeypatch.setattr(_engine._Exchange, "__call__", counted)
     for E in (-1.0, -2.0, -3.0):
         eng.eigenvalues(E)
     assert len(calls) == 3 * (1 if shared else 2)

@@ -310,7 +310,7 @@ def test_fit_validation_errors():
         fit(E, np.linspace(1, 2, 20), model="fano", window="bogus")
 
 
-@pytest.mark.parametrize(
+NOT_ONE_1D_SHAPE = pytest.mark.parametrize(
     "E, sigma, shapes",
     [
         (np.linspace(1.0, 2.0, 10), np.ones(9), "(10,) and (9,)"),  # was an IndexError
@@ -319,9 +319,27 @@ def test_fit_validation_errors():
     ],
     ids=["lengths", "2-d", "scalars"],
 )
+
+
+@NOT_ONE_1D_SHAPE
 def test_fit_rejects_arrays_that_are_not_one_1d_shape(E, sigma, shapes):
     with pytest.raises(ConfigurationError, match=re.escape(f"of one shape, got {shapes}")):
         fit(E, sigma)
+
+
+@NOT_ONE_1D_SHAPE
+def test_resonance_window_rejects_arrays_that_are_not_one_1d_shape(E, sigma, shapes):
+    message = f"resonance_window needs 1-D energies and cross sections of one shape, got {shapes}"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        resonance_window(E, sigma)
+
+
+@pytest.mark.parametrize("model", ["fano", "breit_wigner"])
+@NOT_ONE_1D_SHAPE
+def test_auto_seed_rejects_arrays_that_are_not_one_1d_shape(model, E, sigma, shapes):
+    message = f"auto_seed needs 1-D energies and cross sections of one shape, got {shapes}"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        auto_seed(model, E, sigma)
 
 
 # q = 1 and Gamma = 0.1 keV: the window (10x the peak-dip gap of 0.1 keV)

@@ -1,7 +1,10 @@
-"""scipy.optimize is loaded at the first root search, not at import.
+"""scipy loads only where trihalo needs it: scipy.linalg at the first
+spectrum call, scipy.optimize at the first root search.  Importing trihalo
+and running twobody, scatter and fit load no scipy module at all.
 
 The check runs in a fresh interpreter, since this test session has long
-since imported scipy.optimize itself.
+since imported scipy itself.  The package's spectrum names resolve at each
+access through a module __getattr__, which the last tests pin.
 """
 
 import json
@@ -9,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import trihalo
 
@@ -19,7 +24,9 @@ import json, sys
 from pathlib import Path
 
 def loaded():
-    return "scipy.optimize" in sys.modules
+    scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return {"any": scipy[:1], "linalg": "scipy.linalg" in scipy,
+            "optimize": "scipy.optimize" in scipy}
 
 out = Path(sys.argv[1])
 stages = {}
@@ -63,7 +70,7 @@ print(json.dumps({"stages": stages, "codes": codes, "levels": len(spec.levels)})
 """
 
 
-def test_scipy_optimize_loads_only_at_first_root_search(tmp_path):
+def test_scipy_loads_only_at_the_first_spectrum_call(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC), OMP_NUM_THREADS="1")
     run = subprocess.run(
         [sys.executable, "-c", PROBE, str(tmp_path)],
@@ -73,10 +80,47 @@ def test_scipy_optimize_loads_only_at_first_root_search(tmp_path):
     report = json.loads(run.stdout.strip().splitlines()[-1])
     assert report["codes"] == {"twobody": 0, "scatter": 0, "fit": 0}
     assert report["levels"] == 1
-    assert report["stages"] == {
-        "import": False,
-        "twobody": False,
-        "scatter": False,
-        "fit": False,
-        "find_trimers": True,
-    }
+    none = {"any": [], "linalg": False, "optimize": False}
+    stages = report["stages"]
+    assert stages.pop("find_trimers") == {"any": ["scipy"], "linalg": True, "optimize": True}
+    assert stages == {"import": none, "twobody": none, "scatter": none, "fit": none}
+
+
+# every name the package exported when it still imported trihalo.spectrum eagerly
+EXPORTS = (
+    "BreitWignerParameters", "ChannelLabel", "ConfigurationError", "CrossSectionCurve",
+    "DomainError", "FanoParameters", "FitResult", "FlatDataError", "HBAR_C", "KernelMatrix",
+    "MomentumGrid", "NUCLEON_MASS", "NumericalError", "PairChannel", "PoleKind",
+    "PoleProximityError", "ResonantPairs", "ScaleFactor", "ScatteringPoint", "SystemConfig",
+    "ThreeBodySpectrum", "ThresholdScan", "boron19_config", "breit_wigner_profile",
+    "build_grid", "build_kernel", "calibrate_range_parameter", "cross_section_curve",
+    "default_c20_config", "efimov_scale_factor", "fano_profile", "find_trimers", "fit",
+    "parse_system_config", "q_consistency", "reduced_mass", "resolve_config",
+    "resonance_window", "scattering_length_from_pole", "threshold_scan",
+    "two_body_propagator", "unitary_boson_config", "__version__",
+)
+
+
+def test_every_export_resolves_as_an_attribute_and_by_from_import():
+    for name in EXPORTS:
+        namespace = {}
+        exec(f"from trihalo import {name}", namespace)
+        assert namespace[name] is getattr(trihalo, name), name
+
+
+def test_a_spectrum_export_reads_the_module_binding_at_every_access(monkeypatch):
+    import trihalo.spectrum
+
+    original, sentinel = trihalo.spectrum.find_trimers, object()
+    with monkeypatch.context() as patch:
+        patch.setattr(trihalo.spectrum, "find_trimers", sentinel)
+        assert trihalo.find_trimers is sentinel
+    assert trihalo.find_trimers is original
+    assert "find_trimers" not in vars(trihalo)  # nothing cached in the package
+
+
+def test_an_unknown_name_is_still_an_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        trihalo.no_such_name  # noqa: B018
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from trihalo import no_such_name", {})

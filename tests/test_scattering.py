@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trihalo import scattering, spectrum
+from trihalo import _engine, scattering, spectrum
 from trihalo.errors import ConfigurationError, DomainError, NumericalError
 from trihalo.fanofit import FanoParameters, fano_profile, resonance_window
 from trihalo.model import (
@@ -34,7 +34,8 @@ from trihalo.scattering import (
     cross_section_curve,
     elastic_window,
 )
-from trihalo.spectrum import _Engine, _exchanges
+from trihalo._engine import _exchanges
+from trihalo.spectrum import _Engine
 
 
 def c20(calibrated, eps2):
@@ -155,14 +156,14 @@ def test_a_warning_border_chunk_leaves_each_energy_its_own_border(monkeypatch):
     cfg, g = default_c20_config(), build_grid(16, 0.1)
     mesh = np.geomspace(0.05, 240.0, 5)
     plain = cross_section_curve(cfg, g, mesh)
-    exchanges = spectrum._exchanges
+    exchanges = _engine._exchanges
 
     def warning_exchanges(eng, q, qp):
         if np.broadcast(q, qp).shape != (g.count, g.count):
             np.log(np.zeros(1))  # a divide-by-zero RuntimeWarning
         return exchanges(eng, q, qp)
 
-    monkeypatch.setattr(spectrum, "_exchanges", warning_exchanges)
+    monkeypatch.setattr(_engine, "_exchanges", warning_exchanges)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         warned = cross_section_curve(cfg, g, mesh)
@@ -354,13 +355,13 @@ def test_elastic_unitarity_to_rounding(grid, calibrated_c20):
 def count_grid_exchanges(monkeypatch, n):
     """Count _Exchange constructions over a full n x n momentum grid."""
     built = []
-    init = spectrum._Exchange.__init__
+    init = _engine._Exchange.__init__
 
     def counting_init(self, q, qp, *args):
         built.append(np.broadcast(q, qp).shape == (n, n))
         init(self, q, qp, *args)
 
-    monkeypatch.setattr(spectrum._Exchange, "__init__", counting_init)
+    monkeypatch.setattr(_engine._Exchange, "__init__", counting_init)
     return built
 
 
@@ -389,14 +390,14 @@ def test_a_border_evaluates_only_the_entries_the_solve_reads(monkeypatch, count)
     # row (q0, p): 3N+1 entries, and 2N+1 for identical bosons, whose two
     # rows are one evaluation.  Z_nc's column is never read by the solve
     evaluated = []
-    evaluate = spectrum._Exchange.__call__
+    evaluate = _engine._Exchange.__call__
 
     def counted(self, E, out=None):
         if self.shape != (count, count):
             evaluated.append(math.prod(self.shape))
         return evaluate(self, E, out=out)
 
-    monkeypatch.setattr(spectrum._Exchange, "__call__", counted)
+    monkeypatch.setattr(_engine._Exchange, "__call__", counted)
     mesh = np.geomspace(0.05, 200.0, 7)
     for config, entries in ((default_c20_config(), 3 * count + 1),
                             (identical_bosons(), 2 * count + 1)):
@@ -418,8 +419,10 @@ def test_curve_and_spectrum_share_one_core_elimination(monkeypatch, calibrated_c
 
         return counted
 
-    for name in calls:
-        monkeypatch.setattr(_Engine, name, counting(name, getattr(_Engine, name)))
+    # both layers' engines inherit core_eliminated; the eigen-solves are the spectrum's
+    for cls, name in ((_engine._Engine, "core_eliminated"), (_Engine, "eigenvalues"),
+                      (_Engine, "count_above_one")):
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
     g = build_grid(48, 0.1)
     cross_section_curve(c20(calibrated_c20, 250.0), g, curve_mesh(250.0, 12))
     assert calls == {"core_eliminated": 12, "eigenvalues": 0, "count_above_one": 0}
