@@ -41,13 +41,14 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest ids; a parametrized test fails if any case does
 
 
-ENGINE, SPECTRUM, SCATTERING, MODEL, FANOFIT, CLI, PACKAGE = (
+ENGINE, SPECTRUM, SCATTERING, MODEL, FANOFIT, CLI, IO, PACKAGE = (
     f"src/trihalo/{m}.py"
-    for m in ("_engine", "spectrum", "scattering", "model", "fanofit", "cli", "__init__")
+    for m in ("_engine", "spectrum", "scattering", "model", "fanofit", "cli", "io", "__init__")
 )
 AGREE = "tests/test_spectrum.py::test_kernel_matrix_and_symmetric_solve_agree"
 NEAR_NODE = "tests/test_scattering.py::test_amplitude_near_a_node_matches_the_refined_dense_system"
 BOUND_NN = "tests/test_cli.py::test_bound_nn_dimer_below_nc_threshold_is_config_error"
+LOADS = "tests/test_imports.py::test_each_subcommand_loads_only_the_modules_it_uses"
 REFINEMENT = "    return -2.0 * math.pi**2 * Mn * R * (Y[n] + residual[n] - DY @ residual)\n"
 
 MUTANTS = (
@@ -104,14 +105,26 @@ MUTANTS = (
            "    if not isinstance(resonant_pairs, ResonantPairs):\n", "    if False:\n",
            ("tests/test_spectrum.py::test_scale_factor_rejects_a_string_mode",)),
     Mutant("cli imports the spectrum module at import", CLI,
-           "from .scattering import cross_section_curve, elastic_window\n",
-           "from .scattering import cross_section_curve, elastic_window\n"
-           "from .spectrum import find_trimers\n",
-           ("tests/test_imports.py::test_scipy_loads_only_at_the_first_spectrum_call",)),
-    Mutant("spectrum export cached in the package", PACKAGE,
-           "        return getattr(spectrum, name)\n",
-           "        globals()[name] = getattr(spectrum, name)\n        return globals()[name]\n",
-           ("tests/test_imports.py::test_a_spectrum_export_reads_the_module_binding_at_every_access",)),
+           "from .quadrature import build_grid\n",
+           "from .quadrature import build_grid\nfrom .spectrum import find_trimers\n",
+           (f"{LOADS}[import]", f"{LOADS}[scatter]")),
+    Mutant("cli imports cross_section_curve at import", CLI,
+           "from .quadrature import build_grid\n",
+           "from .quadrature import build_grid\nfrom .scattering import cross_section_curve\n",
+           (f"{LOADS}[import]", f"{LOADS}[fit]")),
+    Mutant("package imports fanofit at import", PACKAGE,
+           "from .quadrature import MomentumGrid, build_grid\n",
+           "from . import fanofit  # noqa: F401\nfrom .quadrature import MomentumGrid, build_grid\n",
+           (f"{LOADS}[import]", f"{LOADS}[scatter]")),
+    Mutant("io imports FitResult at import", IO,
+           "from .errors import ConfigurationError\n",
+           "from .errors import ConfigurationError\nfrom .fanofit import FitResult\n",
+           (f"{LOADS}[import]", f"{LOADS}[scatter]")),
+    Mutant("layer export cached in the package", PACKAGE,
+           '        return getattr(importlib.import_module(f"{__name__}.{module}"), name)\n',
+           '        globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)\n'
+           "        return globals()[name]\n",
+           ("tests/test_imports.py::test_a_layer_export_reads_the_module_binding_at_every_access",)),
 )
 
 

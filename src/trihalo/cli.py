@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import io, pipeline
 from .errors import ConfigurationError, NumericalError
-from .fanofit import fit
 from .model import (
     choice,
     number,
@@ -24,7 +23,6 @@ from .model import (
     reduced_mass,
 )
 from .quadrature import build_grid
-from .scattering import cross_section_curve, elastic_window
 
 
 def _window(value, name):
@@ -127,6 +125,8 @@ def cmd_scan(args, rc) -> str:
 
 
 def cmd_scatter(args, rc) -> str:
+    from .scattering import cross_section_curve, elastic_window  # loads _engine, so at first use
+
     out = io.out_dir(args.out or rc["output_dir"])
     mesh = pipeline.curve_mesh(elastic_window(rc["system"]), **rc["scatter"])
     curve = cross_section_curve(rc["system"], rc["grid"], mesh)
@@ -135,6 +135,8 @@ def cmd_scatter(args, rc) -> str:
 
 
 def cmd_fit(args, rc) -> str:
+    from .fanofit import fit  # only fit uses fanofit, so at first use
+
     out = io.out_dir(args.out or rc["output_dir"])
     model = args.model or rc["fit"]["model"]
     model = {"bw": "breit_wigner"}.get(model, model)

@@ -15,10 +15,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigurationError
-from .fanofit import FitResult
-from .scattering import CrossSectionCurve
 
 if TYPE_CHECKING:
+    from .fanofit import FitResult
+    from .scattering import CrossSectionCurve
     from .spectrum import ThreeBodySpectrum, ThresholdScan
 
 CURVE_HEADER = "E_keV,sigma_fm2"

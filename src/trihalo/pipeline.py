@@ -14,10 +14,8 @@ import numpy as np
 
 from . import io
 from .errors import ConfigurationError
-from .fanofit import fit, q_consistency
 from .model import default_c20_config
 from .quadrature import MomentumGrid
-from .scattering import cross_section_curve
 
 DEFAULT_GRID_COUNT = 96
 DEFAULT_MAP_SCALE = 0.1  # fm^-1
@@ -61,6 +59,8 @@ def curve_mesh(
 
 def run_fig1_fig2(out_dir, grid: MomentumGrid, svg: bool = False) -> dict:
     """Run the full preset into out_dir, created if missing; returns a summary dict."""
+    from .fanofit import fit, q_consistency
+    from .scattering import cross_section_curve
     from .spectrum import calibrate_range_parameter, threshold_scan  # loads scipy.linalg
 
     out = io.out_dir(out_dir)
