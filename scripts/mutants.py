@@ -50,6 +50,7 @@ NEAR_NODE = "tests/test_scattering.py::test_amplitude_near_a_node_matches_the_re
 BOUND_NN = "tests/test_cli.py::test_bound_nn_dimer_below_nc_threshold_is_config_error"
 LOADS = "tests/test_imports.py::test_each_subcommand_loads_only_the_modules_it_uses"
 REFINEMENT = "    return -2.0 * math.pi**2 * Mn * R * (Y[n] + residual[n] - DY @ residual)\n"
+ON_THE_BOUND = "tests/test_fanofit.py::test_the_class_and_the_fitter_refuse_a_value_on_the_bound"
 
 MUTANTS = (
     Mutant("G G^T factor 2 scaled by 1 + 1e-6", ENGINE,
@@ -81,6 +82,9 @@ MUTANTS = (
            ("tests/test_scattering.py::test_a_non_finite_amplitude_fails_at_its_own_energy",
             "tests/test_cli.py::test_scatter_inputs_that_ended_in_a_traceback_are_numerical_errors"
             "[start-5e-324]")),
+    Mutant("diagonal of 1 + P D added to a copy", SCATTERING,
+           "    P.ravel()[:: n + 2] += 1.0", "    P.flatten()[:: n + 2] += 1.0",
+           ("tests/test_scattering.py::test_amplitude_matches_dense_complex_system",)),
     Mutant("energy mesh shape check dropped", SCATTERING,
            "    if E_values.ndim != 1:\n", "    if False:\n",
            ("tests/test_scattering.py::test_curve_rejects_a_mesh_that_is_not_1d",)),
@@ -92,6 +96,20 @@ MUTANTS = (
            '    E, s = _curve_arrays(E, sigma, "resonance_window")\n',
            "    E, s = np.asarray(E, dtype=float), np.asarray(sigma, dtype=float)\n",
            ("tests/test_fanofit.py::test_resonance_window_rejects_arrays_that_are_not_one_1d_shape",)),
+    Mutant("Fano Jacobian factor re-associated as 2 (s0 (q + eps))", FANOFIT,
+           "    t = np.multiply(2.0 * s0, qe, out=J[:, 1])\n",
+           "    t = np.multiply(2.0, s0 * qe, out=J[:, 1])\n",
+           ("tests/test_fanofit.py::test_jacobians_equal_the_column_stacks_bit_for_bit",)),
+    Mutant("Fano Gamma bound loosened to Gamma >= 0", FANOFIT,
+           "            0.0 < sigma0_fm2 < math.inf and 0.0 < Gamma_keV < math.inf\n",
+           "            0.0 < sigma0_fm2 < math.inf and 0.0 <= Gamma_keV < math.inf\n",
+           (f"{ON_THE_BOUND}[fano-3-0.0]",)),
+    Mutant("Breit-Wigner background bound dropped", FANOFIT,
+           "            0.0 <= sigma_bg_fm2 < math.inf", "            -math.inf < sigma_bg_fm2 < math.inf",
+           (f"{ON_THE_BOUND}[breit_wigner-0--5e-324]",)),
+    Mutant("power-of-two rescale of far-scaled data dropped", FANOFIT,
+           "        e = math.frexp(smax)[1]\n", "        e = 0\n",
+           ("tests/test_fanofit.py::test_fit_scale_invariance",)),
     Mutant("scan shape check dropped", SPECTRUM,
            "    if eps2.ndim != 1:\n", "    if False:\n",
            ("tests/test_spectrum.py::test_threshold_scan_rejects_values_that_are_not_1d",)),

@@ -11,6 +11,7 @@ Jacobian: deterministic, no RNG, no external optimizer state.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import astuple, dataclass, fields
 
@@ -38,9 +39,17 @@ class FanoParameters:
     E_r_keV: float
     Gamma_keV: float
 
+    @staticmethod
+    def admissible(sigma0_fm2, q, E_r_keV, Gamma_keV) -> bool:
+        """True exactly when these values construct FanoParameters."""
+        return (
+            0.0 < sigma0_fm2 < math.inf and 0.0 < Gamma_keV < math.inf
+            and math.isfinite(q) and math.isfinite(E_r_keV)
+        )
+
     def __post_init__(self):
-        _require_finite(self)
-        if not (self.sigma0_fm2 > 0 and self.Gamma_keV > 0):
+        if not self.admissible(*astuple(self)):
+            _require_finite(self)
             raise ConfigurationError("Fano parameters need sigma0 > 0, Gamma > 0")
 
 
@@ -51,11 +60,19 @@ class BreitWignerParameters:
     E_r_keV: float
     Gamma_keV: float
 
+    @staticmethod
+    def admissible(sigma_bg_fm2, amplitude_fm2, E_r_keV, Gamma_keV) -> bool:
+        """True exactly when these values construct BreitWignerParameters."""
+        return (
+            0.0 <= sigma_bg_fm2 < math.inf and 0.0 < amplitude_fm2 < math.inf
+            and 0.0 < Gamma_keV < math.inf and math.isfinite(E_r_keV)
+        )
+
     def __post_init__(self):
-        _require_finite(self)
-        if self.sigma_bg_fm2 < 0:
-            raise ConfigurationError("Breit-Wigner background must be >= 0")
-        if not (self.amplitude_fm2 > 0 and self.Gamma_keV > 0):
+        if not self.admissible(*astuple(self)):
+            _require_finite(self)
+            if self.sigma_bg_fm2 < 0:
+                raise ConfigurationError("Breit-Wigner background must be >= 0")
             raise ConfigurationError("Breit-Wigner needs amplitude > 0, Gamma > 0")
 
 
@@ -71,7 +88,8 @@ def breit_wigner_profile(E, p: BreitWignerParameters):
 
 
 # each chart's profile and Jacobian on raw coordinate arrays (a trial point
-# is checked by the parameter class before the fitter evaluates it)
+# is checked by the parameter class's admissible before the fitter evaluates
+# it); a Jacobian is one C-ordered (m, 4) array, its columns written in place
 
 
 def _fano_value(E, th):
@@ -84,12 +102,15 @@ def _fano_jacobian(E, th):
     s0, q, Er, G = th
     eps = (E - Er) / (G / 2.0)
     denom = 1.0 + eps**2
-    F = (q + eps) ** 2 / denom
-    dq = 2.0 * s0 * (q + eps) / denom
-    deps = 2.0 * s0 * (q + eps) * (1.0 - q * eps) / denom**2
-    dEr = deps * (-2.0 / G)
-    dG = deps * (-eps / G)
-    return np.column_stack([F, dq, dEr, dG])
+    qe = q + eps
+    J = np.empty((len(E), 4))
+    t = np.multiply(2.0 * s0, qe, out=J[:, 1])
+    deps = t * (1.0 - q * eps) / denom**2
+    np.square(qe, out=J[:, 0])
+    J[:, :2] /= denom[:, None]
+    np.multiply(deps, -2.0 / G, out=J[:, 2])
+    np.multiply(deps, -eps / G, out=J[:, 3])
+    return J
 
 
 # the Breit-Wigner profile in root coordinates (c, amp, E_r, Gamma) with
@@ -107,11 +128,13 @@ def _bw_jacobian(E, ph):
     c, amp, Er, G = ph
     eps = (E - Er) / (G / 2.0)
     denom = 1.0 + eps**2
-    damp = 1.0 / denom
     deps = -2.0 * amp * eps / denom**2
-    dEr = deps * (-2.0 / G)
-    dG = deps * (-eps / G)
-    return np.column_stack([np.full_like(E, 2.0 * c), damp, dEr, dG])
+    J = np.empty((len(E), 4))
+    J[:, 0] = 2.0 * c
+    np.divide(1.0, denom, out=J[:, 1])
+    np.multiply(deps, -2.0 / G, out=J[:, 2])
+    np.multiply(deps, -eps / G, out=J[:, 3])
+    return J
 
 
 # the Fano profile in amplitude coordinates (a, b) = (sqrt(s0) q, sqrt(s0)):
@@ -128,9 +151,14 @@ def _amplitude_jacobian(E, ph):
     a, b, Er, G = ph
     eps = (E - Er) / (G / 2.0)
     denom = 1.0 + eps**2
-    da = 2.0 * (a + b * eps) / denom
-    deps = 2.0 * (a + b * eps) * (b - a * eps) / denom**2
-    return np.column_stack([da, eps * da, deps * (-2.0 / G), deps * (-eps / G)])
+    t = 2.0 * (a + b * eps)
+    deps = t * (b - a * eps) / denom**2
+    J = np.empty((len(E), 4))
+    np.divide(t, denom, out=J[:, 0])
+    np.multiply(eps, J[:, 0], out=J[:, 1])
+    np.multiply(deps, -2.0 / G, out=J[:, 2])
+    np.multiply(deps, -eps / G, out=J[:, 3])
+    return J
 
 
 def _amplitude_to_fano_jacobian(ph):
@@ -165,14 +193,6 @@ _MODELS = {
     "fano": (FanoParameters, _FANO_CHART, fano_profile, _AMPLITUDE_CHART),
     "breit_wigner": (BreitWignerParameters, _BW_CHART, breit_wigner_profile, None),
 }
-
-
-def _admissible(cls, th) -> bool:
-    try:
-        cls(*th)
-    except ConfigurationError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -287,15 +307,16 @@ def _levenberg_marquardt(residuals, jacobian, th, feasible, shrink=1.0):
     lam = 1e-3
     J = jacobian(th)
     g = J.T @ r
-    if float(np.linalg.norm(g)) < GRAD_TOL:
+    if math.sqrt(g @ g) < GRAD_TOL:  # np.linalg.norm's own sum for a vector
         return th, r, J, 0, True
     for iterations in range(1, MAX_ITERATIONS + 1):
         JTJ = J.T @ J
-        diag = np.diag(JTJ).copy()
+        diag = JTJ.diagonal().copy()
         diag[diag <= 0] = 1e-30
+        damping, minus_g = np.diag(diag), -g
         for _ in range(50):
             try:
-                step = np.linalg.solve(JTJ + lam * np.diag(diag), -g)
+                step = np.linalg.solve(JTJ + lam * damping, minus_g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -305,23 +326,27 @@ def _levenberg_marquardt(residuals, jacobian, th, feasible, shrink=1.0):
                 continue
             r_trial = residuals(trial)
             cost_trial = float(r_trial @ r_trial)
-            if np.isfinite(cost_trial) and cost_trial <= cost:
+            if math.isfinite(cost_trial) and cost_trial <= cost:
                 break
             lam *= 10.0
         else:  # no descent direction left: stationary
             return th, r, J, iterations, True
         if cost_trial > shrink * cost:
             return th, r, J, iterations - 1, False
-        rel_step = float(
-            np.max(np.abs(step) / np.maximum(np.abs(th), 1e-300))
-        )
+        rel_step = float((np.abs(step) / np.maximum(np.abs(th), 1e-300)).max())
         th, r, cost = trial, r_trial, cost_trial
         J = jacobian(th)
         lam = max(lam / 3.0, 1e-15)
         g = J.T @ r
-        if rel_step < STEP_TOL or float(np.linalg.norm(g)) < GRAD_TOL:
+        if rel_step < STEP_TOL or math.sqrt(g @ g) < GRAD_TOL:
             return th, r, J, iterations, True
     return th, r, J, MAX_ITERATIONS, False
+
+
+def _ldexp(x, exponents):
+    """x * 2**exponents, exact; inf where that leaves the float range."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, exponents)
 
 
 def fit(E, sigma, model: str = "fano", window: str = "full") -> FitResult:
@@ -348,10 +373,14 @@ def fit(E, sigma, model: str = "fano", window: str = "full") -> FitResult:
     within reach keeps the result of its first 500 iterations.  The
     result is reported in (sigma0, q, E_r, Gamma) either way.
 
+    Data whose largest |sigma| is a normal float outside [2^-256, 2^256]
+    are fitted scaled by an exact power of two to below 1, and the fitted
+    cross sections and their covariance are scaled back.
+
     Energies and cross sections that are not two 1-D arrays of one shape,
     or not finite, are a ConfigurationError; a result whose scaled
-    residuals or Jacobian are not finite (data near the float range
-    limits) is a NumericalError.
+    residuals, Jacobian or parameters are not finite (data near the float
+    range limits) is a NumericalError.
     """
     if model not in _MODELS:
         raise ConfigurationError(f"unknown model {model!r}")
@@ -382,18 +411,36 @@ def fit(E, sigma, model: str = "fano", window: str = "full") -> FitResult:
         raise FlatDataError("cross-section data is flat; nothing to fit")
 
     cls, chart, _, continuation = _MODELS[model]
-    denom = np.maximum(np.abs(sig), RESIDUAL_FLOOR_SCALE * smax)
+    # far from unit scale J^T J of the relative residuals over- or underflows:
+    # fit sigma 2^-e, then scale the fields in fm^2 and their covariance back
+    e = 0
+    if sys.float_info.min <= smax and not 2.0**-256 <= smax <= 2.0**256:
+        e = math.frexp(smax)[1]
+    sig = np.ldexp(sig, -e)
+    denom = np.maximum(np.abs(sig), RESIDUAL_FLOOR_SCALE * math.ldexp(smax, -e))
+    weights = denom[:, None]
 
     th = auto_seed(model, E, sig, window=win)
-    if not _admissible(cls, th):
+    if not cls.admissible(*th.tolist()):
         raise ConfigurationError(f"infeasible {model} seed {th.tolist()}")
 
     def lm(chart, start, shrink=1.0):
+        def residuals(c):
+            r = chart.value(E, c)
+            r -= sig
+            r /= denom
+            return r
+
+        def jacobian(c):
+            J = chart.jacobian(E, c)
+            J /= weights
+            return J
+
         return _levenberg_marquardt(
-            lambda c: (chart.value(E, c) - sig) / denom,
-            lambda c: chart.jacobian(E, c) / denom[:, None],
+            residuals,
+            jacobian,
             chart.to_coords(start),
-            lambda c: _admissible(cls, chart.to_params(c)),
+            lambda c: cls.admissible(*chart.to_params(c).tolist()),
             shrink,
         )
 
@@ -405,19 +452,21 @@ def fit(E, sigma, model: str = "fano", window: str = "full") -> FitResult:
         if more:
             chart, coords, r, J, iterations = continuation, ph, r_ph, J_ph, iterations + more
 
-    if not (np.isfinite(r).all() and np.isfinite(J).all()):
+    exponents = np.array([e if f.name.endswith("_fm2") else 0 for f in fields(cls)])
+    values = _ldexp(chart.to_params(coords), exponents)
+    if not (np.isfinite(r).all() and np.isfinite(J).all() and np.isfinite(values).all()):
         raise NumericalError(
-            f"{model} fit: non-finite residuals or Jacobian at the result "
+            f"{model} fit: non-finite residuals, Jacobian or parameters at the result "
             f"(cross sections up to {smax!r} fm^2 near the float range limits)"
         )
-    params = cls(*(float(t) for t in chart.to_params(coords)))
+    params = cls(*values.tolist())
     dof = max(len(E) - 4, 1)
     variance = float(r @ r) / dof
     # covariance from the pseudo-inverse of J (not J^T J, which squares its
     # condition number), mapped to the reported parameters; as B B^T it is
     # symmetric and, up to rounding, positive semi-definite
     B = chart.params_jacobian(coords) @ np.linalg.pinv(J, rcond=0.0)
-    cov = variance * (B @ B.T)
+    cov = _ldexp(variance * (B @ B.T), np.add.outer(exponents, exponents))
     return FitResult(
         model=model,
         params=params,

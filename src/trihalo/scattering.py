@@ -99,17 +99,20 @@ def _amplitude(eng: _Engine, q0: float, R: float, E: float, Znn, G, P) -> float:
     # the pole added back: the full tau at the quadrature nodes
     z_n = E - p**2 / (2.0 * Mn)
     tau_reg = two_body_propagator_subtracted(eng.config.nc_channel, eng.mu_nc, z_n).real
-    tau_full = tau_reg + 2.0 * Mn * R / (q0**2 - p**2)
+    gap = q0**2 - p**2
+    tau_full = tau_reg + 2.0 * Mn * R / gap
     # P.V. int_0^inf dq/(q0^2-q^2) = 0, so the counter-term is just the
     # discretization defect of the subtracted pole
-    counter = -2.0 * Mn * R * q0**2 * float(np.sum(eng.w / (q0**2 - p**2)))
+    counter = -2.0 * Mn * R * q0**2 * float(np.sum(eng.w / gap))
     # (1 + P D) X = P[:, q0] with D = diag(u tau_full, 2 pi (counter - i pi Mn R q0)).
     # Only D's on-shell entry is complex, so X = Y / (1 - 2 pi^2 i Mn R q0 Y[q0])
     # (Sherman-Morrison) with Y the real solution at D = diag(u tau_full, 2 pi counter)
-    D = np.append(eng.u * tau_full, 2.0 * math.pi * counter)
+    D = np.empty(n + 1)
+    np.multiply(eng.u, tau_full, out=D[:n])
+    D[n] = 2.0 * math.pi * counter
     rhs = P[:, n].copy()
     np.multiply(P, D[None, :], out=P)  # P is overwritten by 1 + P D
-    P[np.diag_indices_from(P)] += 1.0
+    P.ravel()[:: n + 2] += 1.0  # the diagonal of the C-ordered (n+1, n+1) P
     Y = np.linalg.solve(P, rhs)
     # One refinement step of Y[q0] against P in factored form, whose
     # accuracy forming P loses when q0 sits near a node (large D there).

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trihalo import fanofit
@@ -125,6 +125,70 @@ def test_jacobians_match_central_differences():
             assert np.max(np.abs(J - J_fd) / scale) < 1e-6
 
 
+# the Jacobians as column stacks, each column its own expression: the chart
+# Jacobians write the same expressions into one array, to the same bits
+
+
+def fano_jacobian_stacked(E, th):
+    s0, q, Er, G = th
+    eps = (E - Er) / (G / 2.0)
+    denom = 1.0 + eps**2
+    F = (q + eps) ** 2 / denom
+    dq = 2.0 * s0 * (q + eps) / denom
+    deps = 2.0 * s0 * (q + eps) * (1.0 - q * eps) / denom**2
+    return np.column_stack([F, dq, deps * (-2.0 / G), deps * (-eps / G)])
+
+
+def bw_jacobian_stacked(E, ph):
+    c, amp, Er, G = ph
+    eps = (E - Er) / (G / 2.0)
+    denom = 1.0 + eps**2
+    deps = -2.0 * amp * eps / denom**2
+    return np.column_stack(
+        [np.full_like(E, 2.0 * c), 1.0 / denom, deps * (-2.0 / G), deps * (-eps / G)]
+    )
+
+
+def amplitude_jacobian_stacked(E, ph):
+    a, b, Er, G = ph
+    eps = (E - Er) / (G / 2.0)
+    denom = 1.0 + eps**2
+    da = 2.0 * (a + b * eps) / denom
+    deps = 2.0 * (a + b * eps) * (b - a * eps) / denom**2
+    return np.column_stack([da, eps * da, deps * (-2.0 / G), deps * (-eps / G)])
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+any_float = st.floats(allow_nan=False, allow_infinity=False)  # subnormals included
+
+
+@given(
+    th=st.lists(any_float, min_size=4, max_size=4),
+    E=st.lists(any_float, min_size=1, max_size=8),
+    weight=st.floats(min_value=1e-300, max_value=1e300),
+)
+# a subnormal sigma0: 2 sigma0 (q + eps) rounds differently as 2 (sigma0 (q + eps))
+@example(th=[1e-320, 0.3, 0.0, 2.0], E=[0.1, 0.7, 1.3, -0.45], weight=1.0)
+@settings(max_examples=300)
+def test_jacobians_equal_the_column_stacks_bit_for_bit(th, E, weight):
+    # as the fitter uses them too: divided in place by the residual weights
+    th, E = np.array(th), np.array(E)
+    weights = weight * np.linspace(1.0, 2.0, len(E))[:, None]
+    with np.errstate(all="ignore"):
+        for jacobian, stacked in [
+            (_fano_jacobian, fano_jacobian_stacked),
+            (_bw_jacobian, bw_jacobian_stacked),
+            (_amplitude_jacobian, amplitude_jacobian_stacked),
+        ]:
+            J = jacobian(E, th)
+            assert J.flags.c_contiguous
+            ref = stacked(E, th)
+            assert same_bits(J, ref)
+            J /= weights
+            assert same_bits(J, ref / weights)
 # --- fitting ---------------------------------------------------------------
 
 
@@ -214,18 +278,24 @@ def test_fit_at_iteration_cap_is_not_converged():
     assert not res.converged
 
 
+# beyond 2^+-256 the fit runs on the data scaled by an exact power of two:
+# unscaled, J^T J of the relative residuals over- or underflows there
+FAR_SCALES = (1e200, 1e-200, 2.0**700, 2.0**-700)
+
+
 def test_fit_scale_invariance():
     E, s = fano_data()
     base = fit(E, s, model="fano").params
-    scaled = fit(E, 137.0 * s, model="fano").params
-    assert scaled.sigma0_fm2 == pytest.approx(137.0 * base.sigma0_fm2, rel=1e-9)
-    assert scaled.q == pytest.approx(base.q, rel=1e-9)
-    assert scaled.E_r_keV == pytest.approx(base.E_r_keV, rel=1e-9)
-    assert scaled.Gamma_keV == pytest.approx(base.Gamma_keV, rel=1e-9)
+    for factor in (137.0, *FAR_SCALES):
+        scaled = fit(E, factor * s, model="fano").params
+        assert scaled.sigma0_fm2 / factor == pytest.approx(base.sigma0_fm2, rel=1e-9)
+        assert scaled.q == pytest.approx(base.q, rel=1e-9)
+        assert scaled.E_r_keV == pytest.approx(base.E_r_keV, rel=1e-9)
+        assert scaled.Gamma_keV == pytest.approx(base.Gamma_keV, rel=1e-9)
     # far below 1 fm^2 too: no absolute floor in the seed may bind
     s = breit_wigner_profile(E, BreitWignerParameters(0.5, 5.0, 1.63, 0.25))
     base = fit(E, s, model="breit_wigner").params
-    for factor in (1e-60, 1e-120):
+    for factor in (1e-60, 1e-120, *FAR_SCALES):
         res = fit(E, factor * s, model="breit_wigner")
         assert res.converged and res.residual_norm < 1e-12
         assert res.params.sigma_bg_fm2 == pytest.approx(factor * base.sigma_bg_fm2, rel=1e-9)
@@ -263,6 +333,51 @@ def test_parameters_reject_every_non_finite_field(cls, good, value):
     for i, field in enumerate(fields(cls)):
         with pytest.raises(ConfigurationError, match=f"non-finite {field.name}"):
             cls(*good[:i], value, *good[i + 1:])
+
+
+def constructs(cls, values) -> bool:
+    try:
+        cls(*values)
+    except ConfigurationError:
+        return False
+    return True
+
+
+edge_float = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.0]
+) | st.floats()
+
+
+@given(
+    cls=st.sampled_from([FanoParameters, BreitWignerParameters]),
+    values=st.lists(edge_float, min_size=4, max_size=4),
+)
+@settings(max_examples=500)
+def test_admissible_is_true_exactly_when_the_class_constructs(cls, values):
+    assert cls.admissible(*values) is constructs(cls, values)
+    # the amplitude chart's b = 0, where q = a / b leaves the float range
+    a, _, Er, G = values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        th = fanofit._AMPLITUDE_CHART.to_params(np.array([a, 0.0, Er, G])).tolist()
+    assert not FanoParameters.admissible(*th) and not constructs(FanoParameters, th)
+
+
+@pytest.mark.parametrize(
+    "model, index, value",
+    [
+        ("fano", 0, 0.0), ("fano", 0, -0.0), ("fano", 3, 0.0), ("fano", 3, -5e-324),
+        ("breit_wigner", 0, -5e-324), ("breit_wigner", 1, 0.0), ("breit_wigner", 3, -0.0),
+    ],
+)
+def test_the_class_and_the_fitter_refuse_a_value_on_the_bound(monkeypatch, model, index, value):
+    good = {"fano": [1.0, 4.0, 1.63, 0.25], "breit_wigner": [0.1, 5.0, 1.63, 0.25]}[model]
+    th = good[:index] + [value] + good[index + 1:]
+    cls = fanofit._MODELS[model][0]
+    assert constructs(cls, good) and not constructs(cls, th)
+    # the fitter's own feasibility test, on a seed at the bound
+    monkeypatch.setattr(fanofit, "auto_seed", lambda *args, **kwargs: np.array(th))
+    with pytest.raises(ConfigurationError, match=f"infeasible {model} seed"):
+        fit(*fano_data(), model=model)
 
 
 @pytest.mark.parametrize("model", ["fano", "breit_wigner"])

@@ -505,12 +505,12 @@ def test_scale_factor_rejects_a_string_mode(mode):
 # --- threshold scan and calibration ---------------------------------------
 
 
-@pytest.mark.parametrize("target", [200.0, 300.0])
+@pytest.mark.parametrize("target", [200.0 + 12.5 * i for i in range(9)])
 def test_calibrated_scan_meets_the_scan_workload_checks(target):
-    # the `scan` benchmark workload at the ends of its target range, with
-    # its checks: eps2*(1) within 0.1 keV of the target, bound-excited
-    # counts that never increase with eps2, and K(E) with an eigenvalue
-    # within 1e-9 of 1 at each crossing
+    # the `scan` benchmark workload across its target range (its ends and
+    # seven targets between, 12.5 keV apart), with its checks: eps2*(1)
+    # within 0.1 keV of the target, bound-excited counts that never increase
+    # with eps2, and K(E) with an eigenvalue within 1e-9 of 1 at each crossing
     g = build_grid(160, 0.1)
     calibrated = calibrate_range_parameter(default_c20_config(), g, target)
     scan = threshold_scan(calibrated, np.geomspace(1e-3, 400.0, 40), g)
