@@ -5,44 +5,16 @@ Usage:
     python3 scripts/compare_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding a `trihalo` package (e.g. the
-`src/` of two checkouts).  Each side runs the README example configuration
-through `twobody`, `spectrum`, `scan`, `scatter --svg`, `fit --svg` (Fano and
-Breit-Wigner, `--window auto` and `full`, on the side's own scatter curve, on
-an off-centre Fano curve: q -3, E_r 2.5 keV, Gamma 0.25 keV, and on a
-zero-background Breit-Wigner curve: amplitude 5 fm^2, E_r 1.63 keV, Gamma
-0.25 keV, each 200 points on [0.5, 3.5] keV; the Fano fits of the last run
-past 500 iterations into the amplitude continuation), `reproduce fig1-fig2
---svg`, `scatter --svg` of a one-point curve (start_keV 10, points 1),
-`scatter` of 8 log points on a 192-node grid (its exchange blocks are
-evaluated in three row blocks; at the 96 nodes of the other CLI runs
-they fit in one), `scan` of 8 points on a 160-node grid (two row blocks,
-through the inertia counts and one crossing's bisection),
-`scatter-identical-bosons`, 8 log points of an A = 1 system with a bound
-n-core and a virtual n-n channel at equal beta (one exchange block
-serves as Z_nn and Z_nc, in the grid blocks and the q0 borders alike),
-`spectrum-unequal-betas`, an A = 1 system whose n-n beta differs from
-its n-core beta (two exchange blocks), and five runs
-that end in a configuration error: `reproduce` with an unknown preset
-and with `--out` naming an existing file, `scan` with start_keV >
-stop_keV, and `scatter` with a virtual n-core channel (a = -179 fm) and
-with a bound one at eps2 = 0, neither of which has an elastic n+dimer
-window.  Five `scatter` runs end in a numerical error,
-each at its own energy's check: an on-shell momentum on a node of a
-32-node grid, exchange blocks that overflow at the fourth of 5 log points
-up to 0.98e100 keV at eps2 = 1e100 keV (their chunk of q0 borders fails,
-so each energy builds its own), a dimer residue that leaves the float
-range at eps2 = 1e300 keV, `scatter-hidden-nn-pole`, the README
-configuration with an nn scattering length of -0.1 fm, whose nn
-propagator has a bound pole on the physical sheet and is positive below
-threshold, and `scatter-k-underflow`, the README configuration from
-start_keV 5e-324, where the on-shell momentum underflows to 0 and the
-amplitude is NaN.  It also runs this directory's `unitary_ladder.py`
-(the A = 1 `unitary_boson_config` preset) and `boron19_states.py` (the
-A = 17 `boron19_config` preset) against each side's package; they read no
-configuration file and use their own grids.
-Every run is a fresh `python` process (`-m trihalo.cli` or a script) with
-one BLAS thread (outputs move in their last digits with the thread count),
-started in its own directory with relative paths, so stdout is comparable.
+`src/` of two checkouts).  Each side makes every run of RUNS, in order.  An
+entry gives the run's arguments, the sections of the README example
+configuration its cfg.json replaces, the curve a `fit` run reads, the exit
+code the run ends with, and what it pins.  Together the runs cover every
+subcommand, the presets (through this directory's demo scripts), grids of
+several exchange row blocks, both A = 1 block layouts, and the error paths
+of exit codes 2 and 3.  Every run is a fresh `python` process (`-m
+trihalo.cli` or a script) with one BLAS thread (outputs move in their last
+digits with the thread count), started in its own directory with relative
+paths, so stdout is comparable.
 
 Each run's output files and its stdout plus exit code (`stdout.txt`) are
 compared byte for byte.  Every file that differs or exists on one side only
@@ -65,6 +37,7 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,134 +62,133 @@ A1_SYSTEM = {
     "nn": {"pole": "virtual", "scattering_length_fm": -18.5, "beta_inv_fm": 2.0},
 }
 
-# run name -> the sections of README_CONFIG that the run's cfg.json replaces
-CONFIG_EDITS = {
-    "scan-descending": {"scan": {"start_keV": 400.0, "stop_keV": 0.001, "points": 40}},
-    "scatter-virtual-nc": {
-        "system": {
-            **README_CONFIG["system"],
-            "nc": {"pole": "virtual", "scattering_length_fm": -179.0, "beta_inv_fm": 1.0},
-        },
-    },
-    "scatter-unitary-nc": {
-        "system": {
-            **README_CONFIG["system"],
-            "nc": {"pole": "bound", "epsilon2_keV": 0.0, "beta_inv_fm": 1.0},
-        },
-    },
-    "scan-large-grid": {
-        "grid": {"count": 160, "map_scale_inv_fm": 0.1},
-        "scan": {**README_CONFIG["scan"], "points": 8},
-    },
-    "scatter-one-point": {"scatter": {"start_keV": 10.0, "points": 1}},
-    # identical bosons: Z_nn and Z_nc share one closed form, so one block
-    "scatter-identical-bosons": {
-        "system": {**A1_SYSTEM, "nn": {**A1_SYSTEM["nn"], "beta_inv_fm": 1.0}},
-        "scatter": {**README_CONFIG["scatter"], "points": 8},
-    },
-    # A = 1 at unequal betas: two blocks
-    "spectrum-unequal-betas": {"system": A1_SYSTEM},
-    "scatter-large-grid": {
-        "grid": {"count": 192, "map_scale_inv_fm": 0.1},
-        "scatter": {**README_CONFIG["scatter"], "points": 8},
-    },
-    # q0 = sqrt(2 M_n E_cm) equals node 2 of build_grid(32, 0.1) at this E_cm
-    "scatter-grid-node": {
-        "grid": {"count": 32, "map_scale_inv_fm": 0.1},
-        "scatter": {
-            "start_keV": 0.07015987146424983, "stop_keV": 0.07015987146424983,
-            "points": 1, "spacing": "log",
-        },
-    },
-    # the first chunk of q0 borders overflows, so each energy builds its
-    # own, and the fourth fails
-    "scatter-exchange-overflow": {
-        "system": {
-            **README_CONFIG["system"],
-            "nc": {"pole": "bound", "epsilon2_keV": 1e100, "beta_inv_fm": 1.0},
-        },
-        "grid": {"count": 16, "map_scale_inv_fm": 0.1},
-        "scatter": {"start_keV": 0.05, "stop_keV": 0.98e100, "points": 5, "spacing": "log"},
-    },
-    "scatter-residue-overflow": {
-        "system": {
-            **README_CONFIG["system"],
-            "nc": {"pole": "bound", "epsilon2_keV": 1e300, "beta_inv_fm": 1.0},
-        },
-        "grid": {"count": 16, "map_scale_inv_fm": 0.1},
-        "scatter": {**README_CONFIG["scatter"], "points": 3},
-    },
-    # |kappa_B| > 2 beta: tau_nn has a bound pole on the physical sheet and
-    # is positive below threshold
-    "scatter-hidden-nn-pole": {
-        "system": {
-            **README_CONFIG["system"],
-            "nn": {"pole": "virtual", "scattering_length_fm": -0.1, "beta_inv_fm": 1.0},
-        },
-    },
-    # q0 = sqrt(2 M_n E_cm) underflows to 0 at the first energy: a NaN amplitude
-    "scatter-k-underflow": {"scatter": {**README_CONFIG["scatter"], "start_keV": 5e-324}},
-}
-
-# the input each fit run reads: the side's scatter curve or a synthetic CSV
-SCATTER_CURVE = "scatter/out/curve.csv"
-OFF_CENTRE = "off-centre"
-ZERO_BACKGROUND_BW = "zero-background-bw"
-
 TRIHALO = ("-m", "trihalo.cli")
 SCRIPTS_DIR = Path(__file__).resolve().parent
 
-# (run name, argv after `python`, fit input or None); `scatter` runs
-# before every fit that reads its curve
-RUNS = [
-    ("twobody", [*TRIHALO, "twobody", "--config", "cfg.json"], None),
-    ("spectrum", [*TRIHALO, "spectrum", "--config", "cfg.json", "--out", "out"], None),
-    ("scan", [*TRIHALO, "scan", "--config", "cfg.json", "--out", "out"], None),
-    ("scatter", [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out", "--svg"], None),
+# the input a fit run reads: the side's scatter curve or a synthetic CSV
+SCATTER_CURVE = "scatter/out/curve.csv"
+OFF_CENTRE = "off-centre"
+ZERO_BACKGROUND_BW = "zero-background-bw"
+FIT_SOURCES = {  # run-name part -> (fit input, what it is)
+    "curve": (SCATTER_CURVE, "the side's scatter curve"),
+    OFF_CENTRE: (
+        OFF_CENTRE,
+        "an off-centre Fano curve (q -3, E_r 2.5 keV, Gamma 0.25 keV; 200 points on "
+        "[0.5, 3.5] keV)",
+    ),
+    ZERO_BACKGROUND_BW: (
+        ZERO_BACKGROUND_BW,
+        "a zero-background Breit-Wigner curve (amplitude 5 fm^2, E_r 1.63 keV, Gamma "
+        "0.25 keV; 200 points on [0.5, 3.5] keV), whose Fano fits run past 500 "
+        "iterations into the amplitude continuation",
+    ),
+}
+
+
+def cli(*args: str, out: str | None = "out", svg: bool = False) -> list[str]:
+    """argv after `python` of `trihalo ARGS` on the run's cfg.json, writing
+    into out (no --out if None), with --svg if svg."""
+    return [*TRIHALO, *args, "--config", "cfg.json",
+            *(["--out", out] if out else []), *(["--svg"] if svg else [])]
+
+
+class Run(NamedTuple):
+    name: str  # also the run's directory
+    argv: list[str]  # after `python`
+    exit_code: int  # the one its stdout.txt must end with
+    pins: str  # what the run holds fixed
+    edit: dict = {}  # the sections of README_CONFIG that the run's cfg.json replaces
+    fit_input: str | None = None  # a fit's input.csv, from FIT_SOURCES
+
+
+# every run, in order: `scatter` runs before every fit that reads its curve
+RUNS = (
+    Run("twobody", cli("twobody", out=None), 0, "the two-body channel table"),
+    Run("spectrum", cli("spectrum"), 0, "the trimer levels"),
+    Run("scan", cli("scan"), 0, "a 40-point eps2 scan and its crossings"),
+    Run("scatter", cli("scatter", svg=True), 0, "an 80-point elastic curve and its SVG"),
     *(
-        (
-            f"fit-{source}-{model}-{window}",
-            [*TRIHALO, "fit", "input.csv", "--model", model, "--window", window,
-             "--config", "cfg.json", "--out", "out", "--svg"],
-            SCATTER_CURVE if source == "curve" else source,
-        )
-        for source in ("curve", OFF_CENTRE, ZERO_BACKGROUND_BW)
+        Run(f"fit-{source}-{model}-{window}",
+            cli("fit", "input.csv", "--model", model, "--window", window, svg=True), 0,
+            f"a {model} fit, window {window}, of {about}",
+            fit_input=fit_input)
+        for source, (fit_input, about) in FIT_SOURCES.items()
         for model in ("fano", "bw")
         for window in ("auto", "full")
     ),
-    ("reproduce",
-     [*TRIHALO, "reproduce", "fig1-fig2", "--config", "cfg.json", "--out", "out", "--svg"],
-     None),
-    ("reproduce-unknown-preset",
-     [*TRIHALO, "reproduce", "nope", "--config", "cfg.json", "--out", "out"], None),
-    ("reproduce-out-file",
-     [*TRIHALO, "reproduce", "fig1-fig2", "--config", "cfg.json", "--out", "cfg.json"], None),
-    *(
-        (name, [*TRIHALO, "scan", "--config", "cfg.json", "--out", "out"], None)
-        for name in ("scan-descending", "scan-large-grid")
-    ),
-    ("scatter-virtual-nc",
-     [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None),
-    ("scatter-unitary-nc",
-     [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None),
-    ("scatter-one-point",
-     [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out", "--svg"], None),
-    ("scatter-large-grid", [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None),
-    ("scatter-identical-bosons",
-     [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None),
-    ("spectrum-unequal-betas",
-     [*TRIHALO, "spectrum", "--config", "cfg.json", "--out", "out"], None),
-    *(
-        (name, [*TRIHALO, "scatter", "--config", "cfg.json", "--out", "out"], None)
-        for name in (
-            "scatter-grid-node", "scatter-exchange-overflow", "scatter-residue-overflow",
-            "scatter-hidden-nn-pole", "scatter-k-underflow",
-        )
-    ),
-    # the demo scripts of this directory on the side's package: the presets
-    ("unitary-ladder", [str(SCRIPTS_DIR / "unitary_ladder.py")], None),
-    ("boron19-states", [str(SCRIPTS_DIR / "boron19_states.py")], None),
-]
+    Run("reproduce", cli("reproduce", "fig1-fig2", svg=True), 0,
+        "the fig1-fig2 preset: calibration, scan, two curves, their Fano fits and SVGs"),
+    Run("reproduce-unknown-preset", cli("reproduce", "nope"), 2, "an unknown preset"),
+    Run("reproduce-out-file", cli("reproduce", "fig1-fig2", out="cfg.json"), 2,
+        "--out naming an existing file"),
+    Run("scan-descending", cli("scan"), 2, "start_keV > stop_keV",
+        edit={"scan": {"start_keV": 400.0, "stop_keV": 0.001, "points": 40}}),
+    Run("scan-large-grid", cli("scan"), 0,
+        "8 points on a 160-node grid: two exchange row blocks, through the inertia "
+        "counts and one crossing's bisection",
+        edit={"grid": {"count": 160, "map_scale_inv_fm": 0.1},
+              "scan": {**README_CONFIG["scan"], "points": 8}}),
+    Run("scatter-virtual-nc", cli("scatter"), 2,
+        "a virtual n-core channel (a = -179 fm): no elastic n+dimer window",
+        edit={"system": {
+            **README_CONFIG["system"],
+            "nc": {"pole": "virtual", "scattering_length_fm": -179.0, "beta_inv_fm": 1.0},
+        }}),
+    Run("scatter-unitary-nc", cli("scatter"), 2,
+        "a bound n-core channel at eps2 = 0: an empty elastic window",
+        edit={"system": {
+            **README_CONFIG["system"],
+            "nc": {"pole": "bound", "epsilon2_keV": 0.0, "beta_inv_fm": 1.0},
+        }}),
+    Run("scatter-one-point", cli("scatter", svg=True), 0, "a one-point curve and its SVG",
+        edit={"scatter": {"start_keV": 10.0, "points": 1}}),
+    Run("scatter-large-grid", cli("scatter"), 0,
+        "8 log points on a 192-node grid: three exchange row blocks (one at 96 nodes)",
+        edit={"grid": {"count": 192, "map_scale_inv_fm": 0.1},
+              "scatter": {**README_CONFIG["scatter"], "points": 8}}),
+    Run("scatter-identical-bosons", cli("scatter"), 0,
+        "8 log points of A = 1 at equal betas: one exchange block serves as Z_nn and "
+        "Z_nc, in the grid blocks and the q0 borders alike",
+        edit={"system": {**A1_SYSTEM, "nn": {**A1_SYSTEM["nn"], "beta_inv_fm": 1.0}},
+              "scatter": {**README_CONFIG["scatter"], "points": 8}}),
+    Run("spectrum-unequal-betas", cli("spectrum"), 0,
+        "A = 1 at unequal betas: two exchange blocks", edit={"system": A1_SYSTEM}),
+    Run("scatter-grid-node", cli("scatter"), 3,
+        "q0 = sqrt(2 M_n E_cm) on node 2 of build_grid(32, 0.1)",
+        edit={"grid": {"count": 32, "map_scale_inv_fm": 0.1},
+              "scatter": {"start_keV": 0.07015987146424983, "stop_keV": 0.07015987146424983,
+                          "points": 1, "spacing": "log"}}),
+    Run("scatter-exchange-overflow", cli("scatter"), 3,
+        "exchange blocks that overflow at the fourth of 5 log points at eps2 = 1e100 keV, "
+        "after their chunk of q0 borders failed and each energy built its own",
+        edit={"system": {**README_CONFIG["system"],
+                         "nc": {"pole": "bound", "epsilon2_keV": 1e100, "beta_inv_fm": 1.0}},
+              "grid": {"count": 16, "map_scale_inv_fm": 0.1},
+              "scatter": {"start_keV": 0.05, "stop_keV": 0.98e100, "points": 5,
+                          "spacing": "log"}}),
+    Run("scatter-residue-overflow", cli("scatter"), 3,
+        "a dimer residue that leaves the float range at eps2 = 1e300 keV",
+        edit={"system": {**README_CONFIG["system"],
+                         "nc": {"pole": "bound", "epsilon2_keV": 1e300, "beta_inv_fm": 1.0}},
+              "grid": {"count": 16, "map_scale_inv_fm": 0.1},
+              "scatter": {**README_CONFIG["scatter"], "points": 3}}),
+    Run("scatter-hidden-nn-pole", cli("scatter"), 3,
+        "a_nn = -0.1 fm, |kappa_B| > 2 beta: tau_nn has a bound pole on the physical "
+        "sheet and is positive below threshold",
+        edit={"system": {
+            **README_CONFIG["system"],
+            "nn": {"pole": "virtual", "scattering_length_fm": -0.1, "beta_inv_fm": 1.0},
+        }}),
+    Run("scatter-k-underflow", cli("scatter"), 3,
+        "start_keV 5e-324: q0 underflows to 0 and the amplitude is NaN",
+        edit={"scatter": {**README_CONFIG["scatter"], "start_keV": 5e-324}}),
+    # the demo scripts of this directory on the side's package: they read no
+    # cfg.json and use their own grids
+    Run("unitary-ladder", [str(SCRIPTS_DIR / "unitary_ladder.py")], 0,
+        "the A = 1 unitary_boson_config preset"),
+    Run("boron19-states", [str(SCRIPTS_DIR / "boron19_states.py")], 0,
+        "the A = 17 boron19_config preset"),
+)
 
 
 def synthetic_csv(source: str) -> str:
@@ -245,17 +217,17 @@ def run_side(src: Path, work: Path, grid_count: int) -> None:
         raise SystemExit(f"compare_outputs: {src} does not provide the trihalo package")
     config = json.loads(json.dumps(README_CONFIG))
     config["grid"]["count"] = grid_count
-    for name, argv, fit_input in RUNS:
-        run_dir = work / name
+    for run in RUNS:
+        run_dir = work / run.name
         run_dir.mkdir(parents=True)
-        run_config = {**config, **CONFIG_EDITS.get(name, {})}
+        run_config = {**config, **run.edit}
         (run_dir / "cfg.json").write_text(json.dumps(run_config, indent=1) + "\n")
-        if fit_input in (OFF_CENTRE, ZERO_BACKGROUND_BW):
-            (run_dir / "input.csv").write_text(synthetic_csv(fit_input))
-        elif fit_input is not None and (work / fit_input).is_file():
-            (run_dir / "input.csv").write_bytes((work / fit_input).read_bytes())
+        if run.fit_input in (OFF_CENTRE, ZERO_BACKGROUND_BW):
+            (run_dir / "input.csv").write_text(synthetic_csv(run.fit_input))
+        elif run.fit_input is not None and (work / run.fit_input).is_file():
+            (run_dir / "input.csv").write_bytes((work / run.fit_input).read_bytes())
         done = subprocess.run(
-            [sys.executable, *argv],
+            [sys.executable, *run.argv],
             env=env, cwd=run_dir, capture_output=True, text=True,
         )
         (run_dir / "stdout.txt").write_text(f"{done.stdout}exit={done.returncode}\n")

@@ -41,9 +41,12 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest ids; a parametrized test fails if any case does
 
 
-ENGINE, SPECTRUM, SCATTERING, MODEL, FANOFIT, CLI, IO, PACKAGE = (
+ENGINE, SPECTRUM, SCATTERING, MODEL, FANOFIT, CLI, PIPELINE, IO, PACKAGE = (
     f"src/trihalo/{m}.py"
-    for m in ("_engine", "spectrum", "scattering", "model", "fanofit", "cli", "io", "__init__")
+    for m in (
+        "_engine", "spectrum", "scattering", "model", "fanofit", "cli", "pipeline", "io",
+        "__init__",
+    )
 )
 AGREE = "tests/test_spectrum.py::test_kernel_matrix_and_symmetric_solve_agree"
 NEAR_NODE = "tests/test_scattering.py::test_amplitude_near_a_node_matches_the_refined_dense_system"
@@ -107,6 +110,13 @@ MUTANTS = (
     Mutant("Breit-Wigner background bound dropped", FANOFIT,
            "            0.0 <= sigma_bg_fm2 < math.inf", "            -math.inf < sigma_bg_fm2 < math.inf",
            (f"{ON_THE_BOUND}[breit_wigner-0--5e-324]",)),
+    Mutant("fit covariance over len(E) degrees of freedom", FANOFIT,
+           "    dof = max(len(E) - 4, 1)\n", "    dof = len(E)\n",
+           ("tests/test_fanofit.py::test_reported_variances_match_the_scatter_of_noisy_fits",)),
+    Mutant("continuation stopping rule dropped (shrink 1.0)", FANOFIT,
+           "CONTINUATION_SHRINK = 0.5", "CONTINUATION_SHRINK = 1.0",
+           ("tests/test_fanofit.py::"
+            "test_the_continuation_keeps_a_fit_with_no_breit_wigner_limit_at_the_cap",)),
     Mutant("power-of-two rescale of far-scaled data dropped", FANOFIT,
            "        e = math.frexp(smax)[1]\n", "        e = 0\n",
            ("tests/test_fanofit.py::test_fit_scale_invariance",)),
@@ -130,6 +140,9 @@ MUTANTS = (
            "from .quadrature import build_grid\n",
            "from .quadrature import build_grid\nfrom .scattering import cross_section_curve\n",
            (f"{LOADS}[import]", f"{LOADS}[fit]")),
+    Mutant("pipeline imports the spectrum module at import", PIPELINE,
+           "from . import io\n", "from . import io\nfrom .spectrum import threshold_scan\n",
+           (f"{LOADS}[import]", f"{LOADS}[scatter]")),
     Mutant("package imports fanofit at import", PACKAGE,
            "from .quadrature import MomentumGrid, build_grid\n",
            "from . import fanofit  # noqa: F401\nfrom .quadrature import MomentumGrid, build_grid\n",

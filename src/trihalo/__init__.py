@@ -32,7 +32,8 @@ from .quadrature import MomentumGrid, build_grid
 # package.  The layer names below load their module (spectrum with
 # scipy.linalg, scattering with the kernel engine) at their first use
 # (PEP 562).  Each access reads the module's current binding, so a name
-# rebound on the module is rebound here too.
+# rebound on the module is rebound here too.  cli and pipeline call the
+# layers through these names, so this table alone decides what loads when.
 _LAZY_EXPORTS = {
     "fanofit": (
         "BreitWignerParameters",
@@ -44,7 +45,9 @@ _LAZY_EXPORTS = {
         "q_consistency",
         "resonance_window",
     ),
-    "scattering": ("CrossSectionCurve", "ScatteringPoint", "cross_section_curve"),
+    "scattering": (
+        "CrossSectionCurve", "ScatteringPoint", "cross_section_curve", "elastic_window",
+    ),
     "spectrum": (
         "KernelMatrix",
         "ResonantPairs",

@@ -13,6 +13,8 @@ import math
 import sys
 from pathlib import Path
 
+import trihalo
+
 from . import io, pipeline
 from .errors import ConfigurationError, NumericalError
 from .model import (
@@ -103,10 +105,8 @@ def cmd_twobody(args, rc) -> str:
 
 
 def cmd_spectrum(args, rc) -> str:
-    from .spectrum import find_trimers  # loads scipy.linalg, so at first use
-
     out = io.out_dir(args.out or rc["output_dir"])
-    spec = find_trimers(
+    spec = trihalo.find_trimers(
         rc["system"], rc["grid"], search_window=rc["spectrum"]["window_keV"],
         max_states=rc["spectrum"]["max_states"],
     )
@@ -116,32 +116,26 @@ def cmd_spectrum(args, rc) -> str:
 
 
 def cmd_scan(args, rc) -> str:
-    from .spectrum import threshold_scan  # loads scipy.linalg, so at first use
-
     out = io.out_dir(args.out or rc["output_dir"])
-    scan = threshold_scan(rc["system"], pipeline.scan_values(**rc["scan"]), rc["grid"])
+    scan = trihalo.threshold_scan(rc["system"], pipeline.scan_values(**rc["scan"]), rc["grid"])
     io.write_scan(out, scan)
     return f"scan points={len(scan.points)} crossings={len(scan.crossings)} dir={out}"
 
 
 def cmd_scatter(args, rc) -> str:
-    from .scattering import cross_section_curve, elastic_window  # loads _engine, so at first use
-
     out = io.out_dir(args.out or rc["output_dir"])
-    mesh = pipeline.curve_mesh(elastic_window(rc["system"]), **rc["scatter"])
-    curve = cross_section_curve(rc["system"], rc["grid"], mesh)
+    mesh = pipeline.curve_mesh(trihalo.elastic_window(rc["system"]), **rc["scatter"])
+    curve = trihalo.cross_section_curve(rc["system"], rc["grid"], mesh)
     path = io.write_curve(out, "curve", curve, args.svg)
     return f"scatter points={len(curve.points)} file={path}"
 
 
 def cmd_fit(args, rc) -> str:
-    from .fanofit import fit  # only fit uses fanofit, so at first use
-
     out = io.out_dir(args.out or rc["output_dir"])
     model = args.model or rc["fit"]["model"]
     model = {"bw": "breit_wigner"}.get(model, model)
     E, s = io.read_curve_csv(args.input)
-    result = fit(E, s, model=model, window=args.window or rc["fit"]["window"])
+    result = trihalo.fit(E, s, model=model, window=args.window or rc["fit"]["window"])
     path = out / "fit.json"
     io.write_fit_json(path, result)
     if args.svg:

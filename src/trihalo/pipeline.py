@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+import trihalo
+
 from . import io
 from .errors import ConfigurationError
 from .model import default_c20_config
@@ -59,14 +61,10 @@ def curve_mesh(
 
 def run_fig1_fig2(out_dir, grid: MomentumGrid, svg: bool = False) -> dict:
     """Run the full preset into out_dir, created if missing; returns a summary dict."""
-    from .fanofit import fit, q_consistency
-    from .scattering import cross_section_curve
-    from .spectrum import calibrate_range_parameter, threshold_scan  # loads scipy.linalg
-
     out = io.out_dir(out_dir)
 
     target = 220.0
-    calibrated = calibrate_range_parameter(
+    calibrated = trihalo.calibrate_range_parameter(
         default_c20_config(), grid, target_epsilon2_star_keV=target
     )
     beta_nc = calibrated.nc_channel.beta_inv_fm
@@ -79,21 +77,21 @@ def run_fig1_fig2(out_dir, grid: MomentumGrid, svg: bool = False) -> dict:
         },
     )
 
-    scan = threshold_scan(calibrated, scan_values(), grid)
+    scan = trihalo.threshold_scan(calibrated, scan_values(), grid)
     io.write_scan(out, scan)
 
     fits = {}
     for eps2 in (250.0, 150.0):
         cfg = default_c20_config(epsilon2_keV=eps2, beta_nc=beta_nc)
-        curve = cross_section_curve(cfg, grid, curve_mesh(eps2))
+        curve = trihalo.cross_section_curve(cfg, grid, curve_mesh(eps2))
         tag = f"eps{int(eps2)}"
         E, sigma = curve.energies_keV, curve.sigmas_fm2
-        result = fits[eps2] = fit(E, sigma, model="fano", window="auto")
+        result = fits[eps2] = trihalo.fit(E, sigma, model="fano", window="auto")
         io.write_curve(out, f"curve_{tag}", curve, svg, fit=result)
         io.write_fit_json(out / f"fit_{tag}.json", result)
 
     if all(f.converged for f in fits.values()):
-        spread = q_consistency(fits.values())
+        spread = trihalo.q_consistency(fits.values())
     else:
         spread = math.inf
 

@@ -176,8 +176,8 @@ def _brentq(f, a: float, b: float, **tolerances) -> float:
     """brentq on [a, b]; non-convergence or a NaN objective is a NumericalError.
 
     The one root-finder entry point.  brentq is imported here, at the
-    first root search, so import trihalo and the commands that search no
-    root (twobody, scatter, fit) never pay for loading its package.
+    first root search, so a process that imports this module and searches
+    no root (one that calls only build_kernel) never loads scipy.optimize.
     brentq's NaN guard is a self-referencing closure that only the cyclic
     GC frees; it gets f in a box emptied on return, so f's engine dies at
     once."""

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -26,6 +26,9 @@ from trihalo.fanofit import (
     q_consistency,
     resonance_window,
 )
+from trihalo.model import default_c20_config
+from trihalo.pipeline import curve_mesh
+from trihalo.scattering import cross_section_curve
 
 REF = FanoParameters(sigma0_fm2=1.0, q=4.0, E_r_keV=1.63, Gamma_keV=0.25)
 
@@ -275,6 +278,19 @@ def test_fit_at_iteration_cap_is_not_converged():
     E = np.geomspace(0.05, 245.0, 80)
     res = fit(E, 1e3 / np.sqrt(E), model="fano")
     assert res.iterations >= MAX_ITERATIONS
+    assert not res.converged
+
+
+def test_the_continuation_keeps_a_fit_with_no_breit_wigner_limit_at_the_cap(
+    grid, calibrated_c20
+):
+    # reproduce's calibrated 250 keV curve is monotone: its Fano fit ends at
+    # the cap, and the amplitude continuation stops at its first step, which
+    # does not halve the cost (run to its own cap, it ends at 1,000)
+    cfg = default_c20_config(epsilon2_keV=250.0, beta_nc=calibrated_c20.nc_channel.beta_inv_fm)
+    curve = cross_section_curve(cfg, grid, curve_mesh(250.0))
+    res = fit(curve.energies_keV, curve.sigmas_fm2, model="fano", window="auto")
+    assert res.iterations == MAX_ITERATIONS
     assert not res.converged
 
 
@@ -561,3 +577,23 @@ def test_fit_with_noise_recovers_within_tolerance():
             )
         )
     assert np.median(errs) < 0.05
+
+
+def test_reported_variances_match_the_scatter_of_noisy_fits():
+    # the covariance is the residual variance over len(E) - 4 degrees of
+    # freedom times (J^T J)^-1: over 300 draws of 1% noise on 12 points its
+    # diagonal must agree with the sample variance of the fitted parameters
+    rng = np.random.default_rng(7)
+    E = np.linspace(0.5, 3.5, 12)
+    for model, clean in (
+        ("fano", fano_profile(E, REF)),
+        ("breit_wigner", breit_wigner_profile(E, BreitWignerParameters(1.0, 5.0, 1.63, 0.4))),
+    ):
+        fits = [
+            fit(E, clean * (1.0 + 0.01 * rng.standard_normal(len(E))), model=model)
+            for _ in range(300)
+        ]
+        sample = np.array([astuple(f.params) for f in fits]).var(axis=0, ddof=1)
+        reported = np.mean([np.diag(f.covariance) for f in fits], axis=0)
+        ratio = reported / sample
+        assert np.all((ratio >= 0.8) & (ratio <= 1.25)), (model, ratio)

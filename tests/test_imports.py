@@ -1,10 +1,10 @@
 """Each run loads only the trihalo and scipy modules it uses.
 
 The package's fanofit, scattering and spectrum names resolve at each access
-through a module __getattr__, and cli and pipeline import those layers in
-the commands that call them.  So importing trihalo and trihalo.cli loads
-none of the three layers and no scipy module; each subcommand adds the
-layers it calls, and scipy.linalg and scipy.optimize come only with a
+through a module __getattr__, and cli and pipeline call those layers only
+through these names, at call time.  So importing trihalo and trihalo.cli
+loads none of the three layers and no scipy module; each subcommand adds
+the layers it calls, and scipy.linalg and scipy.optimize come only with a
 spectrum call and its root search.
 
 Each subcommand runs in its own fresh interpreter: this test session has
@@ -93,7 +93,8 @@ def test_each_subcommand_loads_only_the_modules_it_uses(tmp_path, command, layer
     assert report["scipy"] == scipy
 
 
-# every name the package exported when it imported its layer modules eagerly
+# every name the package exported when it imported its layer modules
+# eagerly, and elastic_window, which the scatter command calls
 EXPORTS = (
     "BreitWignerParameters", "ChannelLabel", "ConfigurationError", "CrossSectionCurve",
     "DomainError", "FanoParameters", "FitResult", "FlatDataError", "HBAR_C", "KernelMatrix",
@@ -101,7 +102,8 @@ EXPORTS = (
     "PoleProximityError", "ResonantPairs", "ScaleFactor", "ScatteringPoint", "SystemConfig",
     "ThreeBodySpectrum", "ThresholdScan", "boron19_config", "breit_wigner_profile",
     "build_grid", "build_kernel", "calibrate_range_parameter", "cross_section_curve",
-    "default_c20_config", "efimov_scale_factor", "fano_profile", "find_trimers", "fit",
+    "default_c20_config", "efimov_scale_factor", "elastic_window", "fano_profile",
+    "find_trimers", "fit",
     "parse_system_config", "q_consistency", "reduced_mass", "resolve_config",
     "resonance_window", "scattering_length_from_pole", "threshold_scan",
     "two_body_propagator", "unitary_boson_config", "__version__",

@@ -119,19 +119,11 @@ def test_compare_outputs_same_tree_is_identical_and_a_changed_byte_is_reported(t
     src = SCRIPTS_DIR.parent / "src"
     assert compare.compare(src, src, tmp_path, grid_count=32) == []
     old, new = tmp_path / "old", tmp_path / "new"
-    runs = {p.name for p in new.iterdir()}
-    assert runs == {name for name, _, _ in compare.RUNS}
-    config_errors = {
-        "reproduce-unknown-preset", "reproduce-out-file", "scan-descending",
-        "scatter-virtual-nc", "scatter-unitary-nc",
-    }
-    numerical_errors = {
-        "scatter-grid-node", "scatter-exchange-overflow", "scatter-residue-overflow",
-        "scatter-hidden-nn-pole", "scatter-k-underflow",
-    }
-    for name in runs:
-        code = 2 if name in config_errors else 3 if name in numerical_errors else 0
-        assert (new / name / "stdout.txt").read_text().endswith(f"exit={code}\n"), name
+    assert {p.name for p in new.iterdir()} == {run.name for run in compare.RUNS}
+    assert {run.exit_code for run in compare.RUNS} == {0, 2, 3}  # the error paths stay covered
+    for run in compare.RUNS:
+        stdout = (new / run.name / "stdout.txt").read_text()
+        assert stdout.endswith(f"exit={run.exit_code}\n"), run.name
     assert (new / "fit-curve-bw-full" / "input.csv").read_bytes() == (
         new / "scatter" / "out" / "curve.csv"
     ).read_bytes()
